@@ -37,24 +37,43 @@ def edge_positions(g: UniformHypergraph) -> tuple[int, ...]:
     return tuple(sorted(pos[e] for e in g.edges))
 
 
-def _twin_reps(n: int, s: int, edge_set) -> list[int]:
-    """Smallest representative per class of transposition-interchangeable
-    vertices (swapping the two leaves the edge set invariant)."""
-    links = [set() for _ in range(n)]
-    for e in edge_set:
-        for i, v in enumerate(e):
-            links[v].add(e[:i] + e[i + 1:])
-    rep = list(range(n))
-    for u in range(n):
-        if rep[u] != u:
-            continue
-        lu = links[u]
-        for v in range(u + 1, n):
-            if rep[v] != v:
-                continue
-            if {x for x in lu if v not in x} == {x for x in links[v] if u not in x}:
-                rep[v] = u
-    return rep
+def _vertex_masks(edge_set) -> frozenset[int]:
+    """Each edge as the bitmask of its vertices."""
+    return frozenset(sum(1 << v for v in e) for e in edge_set)
+
+
+def _twin_classes(n: int, emask) -> list[int]:
+    """Vertex masks of the classes of transposition-interchangeable vertices
+    (swapping the two leaves the edge set invariant).
+
+    Twins have equal degree, and then swapping u and v maps the edges that
+    hold u but not v one-to-one onto the equally many that hold v but not u
+    as soon as each of the former has its swapped image in the edge set.
+    Being twins is an equivalence: (u w) = (u v)(v w)(u v).
+    """
+    inc = [[] for _ in range(n)]
+    for e in emask:
+        rest = e
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            inc[low.bit_length() - 1].append(e)
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(len(inc[v]), []).append(v)
+    classes = []
+    for group in by_degree.values():
+        while group:
+            u, *others = group
+            cls, group = 1 << u, []
+            for v in others:
+                uv = 1 << u | 1 << v
+                if all(e ^ uv in emask for e in inc[u] if not e >> v & 1):
+                    cls |= 1 << v
+                else:
+                    group.append(v)
+            classes.append(cls)
+    return classes
 
 
 def _bits_of(n: int, s: int, edge_set) -> bytearray:
@@ -65,75 +84,72 @@ def _bits_of(n: int, s: int, edge_set) -> bytearray:
     return bits
 
 
-def _improve_once(n, s, edge_set, target):
+def _improve_once(n, s, emask, target):
     """Search for a relabelling whose bitstring exceeds ``target``.
 
-    Returns the improved full bitstring, or None if ``target`` is maximal.
-    Equal branches are explored (they may diverge later); transposition twins
-    are tried once per class, which is sound because the twin swap extends
-    any partial assignment to an equal-valued one.
+    Returns such a relabelling as a list giving the old vertex of each new
+    one, or None if ``target`` is maximal.
+
+    New vertex j holds old vertex ``perm[j]``. ``subs[k]`` lists, in colex
+    order, the old-vertex masks of the images of the k-subsets of the
+    positions placed so far; placing a vertex appends to each list, because
+    the k-subsets of 0..j are those of 0..j-1 followed by the (k-1)-subsets
+    of 0..j-1 extended by j. The bits of level j (the colex positions of the
+    s-sets whose largest element is j) then ask, for each mask m in
+    ``subs[s - 1]``, whether the candidate completes m to an edge, and
+    ``links[m]`` answers that for all candidates at once. Scanning a level
+    narrows the candidate mask to those still equal to the target; one with
+    a 1 where the target has a 0 is an improvement, and any completion of
+    it improves the target. Equal branches are explored (they may diverge
+    later); transposition twins are tried once per class, which is sound
+    because the twin swap extends any partial assignment to an equal-valued
+    one.
     """
-    reps = _twin_reps(n, s, edge_set)
+    links: dict[int, int] = {}
+    for e in emask:
+        rest = e
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            links[e ^ low] = links.get(e ^ low, 0) | low
+    # only the lowest free member of each twin class is a candidate
+    twins = [c for c in _twin_classes(n, emask) if c & (c - 1)]
+    wants = [target[comb(j, s):comb(j + 1, s)] for j in range(n)]
+    get = links.get
     perm = [-1] * n
-    used = [False] * n
-    blocks = [colex_subsets(j, s - 1) for j in range(n)]
-    bases = [comb(j, s) for j in range(n)]
-    out: list[bytearray | None] = [None]
 
-    def greedy_fill(j):
-        # prefix already strictly better: any completion improves the target
-        if j == n:
-            bits = bytearray(len(target))
-            pos = colex_position(n, s)
-            inv = perm  # new -> old
-            back = {old: new for new, old in enumerate(inv)}
-            for e in edge_set:
-                bits[pos[tuple(sorted(back[v] for v in e))]] = 1
-            out[0] = bits
-            return True
-        for v in range(n):
-            if not used[v]:
-                perm[j] = v
-                used[v] = True
-                if greedy_fill(j + 1):
-                    return True
-                used[v] = False
-        return False
+    def dfs(j, subs, free):
+        cand = free
+        for c in twins:
+            c &= free
+            cand ^= c & (c - 1)
+        for m, bit in zip(subs[s - 1], wants[j]):
+            hit = get(m, 0) & cand
+            if bit:
+                cand = hit
+                if not cand:
+                    return None
+            elif hit:
+                low = hit & -hit
+                perm[j] = low.bit_length() - 1
+                free ^= low
+                perm[j + 1:] = [u for u in range(n) if free >> u & 1]
+                return perm
+        if j + 1 == n:
+            return None
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            perm[j] = low.bit_length() - 1
+            nxt = [subs[0]]
+            for k in range(1, s):
+                nxt.append(subs[k] + [m | low for m in subs[k - 1]])
+            found = dfs(j + 1, nxt, free ^ low)
+            if found is not None:
+                return found
+        return None
 
-    def dfs(j):
-        tried = set()
-        base = bases[j]
-        block = blocks[j]
-        for v in range(n):
-            if used[v]:
-                continue
-            r = reps[v]
-            if r in tried:
-                continue
-            tried.add(r)
-            perm[j] = v
-            verdict = 0
-            for t, sub in enumerate(block):
-                b = 1 if tuple(sorted([perm[a] for a in sub] + [v])) in edge_set else 0
-                if b != target[base + t]:
-                    verdict = 1 if b > target[base + t] else -1
-                    break
-            if verdict < 0:
-                continue
-            if verdict > 0:
-                used[v] = True
-                greedy_fill(j + 1)
-                used[v] = False
-                return True
-            if j + 1 < n:
-                used[v] = True
-                if dfs(j + 1):
-                    used[v] = False
-                    return True
-                used[v] = False
-        return False
-
-    return out[0] if dfs(0) else None
+    return dfs(0, [[0]] + [[] for _ in range(1, s)], (1 << n) - 1)
 
 
 def _guard(n: int):
@@ -147,18 +163,18 @@ def _guard(n: int):
 def is_canonical_raw(n: int, s: int, edge_set) -> bool:
     """Is the graph already its own canonical form?"""
     _guard(n)
-    return _improve_once(n, s, edge_set, _bits_of(n, s, edge_set)) is None
+    return _improve_once(n, s, _vertex_masks(edge_set), _bits_of(n, s, edge_set)) is None
 
 
 def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
     """Sorted colex positions of the canonical form's edges."""
     _guard(n)
+    emask = _vertex_masks(edge_set)
     best = _bits_of(n, s, edge_set)
-    while True:
-        improved = _improve_once(n, s, edge_set, best)
-        if improved is None:
-            return tuple(i for i, b in enumerate(best) if b)
-        best = improved
+    while (perm := _improve_once(n, s, emask, best)) is not None:
+        back = {old: new for new, old in enumerate(perm)}
+        best = _bits_of(n, s, [tuple(sorted(back[v] for v in e)) for e in edge_set])
+    return tuple(i for i, b in enumerate(best) if b)
 
 
 def canonical_form(g: UniformHypergraph) -> UniformHypergraph:

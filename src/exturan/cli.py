@@ -2,8 +2,9 @@
 
 Every subcommand is deterministic given its flags and seed; outputs carry no
 timestamps, so repeated runs are byte identical. Exit codes are a stable
-scripting contract: 0 success/verified, 1 claim refuted or certificate
-failure, 2 usage or parse error, 3 infeasible or timed out.
+scripting contract: 0 success/verified, 1 claim refuted, certificate
+failure or a cache entry or record failing verification, 2 usage or parse
+error, 3 infeasible or timed out.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .constructions import (
@@ -24,13 +24,15 @@ from .constructions import (
     verify_lbap_properties,
     APFreeSet,
 )
-from .counting import cliques, complete_subsets, contains, exponents, is_blowup_free, materialize
+from .counting import cliques, complete_subsets, exponents, is_blowup_free, materialize
 from .canonical import canonical_key
 from .extremal import (
+    CacheIntegrityError,
     ChainError,
     ExtremalRecord,
     InfeasibleError,
     RecordCache,
+    RecordError,
     chain_check,
     exact_ex,
     heuristic_lower,
@@ -118,6 +120,19 @@ def parse_pattern_spec(text: str):
     if any(a < 1 for a in sizes):
         raise SpecParseError("class sizes must be >= 1", 0)
     return BlowupSpec(complete(ell, s), tuple(sizes))
+
+
+class CertificateError(ValueError):
+    """A certificate file lacks a field that the claim reads, or has it in
+    the wrong shape."""
+
+
+def _parse_count(claim: str, prefix: str) -> int:
+    try:
+        return int(claim[len(prefix):])
+    except ValueError:
+        raise SpecParseError(f"claim {claim!r} needs an integer count",
+                             len(prefix)) from None
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -310,13 +325,13 @@ def cmd_verify(args) -> int:
             result["witness"] = emb.to_json_dict()
         trace.append({"step": "containment", "free": free})
     elif claim.startswith("cliques:"):
-        want = int(claim[8:])
+        want = _parse_count(claim, "cliques:")
         have = len(complete_subsets(host.n, host.s, host.edge_set, host.s + 1))
         verified = have == want
         result["cliques"] = have
         trace.append({"step": "clique-count", "have": have, "want": want})
     elif claim.startswith("edge-disjoint:"):
-        want = int(claim[14:])
+        want = _parse_count(claim, "edge-disjoint:")
         fam = cliques(host, host.s + 1)
         sub = edge_disjoint_greedy(fam, len(fam) + 2)
         verified = len(sub) >= want
@@ -325,10 +340,14 @@ def cmd_verify(args) -> int:
     elif claim == "lbap-properties":
         cert_path = args.cert or (args.host + ".cert.json")
         meta = json.loads(Path(cert_path).read_text(encoding="utf-8"))
-        params = meta["params"]
-        ap = APFreeSet(params["n"], params["r"], tuple(params["elements"]),
-                       params["exact"])
-        parts = PartitionMap(tuple(tuple(c) for c in params["parts"]))
+        try:
+            params = meta["params"]
+            ap = APFreeSet(params["n"], params["r"], tuple(params["elements"]),
+                           params["exact"])
+            parts = PartitionMap(tuple(tuple(c) for c in params["parts"]))
+        except (KeyError, TypeError) as exc:
+            raise CertificateError(
+                f"certificate {cert_path}: missing or malformed field ({exc})") from None
         cert = verify_lbap_properties(host, parts, params["n"], params["r"], ap)
         verified = cert.passed
         result["certificate"] = cert.to_json_dict()
@@ -436,11 +455,18 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HypergraphError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (HypergraphError, CertificateError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
+    except CacheIntegrityError as exc:
+        print(f"cache integrity failure: {exc}", file=sys.stderr)
+        return 1
+    except RecordError as exc:
+        print(f"record verification failed: {exc}", file=sys.stderr)
         return 1
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

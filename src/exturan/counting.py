@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, prod
+from math import prod
+from typing import NamedTuple
 
 from .hypergraph import (
     BlowupSpec,
@@ -37,67 +38,131 @@ class UniformityMismatch(HypergraphError):
 # ---------------------------------------------------------------------------
 
 
-def _degree_table(n: int, edges) -> list[int]:
-    deg = [0] * n
-    for e in edges:
-        for v in e:
-            deg[v] += 1
-    return deg
-
-
-def _assignment_checks(pattern: UniformHypergraph, order):
-    """Pattern edges that become fully assigned at each step of ``order``."""
+def _walk(pattern: UniformHypergraph, deg, order) -> tuple:
+    """A compiled visiting order of the pattern vertices: the order, the
+    pattern degree of each step's vertex, and per step the pattern edges that
+    become fully placed there, each given by its vertices other than the
+    step's."""
     placed = set()
     checks = []
     for u in order:
         placed.add(u)
-        checks.append([e for e in pattern.edges if u in e and set(e) <= placed])
-    return checks
+        checks.append(tuple(tuple(w for w in e if w != u)
+                            for e in pattern.edges if u in e and set(e) <= placed))
+    return tuple(order), tuple(deg[u] for u in order), tuple(checks)
 
 
-def _backtrack(host_n, host_edge_set, host_deg, pattern, order, pre, *, count_only):
-    """Injective subgraph-embedding search; first mapping or total count."""
-    pdeg = _degree_table(pattern.n, pattern.edges)
-    checks = _assignment_checks(pattern, order)
-    mapping = [-1] * pattern.n
+class PatternPlan(NamedTuple):
+    """The walks the embedding search takes through one pattern.
+
+    ``by_degree`` visits vertices by descending degree with index
+    tie-breaks and ``by_index`` in index order. Each walk in ``starts``
+    visits one ordered pattern edge first, then the rest by degree; see
+    :func:`_edge_starts`.
+    """
+
+    by_degree: tuple
+    by_index: tuple
+    starts: tuple
+
+
+def _edge_starts(pattern: UniformHypergraph, itself, by_degree) -> tuple:
+    """Walks that begin with the orderings of the pattern edges, one per
+    orbit of those orderings under the automorphisms of the pattern.
+
+    An embedding that sends ordering t onto a host edge, composed with an
+    automorphism mapping an earlier kept ordering r onto t, sends r onto the
+    same host edge, so t adds nothing. The automorphism is looked for as an
+    embedding of the pattern into itself with r pinned to t, only when the
+    two orderings have the same degrees.
+    """
+    deg = itself[2]
+    kept = []
+    for f in pattern.edges:
+        rest = [u for u in by_degree if u not in f]
+        for t in permutations(f):
+            key = tuple(deg[v] for v in t)
+            if not any(k == key and _backtrack(itself, walk, t, mode="first") is not None
+                       for k, walk in kept):
+                kept.append((key, _walk(pattern, deg, list(t) + rest)))
+    return tuple(walk for _, walk in kept)
+
+
+@lru_cache(maxsize=64)
+def _compile(pattern: UniformHypergraph) -> PatternPlan:
+    """Compile ``pattern`` once; searches with the same pattern share it."""
+    itself = _host_index(pattern.n, pattern.edges)
+    deg = itself[2]
+    by_degree = sorted(range(pattern.n), key=lambda v: (-deg[v], v))
+    return PatternPlan(_walk(pattern, deg, by_degree), _walk(pattern, deg, range(pattern.n)),
+                       _edge_starts(pattern, itself, by_degree))
+
+
+def _host_index(host_n: int, host_edge_set) -> tuple:
+    """The host as (vertex count, edges as vertex bitmasks, degree table)."""
+    deg = [0] * host_n
+    masks = set()
+    for e in host_edge_set:
+        m = 0
+        for v in e:
+            deg[v] += 1
+            m |= 1 << v
+        masks.add(m)
+    return host_n, masks, deg
+
+
+def _backtrack(host, walk, fixed=(), *, mode):
+    """Injective subgraph-embedding search along a compiled pattern walk.
+
+    Step k maps pattern vertex ``order[k]`` to ``fixed[k]`` while k is below
+    ``len(fixed)``, else to each host vertex in ascending order. ``mode``
+    "first" returns the first mapping found (or None), "count" the number
+    of mappings, "all" the list of them in search order.
+    """
+    host_n, host_masks, host_deg = host
+    order, needs, checks = walk
+    size = len(order)
+    mapping = [-1] * size
+    bits = [0] * size
     used = [False] * host_n
-    state = {"count": 0, "found": None}
+    found = []
+    count = 0
 
     def rec(k):
-        if k == pattern.n:
-            if count_only:
-                state["count"] += 1
+        nonlocal count
+        if k == size:
+            if mode == "count":
+                count += 1
                 return False
-            state["found"] = tuple(mapping)
-            return True
+            found.append(tuple(mapping))
+            return mode == "first"
         u = order[k]
-        candidates = (pre[u],) if u in pre else range(host_n)
-        for v in candidates:
-            if used[v] or host_deg[v] < pdeg[u]:
+        need = needs[k]
+        for v in ((fixed[k],) if k < len(fixed) else range(host_n)):
+            if used[v] or host_deg[v] < need:
                 continue
-            mapping[u] = v
-            ok = True
-            for e in checks[k]:
-                if tuple(sorted(mapping[w] for w in e)) not in host_edge_set:
-                    ok = False
+            bit = 1 << v
+            for others in checks[k]:
+                m = bit
+                for w in others:
+                    m |= bits[w]
+                if m not in host_masks:
                     break
-            if ok:
+            else:
+                mapping[u] = v
+                bits[u] = bit
                 used[v] = True
                 if rec(k + 1):
                     return True
                 used[v] = False
-            mapping[u] = -1
         return False
 
     rec(0)
-    return state["count"] if count_only else state["found"]
-
-
-def _pattern_order(pattern: UniformHypergraph, lex_order: bool):
-    if lex_order:
-        return list(range(pattern.n))
-    deg = _degree_table(pattern.n, pattern.edges)
-    return sorted(range(pattern.n), key=lambda v: (-deg[v], v))
+    if mode == "count":
+        return count
+    if mode == "first":
+        return found[0] if found else None
+    return found
 
 
 @dataclass(frozen=True)
@@ -146,9 +211,9 @@ def contains(host: UniformHypergraph, pattern: UniformHypergraph, *,
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
     if pattern.n > host.n:
         return None
-    order = _pattern_order(pattern, lex_order)
-    found = _backtrack(host.n, host.edge_set, host.degrees(), pattern, order, {},
-                       count_only=False)
+    plan = _compile(pattern)
+    found = _backtrack(_host_index(host.n, host.edge_set),
+                       plan.by_index if lex_order else plan.by_degree, mode="first")
     return None if found is None else Embedding(pattern, host, found)
 
 
@@ -158,9 +223,8 @@ def count_embeddings(host: UniformHypergraph, pattern: UniformHypergraph) -> int
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
     if pattern.n > host.n:
         return 0
-    order = _pattern_order(pattern, lex_order=False)
-    return _backtrack(host.n, host.edge_set, host.degrees(), pattern, order, {},
-                      count_only=True)
+    return _backtrack(_host_index(host.n, host.edge_set), _compile(pattern).by_degree,
+                      mode="count")
 
 
 def all_embeddings(host: UniformHypergraph,
@@ -170,40 +234,16 @@ def all_embeddings(host: UniformHypergraph,
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
     if pattern.n > host.n:
         return []
-    order = list(range(pattern.n))
-    checks = _assignment_checks(pattern, order)
-    hs = host.edge_set
-    hdeg = host.degrees()
-    pdeg = _degree_table(pattern.n, pattern.edges)
-    mapping = [-1] * pattern.n
-    used = [False] * host.n
-    out = []
-
-    def rec(k):
-        if k == pattern.n:
-            out.append(tuple(mapping))
-            return
-        for v in range(host.n):
-            if used[v] or hdeg[v] < pdeg[k]:
-                continue
-            mapping[k] = v
-            if all(tuple(sorted(mapping[w] for w in e)) in hs for e in checks[k]):
-                used[v] = True
-                rec(k + 1)
-                used[v] = False
-            mapping[k] = -1
-
-    rec(0)
-    return out
+    return _backtrack(_host_index(host.n, host.edge_set), _compile(pattern).by_index,
+                      mode="all")
 
 
 def count_embeddings_raw(host_n: int, host_edge_set, pattern: UniformHypergraph) -> int:
     """Embedding count over a raw (n, edge set) host representation."""
     if pattern.n > host_n:
         return 0
-    order = _pattern_order(pattern, lex_order=False)
-    return _backtrack(host_n, host_edge_set, _degree_table(host_n, host_edge_set),
-                      pattern, order, {}, count_only=True)
+    return _backtrack(_host_index(host_n, host_edge_set), _compile(pattern).by_degree,
+                      mode="count")
 
 
 @lru_cache(maxsize=512)
@@ -237,17 +277,9 @@ def embeds_using_edge(host_n: int, host_edge_set, pattern: UniformHypergraph,
     """
     if pattern.n > host_n:
         return False
-    deg = _degree_table(host_n, host_edge_set)
-    base_order = _pattern_order(pattern, lex_order=False)
-    for f in pattern.edges:
-        fset = set(f)
-        order = list(f) + [u for u in base_order if u not in fset]
-        for img in permutations(edge):
-            pre = dict(zip(f, img))
-            if _backtrack(host_n, host_edge_set, deg, pattern, order, pre,
-                          count_only=False) is not None:
-                return True
-    return False
+    host = _host_index(host_n, host_edge_set)
+    return any(_backtrack(host, walk, edge, mode="first") is not None
+               for walk in _compile(pattern).starts)
 
 
 # ---------------------------------------------------------------------------

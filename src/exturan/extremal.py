@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import random
+import tempfile
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -29,7 +30,6 @@ from .counting import (
     UniformityMismatch,
     automorphism_count,
     complete_subsets,
-    count_copies,
     count_embeddings_raw,
     embeds_using_edge,
     is_blowup_free,
@@ -369,9 +369,12 @@ def chain_check(n, forbidden, **kwargs) -> list[tuple[int, ExtremalRecord]]:
 class RecordCache:
     """One record per file, named by key hash, re-verified on every read.
 
-    Single-writer, multi-reader: writes go through a temp file and an atomic
-    replace. Corrupt entries and key collisions with differing values raise
-    CacheIntegrityError instead of being silently used.
+    Writers go through a temp file of their own and an atomic replace, so
+    concurrent writers of one key never interleave inside a file. Corrupt
+    entries and exact records colliding with a differing value raise
+    CacheIntegrityError instead of being silently used. Heuristic records
+    are keyed without seed or budget, and every one of them is a verified
+    lower bound, so the cache keeps the better of two.
     """
 
     def __init__(self, root):
@@ -413,39 +416,54 @@ class RecordCache:
             raise CacheIntegrityError(f"corrupt cache entry {path}: {exc}") from None
         return header, witness
 
-    def get(self, n, pattern, forbidden, mode) -> ExtremalRecord | None:
-        key = self.key_of(n, pattern, forbidden, mode)
-        path = self._path(key)
-        if not path.exists():
-            return None
+    def _read(self, path: Path, key: str, pattern, forbidden) -> ExtremalRecord:
         header, witness = self._load(path)
         if header.get("key") != key:
             raise CacheIntegrityError(
                 f"cache file {path} holds key {header.get('key')!r}, expected {key!r}"
             )
-        record = ExtremalRecord(
-            n=header["n"], s=header["s"], pattern=pattern, forbidden=forbidden,
-            value=header["value"], witness=witness, mode=header["mode"],
-            nodes=header["nodes"], elapsed=header["elapsed"],
-        )
         try:
+            record = ExtremalRecord(
+                n=header["n"], s=header["s"], pattern=pattern, forbidden=forbidden,
+                value=header["value"], witness=witness, mode=header["mode"],
+                nodes=header["nodes"], elapsed=header["elapsed"],
+            )
             record.verify()
+        except KeyError as exc:
+            raise CacheIntegrityError(f"cache entry {path} lacks field {exc}") from None
         except RecordError as exc:
             raise CacheIntegrityError(f"cache entry {path} fails verification: {exc}")
         return record
+
+    def get(self, n, pattern, forbidden, mode) -> ExtremalRecord | None:
+        key = self.key_of(n, pattern, forbidden, mode)
+        path = self._path(key)
+        if not path.exists():
+            return None
+        return self._read(path, key, pattern, forbidden)
 
     def put(self, record: ExtremalRecord) -> Path:
         record.verify()
         key = self.key_of(record.n, record.pattern, record.forbidden, record.mode)
         path = self._path(key)
         if path.exists():
-            header, _ = self._load(path)
-            if header.get("key") != key or header.get("value") != record.value:
-                raise CacheIntegrityError(
-                    f"cache file {path} collides with a differing record"
-                )
-            return path
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(self._serialize(record, key), encoding="utf-8")
-        os.replace(tmp, path)
+            if record.mode == "heuristic":
+                held = self._read(path, key, record.pattern, record.forbidden)
+                if held.value >= record.value:
+                    return path
+            else:
+                header, _ = self._load(path)
+                if header.get("key") != key or header.get("value") != record.value:
+                    raise CacheIntegrityError(
+                        f"cache file {path} collides with a differing record"
+                    )
+                return path
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.stem + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(self._serialize(record, key))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return path

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
 
-# Hosts must fit bitset adjacency (64-bit masks) for uniformity <= 4.
-# Larger inputs are rejected loudly instead of degrading.
+# An input guard: every search here is exponential in the vertex count, so
+# larger inputs are rejected loudly. Vertex masks are Python ints of any
+# width; nothing depends on a host fitting a 64-bit word.
 MAX_VERTICES = 64
 
 Edge = tuple[int, ...]

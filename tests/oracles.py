@@ -60,6 +60,27 @@ def brute_isomorphic(g1: UniformHypergraph, g2: UniformHypergraph) -> bool:
     return False
 
 
+def _colex_bits(n: int, s: int, edges) -> tuple[int, ...]:
+    subsets = sorted(combinations(range(n), s), key=lambda t: t[::-1])
+    present = set(edges)
+    return tuple(1 if t in present else 0 for t in subsets)
+
+
+def brute_canonical_positions(g: UniformHypergraph) -> tuple[int, ...]:
+    """Colex positions of the lexicographically largest edge bitstring over
+    all n! relabellings of g."""
+    best = max(
+        _colex_bits(g.n, g.s, [tuple(sorted(perm[v] for v in e)) for e in g.edges])
+        for perm in permutations(range(g.n))
+    )
+    return tuple(i for i, b in enumerate(best) if b)
+
+
+def own_positions(g: UniformHypergraph) -> tuple[int, ...]:
+    """Colex positions of g's own edges, with no relabelling."""
+    return tuple(i for i, b in enumerate(_colex_bits(g.n, g.s, g.edges)) if b)
+
+
 def naive_max_copies(n: int, pattern: UniformHypergraph,
                      forbidden: UniformHypergraph) -> int:
     """Enumerate every edge subset, filter the forbidden-free ones, maximize.

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from exturan import cli
 from exturan.cli import SpecParseError, main, parse_pattern_spec
+from exturan.extremal import RecordError
 from exturan.hypergraph import BlowupSpec, blowup, complete, make, write_file
 from cli_runner import run_cli
 
@@ -155,6 +157,55 @@ class TestVerifyCommand:
         path = tmp_path / "g.txt"
         write_file(make(3, 2, []), path)
         assert run_cli("verify", str(path), "--claim", "nonsense").returncode == 2
+
+    def test_non_integer_count_exits_2(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_file(make(3, 2, []), path)
+        for claim in ("cliques:abc", "edge-disjoint:2x"):
+            out = run_cli("verify", str(path), "--claim", claim)
+            assert out.returncode == 2
+            assert_one_line(out.stderr, "error:")
+
+    def test_certificate_without_params_exits_2(self, tmp_path):
+        assert run_cli("construct", "--kind", "lbap", "--n", "4", "--r", "3",
+                       "--out-prefix", str(tmp_path / "x")).returncode == 0
+        cert = tmp_path / "x.cert.json"
+        meta = json.loads(cert.read_text())
+        del meta["params"]
+        cert.write_text(json.dumps(meta))
+        out = run_cli("verify", str(tmp_path / "x.h.txt"), "--claim", "lbap-properties",
+                      "--cert", str(cert))
+        assert out.returncode == 2
+        assert_one_line(out.stderr, "error:")
+
+
+def assert_one_line(stderr, prefix):
+    assert stderr.startswith(prefix), stderr
+    assert stderr.count("\n") == 1, stderr
+
+
+class TestIntegrityFailures:
+    ARGS = ("ex", "--n", "5", "--T", "K3_2(1,1,1)", "--F", "K3_2(1,1,2)")
+
+    def test_corrupt_cache_entry_exits_1(self, tmp_path):
+        assert run_cli(*self.ARGS, "--cache-dir", str(tmp_path)).returncode == 0
+        path = next(tmp_path.glob("*.rec"))
+        head, _, _ = path.read_text().partition("\n")
+        path.write_text(head + "\n" + complete(5, 2).to_text())  # not diamond-free
+        out = run_cli(*self.ARGS, "--cache-dir", str(tmp_path))
+        assert out.returncode == 1
+        assert_one_line(out.stderr, "cache integrity failure:")
+
+    def test_record_error_exits_1(self, monkeypatch, capsys):
+        # every record is verified where it is built, and a cache entry that
+        # fails verification surfaces as CacheIntegrityError, so no command
+        # line reaches RecordError; inject it to check the mapping
+        def fail(*args, **kwargs):
+            raise RecordError("witness does not attain the recorded value")
+
+        monkeypatch.setattr(cli, "exact_ex", fail)
+        assert main(list(self.ARGS)) == 1
+        assert_one_line(capsys.readouterr().err, "record verification failed:")
 
 
 class TestBoundsCommand:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from exturan.counting import (
@@ -18,6 +18,7 @@ from exturan.counting import (
     count_copies,
     count_embeddings,
     edge_multiplicity,
+    embeds_using_edge,
     exponents,
     is_blowup_free,
 )
@@ -30,7 +31,13 @@ from exturan.hypergraph import (
     make,
     single_edge,
 )
-from oracles import brute_automorphisms, brute_contains, brute_count_copies, brute_cliques
+from oracles import (
+    brute_automorphisms,
+    brute_cliques,
+    brute_contains,
+    brute_count_copies,
+    brute_embeddings,
+)
 from strategies import hypergraphs
 
 
@@ -101,6 +108,28 @@ class TestContains:
     def test_random_small_patterns(self, host):
         for pattern in (complete(3, 2), cycle(4), make(3, 2, [[0, 1]])):
             assert (contains(host, pattern) is not None) == brute_contains(host, pattern)
+
+
+class TestEmbedsUsingEdge:
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_matches_bruteforce(self, data):
+        host = data.draw(hypergraphs(max_n=6, min_s=2, max_s=3, min_n=3))
+        edge = data.draw(st.sampled_from(host.edges) if host.edges
+                         else st.just(tuple(range(host.s))))
+        # a shuffled sub-hypergraph of the host embeds at least once, so
+        # both answers are common
+        order = data.draw(st.permutations(range(host.n)))
+        keep = order[:data.draw(st.integers(host.s, min(5, host.n)))]
+        label = {v: i for i, v in enumerate(keep)}
+        inside = [e for e in host.edges if all(v in label for v in e)]
+        chosen = data.draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
+        pattern = make(len(keep), host.s, [[label[v] for v in e] for e in chosen])
+        want = any(
+            tuple(sorted(image[v] for v in f)) == edge
+            for image in brute_embeddings(host, pattern) for f in pattern.edges
+        )
+        assert embeds_using_edge(host.n, host.edge_set, pattern, edge) == want
 
 
 class TestCountCopies:

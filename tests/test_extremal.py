@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from exturan.canonical import canonical_form, canonical_key
+from exturan.canonical import (
+    canonical_form,
+    canonical_key,
+    canonical_positions,
+    is_canonical_raw,
+)
 from exturan.extremal import (
     CacheIntegrityError,
     ChainError,
@@ -24,7 +30,12 @@ from exturan.hypergraph import (
     make,
     single_edge,
 )
-from oracles import brute_isomorphic, naive_max_copies
+from oracles import (
+    brute_canonical_positions,
+    brute_isomorphic,
+    naive_max_copies,
+    own_positions,
+)
 from strategies import hypergraphs
 
 TRI = complete(3, 2)
@@ -51,6 +62,18 @@ class TestCanonicalKey:
         if (g1.n, g1.s) != (g2.n, g2.s):
             return
         assert (canonical_key(g1) == canonical_key(g2)) == brute_isomorphic(g1, g2)
+
+
+class TestCanonicalForm:
+    # invariance and separation alone would also pass for a different
+    # canonical form, which would change witnesses and cache keys
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @given(data=st.data())
+    def test_matches_bruteforce(self, s, data):
+        g = data.draw(hypergraphs(max_n=6, min_s=s, max_s=s, min_n=s))
+        want = brute_canonical_positions(g)
+        assert canonical_positions(g.n, g.s, g.edge_set) == want
+        assert is_canonical_raw(g.n, g.s, g.edge_set) == (own_positions(g) == want)
 
 
 class TestExactEx:
@@ -206,6 +229,48 @@ class TestCache:
             mode="exact", nodes=1, elapsed=0.0)
         with pytest.raises(CacheIntegrityError):
             cache.put(forged)
+
+    def test_heuristic_records_keep_the_better(self, tmp_path):
+        # heuristic keys carry neither seed nor budget, so runs collide
+        cache = RecordCache(tmp_path)
+        small = heuristic_lower(9, EDGE, C4, budget=3, cache=cache)
+        large = heuristic_lower(9, EDGE, C4, budget=10, cache=cache)
+        assert small.value < large.value
+        heuristic_lower(9, EDGE, C4, budget=3, cache=cache)
+        held = cache.get(9, EDGE, C4, "heuristic")
+        assert (held.value, held.witness) == (large.value, large.witness)
+
+    def test_put_ignores_a_stale_temp_path(self, tmp_path):
+        cache = RecordCache(tmp_path)
+        key = RecordCache.key_of(5, TRI, blowup(DIAMOND)[0], "exact")
+        stale = cache._path(key).with_suffix(".tmp")
+        stale.mkdir()  # what a fixed temp name would collide with
+        rec = exact_ex(5, TRI, DIAMOND, cache=cache)
+        assert cache.get(5, rec.pattern, rec.forbidden, "exact").value == rec.value
+        assert list(tmp_path.glob("*.tmp")) == [stale]
+
+    def test_failed_put_removes_its_temp_file(self, tmp_path, monkeypatch):
+        cache = RecordCache(tmp_path)
+        rec = exact_ex(5, TRI, DIAMOND)
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr("exturan.extremal.os.replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            cache.put(rec)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_header_field_rejected(self, tmp_path):
+        cache = RecordCache(tmp_path)
+        rec = exact_ex(5, TRI, DIAMOND, cache=cache)
+        path = next(tmp_path.glob("*.rec"))
+        head, _, body = path.read_text().partition("\n")
+        header = json.loads(head)
+        del header["value"]
+        path.write_text(json.dumps(header) + "\n" + body)
+        with pytest.raises(CacheIntegrityError, match="value"):
+            cache.get(5, rec.pattern, rec.forbidden, "exact")
 
     def test_verify_rejects_bad_records(self):
         rec = exact_ex(4, TRI, DIAMOND)
