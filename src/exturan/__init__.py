@@ -59,12 +59,10 @@ from .pipeline import (
     ThinningPlan,
     aligned_copies,
     auxiliary_hypergraph,
-    best_aligned_partition,
     conditional_partition,
     edge_disjoint_greedy,
     find_blowup,
     lift_shadow,
-    shared_edge_count,
     shared_edge_groups,
     thin_cliques,
 )

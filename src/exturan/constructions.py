@@ -435,8 +435,6 @@ def lb4_construct(n: int, r: int, sizes, base: ExtremalRecord, *,
         raise HypergraphError("sizes must be sorted ascending")
     na = n // r
     nb = n - na
-    if nb != -((r - 1) * n) // -r:  # ceil((r-1)n/r)
-        raise HypergraphError("inconsistent split")  # unreachable; identity
     base_forbidden = complete_partite(r - 1, sizes[:-1])[0]
     if base.witness.n != nb:
         raise HypergraphError(

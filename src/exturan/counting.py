@@ -1,8 +1,9 @@
 """Clique enumeration, subgraph containment, copy counting and exponent tables.
 
 Copies are counted unlabelled: the number of embeddings divided by the
-automorphism count of the pattern, with automorphisms found by brute force
-(patterns are tiny). Containment search is deterministic: pattern vertices
+automorphism count of the pattern, which is the number of embeddings of the
+pattern into itself. Every search runs on one backtracker over per-step
+candidate domains. Containment search is deterministic: pattern vertices
 are ordered by descending degree with index tie-breaks and host candidates
 are tried in ascending order, so certificates are reproducible.
 """
@@ -26,7 +27,7 @@ from .hypergraph import (
     blowup,
 )
 
-MAX_PATTERN_VERTICES = 8  # exact automorphism groups by brute force only
+MAX_PATTERN_VERTICES = 8  # input guard on the patterns whose copies are counted
 
 
 class UniformityMismatch(HypergraphError):
@@ -82,7 +83,8 @@ def _edge_starts(pattern: UniformHypergraph, itself, by_degree) -> tuple:
         rest = [u for u in by_degree if u not in f]
         for t in permutations(f):
             key = tuple(deg[v] for v in t)
-            if not any(k == key and _backtrack(itself, walk, t, mode="first") is not None
+            pinned = [(v,) for v in t]
+            if not any(k == key and _backtrack(itself, walk, pinned, mode="first") is not None
                        for k, walk in kept):
                 kept.append((key, _walk(pattern, deg, list(t) + rest)))
     return tuple(walk for _, walk in kept)
@@ -111,13 +113,14 @@ def _host_index(host_n: int, host_edge_set) -> tuple:
     return host_n, masks, deg
 
 
-def _backtrack(host, walk, fixed=(), *, mode):
+def _backtrack(host, walk, domains=(), *, mode):
     """Injective subgraph-embedding search along a compiled pattern walk.
 
-    Step k maps pattern vertex ``order[k]`` to ``fixed[k]`` while k is below
-    ``len(fixed)``, else to each host vertex in ascending order. ``mode``
-    "first" returns the first mapping found (or None), "count" the number
-    of mappings, "all" the list of them in search order.
+    Step k maps pattern vertex ``order[k]`` to each vertex of ``domains[k]``
+    in the given order while k is below ``len(domains)``, else to each host
+    vertex in ascending order. ``mode`` "first" returns the first mapping
+    found (or None), "count" the number of mappings, "all" the list of them
+    in search order.
     """
     host_n, host_masks, host_deg = host
     order, needs, checks = walk
@@ -138,7 +141,7 @@ def _backtrack(host, walk, fixed=(), *, mode):
             return mode == "first"
         u = order[k]
         need = needs[k]
-        for v in ((fixed[k],) if k < len(fixed) else range(host_n)):
+        for v in (domains[k] if k < len(domains) else range(host_n)):
             if used[v] or host_deg[v] < need:
                 continue
             bit = 1 << v
@@ -227,15 +230,19 @@ def count_embeddings(host: UniformHypergraph, pattern: UniformHypergraph) -> int
                       mode="count")
 
 
-def all_embeddings(host: UniformHypergraph,
-                   pattern: UniformHypergraph) -> list[tuple[int, ...]]:
-    """Every embedding as a mapping tuple, in lexicographic order."""
+def all_embeddings(host: UniformHypergraph, pattern: UniformHypergraph,
+                   domains=()) -> list[tuple[int, ...]]:
+    """Every embedding as a mapping tuple, in lexicographic order.
+
+    With ``domains``, pattern vertex i goes only to the vertices of
+    ``domains[i]``, tried in their given order.
+    """
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
     if pattern.n > host.n:
         return []
     return _backtrack(_host_index(host.n, host.edge_set), _compile(pattern).by_index,
-                      mode="all")
+                      domains, mode="all")
 
 
 def count_embeddings_raw(host_n: int, host_edge_set, pattern: UniformHypergraph) -> int:
@@ -248,18 +255,14 @@ def count_embeddings_raw(host_n: int, host_edge_set, pattern: UniformHypergraph)
 
 @lru_cache(maxsize=512)
 def automorphism_count(pattern: UniformHypergraph) -> int:
-    """|Aut(pattern)| by brute force over vertex permutations."""
+    """|Aut(pattern)|: an embedding of a pattern into itself permutes its
+    edges, so it is an automorphism."""
     if pattern.n > MAX_PATTERN_VERTICES:
         raise HypergraphError(
             f"pattern on {pattern.n} vertices exceeds exact automorphism "
             f"limit {MAX_PATTERN_VERTICES}"
         )
-    es = pattern.edge_set
-    count = 0
-    for perm in permutations(range(pattern.n)):
-        if all(tuple(sorted(perm[v] for v in e)) in es for e in pattern.edges):
-            count += 1
-    return count
+    return count_embeddings(pattern, pattern)
 
 
 def count_copies(host: UniformHypergraph, pattern: UniformHypergraph) -> int:
@@ -278,7 +281,8 @@ def embeds_using_edge(host_n: int, host_edge_set, pattern: UniformHypergraph,
     if pattern.n > host_n:
         return False
     host = _host_index(host_n, host_edge_set)
-    return any(_backtrack(host, walk, edge, mode="first") is not None
+    pinned = [(v,) for v in edge]
+    return any(_backtrack(host, walk, pinned, mode="first") is not None
                for walk in _compile(pattern).starts)
 
 

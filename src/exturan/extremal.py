@@ -139,19 +139,8 @@ def _explore(ctx: _Ctx, positions, edge_set, deadline):
 
     def rec(positions, edge_set):
         nonlocal best_val, best_pos, nodes
-        start = positions[-1] + 1 if positions else 0
-        for p in range(start, ctx.M):
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Timeout
-            e = ctx.pot[p]
-            es2 = edge_set | {e}
-            if (ctx.fb_possible and len(es2) >= ctx.fb_min
-                    and embeds_using_edge(ctx.n, es2, ctx.forbidden, e)):
-                continue
-            if not is_canonical_raw(ctx.n, ctx.s, es2):
-                continue
+        for pos2, es2 in _children(ctx, positions, edge_set, deadline):
             nodes += 1
-            pos2 = positions + (p,)
             val = ctx.counter(es2)
             if val > best_val or (val == best_val and pos2 < best_pos):
                 best_val, best_pos = val, pos2
@@ -174,20 +163,26 @@ _WORKER_CTX: dict = {}
 
 
 def _worker_init(payload):
-    n, s, pattern, forbidden = payload
+    n, s, pattern, forbidden, deadline = payload
     _WORKER_CTX["ctx"] = _Ctx(n, s, pattern, forbidden)
+    _WORKER_CTX["deadline"] = deadline
 
 
 def _worker_run(positions):
     ctx = _WORKER_CTX["ctx"]
     edge_set = frozenset(ctx.pot[p] for p in positions)
-    val, pos, nodes, _ = _explore(ctx, positions, edge_set, None)
-    return val, pos, nodes
+    return _explore(ctx, positions, edge_set, _WORKER_CTX["deadline"])
 
 
-def _children(ctx: _Ctx, positions, edge_set):
+def _children(ctx: _Ctx, positions, edge_set, deadline):
+    """The canonical F-free one-edge extensions of a node, in position order.
+
+    Raises _Timeout before any candidate tried after ``deadline``.
+    """
     start = positions[-1] + 1 if positions else 0
     for p in range(start, ctx.M):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Timeout
         e = ctx.pot[p]
         es2 = edge_set | {e}
         if (ctx.fb_possible and len(es2) >= ctx.fb_min
@@ -198,30 +193,35 @@ def _children(ctx: _Ctx, positions, edge_set):
         yield positions + (p,), es2
 
 
-def _parallel_search(ctx: _Ctx, pattern, forbidden, workers):
+def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
     # expand a frontier breadth-first, evaluating shallow nodes inline, then
     # hand subtrees to the pool; the merge rule is order independent.
     target = max(16, 4 * workers)
     frontier = [((), frozenset())]
     best = (-1, None)
     nodes = 0
-    while frontier and len(frontier) < target:
-        nxt = []
-        for positions, es in frontier:
-            nodes += 1
-            val = ctx.counter(es)
-            best = _merge(best, (val, positions))
-            nxt.extend(_children(ctx, positions, es))
-        frontier = nxt
+    timed = False
+    try:
+        while frontier and len(frontier) < target:
+            nxt = []
+            for positions, es in frontier:
+                nodes += 1
+                val = ctx.counter(es)
+                best = _merge(best, (val, positions))
+                nxt.extend(_children(ctx, positions, es, deadline))
+            frontier = nxt
+    except _Timeout:
+        frontier, timed = [], True
     if frontier:
-        payload = (ctx.n, ctx.s, pattern, forbidden)
+        payload = (ctx.n, ctx.s, pattern, forbidden, deadline)
         mp = get_context("fork")
         with mp.Pool(workers, initializer=_worker_init, initargs=(payload,)) as pool:
             results = pool.map(_worker_run, [pos for pos, _ in frontier])
-        for val, pos, sub_nodes in results:
+        for val, pos, sub_nodes, sub_timed in results:
             nodes += sub_nodes
             best = _merge(best, (val, pos))
-    return best[0], best[1], nodes, False
+            timed = timed or sub_timed
+    return best[0], best[1], nodes, timed
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +256,10 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
 
     t0 = time.perf_counter()
     ctx = _Ctx(n, s, pattern, forbidden_g)
-    if workers > 1 and timeout is None:
-        val, pos, nodes, timed = _parallel_search(ctx, pattern, forbidden_g, workers)
+    deadline = time.monotonic() + timeout if timeout is not None else None
+    if workers > 1:
+        val, pos, nodes, timed = _parallel_search(ctx, pattern, forbidden_g, workers, deadline)
     else:
-        deadline = time.monotonic() + timeout if timeout is not None else None
         val, pos, nodes, timed = _explore(ctx, (), frozenset(), deadline)
     witness = make(n, s, [ctx.pot[p] for p in pos])
     record = ExtremalRecord(

@@ -15,13 +15,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
 
 from .counting import (
     CliqueFamily,
     UniformityMismatch,
     all_embeddings,
-    cliques,
     complete_subsets,
     edge_multiplicity,
 )
@@ -29,7 +27,6 @@ from .hypergraph import (
     HypergraphError,
     PartitionMap,
     UniformHypergraph,
-    co_neighborhood,
     make,
 )
 
@@ -116,17 +113,6 @@ def shared_edge_groups(family: CliqueFamily, a: int) -> SharedEdgeFamily:
     return SharedEdgeFamily(family.host, family.r, a, tuple(sorted(groups)))
 
 
-def shared_edge_count(g: UniformHypergraph, r: int, a: int) -> tuple[int, int]:
-    """Exact number of a-groups of cliques sharing an edge, and the pair
-    upper bound C(n, a) * max over a-sets of the common co-neighborhood size."""
-    fam = cliques(g, r)
-    exact = shared_edge_groups(fam, a).count
-    best = 0
-    for vs in combinations(range(g.n), a):
-        best = max(best, co_neighborhood(g, vs).m)
-    return exact, comb(g.n, a) * best
-
-
 @dataclass(frozen=True)
 class ThinningPlan:
     """Retention probability for breaking shared-edge groups by sampling.
@@ -139,7 +125,6 @@ class ThinningPlan:
     clique_count: int
     group_count: int
     group_size: int
-    seed: int
 
     def __post_init__(self):
         if self.clique_count < 1 or self.group_count < 1:
@@ -184,7 +169,7 @@ def thin_cliques(family: CliqueFamily, a: int, seed: int = 0) -> CliqueFamily:
     if 2 * len(groups) <= n_members:
         kept = set(range(n_members))
     else:
-        plan = ThinningPlan(n_members, len(groups), a, seed)
+        plan = ThinningPlan(n_members, len(groups), a)
         rng = random.Random(seed)
         p = plan.retention_probability
         kept = {i for i in range(n_members) if rng.random() < p}
@@ -219,31 +204,7 @@ def aligned_copies(g: UniformHypergraph, f: UniformHypergraph,
             f"on {f.n} vertices")
     if partition.n != g.n:
         raise HypergraphError("partition does not cover the host vertex set")
-    by_level = [[] for _ in range(f.n)]
-    for e in f.edges:
-        by_level[max(e)].append(e)
-    es = g.edge_set
-    out = []
-    chosen = []
-
-    def rec(i):
-        if i == f.n:
-            out.append(tuple(chosen))
-            return
-        for x in partition.classes[i]:
-            ok = True
-            for e in by_level[i]:
-                img = tuple(sorted(chosen[v] if v < i else x for v in e))
-                if img not in es:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(x)
-                rec(i + 1)
-                chosen.pop()
-
-    rec(0)
-    return out
+    return all_embeddings(g, f, partition.classes)
 
 
 def _aux_from_aligned(aligned, ell: int, n: int) -> UniformHypergraph:
@@ -310,24 +271,6 @@ def aligned_threshold(g: UniformHypergraph, f: UniformHypergraph) -> int:
     n_emb = len(all_embeddings(g, f))
     ell = f.n
     return -(n_emb // -(ell ** ell))
-
-
-def best_aligned_partition(g: UniformHypergraph, f: UniformHypergraph,
-                           seed: int = 0, retries: int = 200
-                           ) -> tuple[PartitionMap, list[tuple[int, ...]]]:
-    """Random partitions retried until the averaging threshold is met, with
-    the conditional-expectation partition as a guaranteed fallback."""
-    ell = f.n
-    threshold = aligned_threshold(g, f)
-    for k in range(retries):
-        rng = random.Random(seed * 1_000_003 + k)
-        part = PartitionMap.from_assignment(
-            [rng.randrange(ell) for _ in range(g.n)], ell)
-        aligned = aligned_copies(g, f, part)
-        if len(aligned) >= threshold:
-            return part, aligned
-    part = conditional_partition(g, f)
-    return part, aligned_copies(g, f, part)
 
 
 # ---------------------------------------------------------------------------

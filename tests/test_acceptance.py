@@ -164,7 +164,7 @@ def test_criterion_6_thinning_contract():
         n_cliques = rng.randint(1, 10 ** 6)
         groups = rng.randint(1, 10 ** 6)
         a = rng.randint(2, 6)
-        plan = ThinningPlan(n_cliques, groups, a, seed=0)
+        plan = ThinningPlan(n_cliques, groups, a)
         if plan.probability_valid != (n_cliques <= 2 * groups):
             plan_failures += 1
     report(6, "thinning contract", failures == 0 and plan_failures == 0,

@@ -159,6 +159,10 @@ class TestCountCopies:
         assert automorphism_count(cycle(5)) == 10
         assert automorphism_count(blowup(DIAMOND)[0]) == brute_automorphisms(blowup(DIAMOND)[0])
 
+    @given(hypergraphs(max_n=6))
+    def test_automorphisms_match_bruteforce(self, pattern):
+        assert automorphism_count(pattern) == brute_automorphisms(pattern)
+
 
 class TestBlowupFree:
     def test_triangle_plus_isolated_is_free(self):

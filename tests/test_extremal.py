@@ -1,11 +1,13 @@
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from exturan import extremal
 from exturan.canonical import (
     canonical_form,
     canonical_key,
@@ -109,6 +111,30 @@ class TestExactEx:
         rec = exact_ex(8, EDGE, C4, timeout=0.0)
         assert rec.mode == "heuristic"
         rec.verify()
+
+    def test_workers_run_under_a_timeout(self, monkeypatch):
+        calls = []
+        real = extremal._parallel_search
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(extremal, "_parallel_search", spy)
+        seq = exact_ex(6, TRI, DIAMOND)
+        par = exact_ex(6, TRI, DIAMOND, workers=2, timeout=600.0)
+        cut = exact_ex(8, EDGE, C4, workers=2, timeout=0.0)
+        assert len(calls) == 2
+        assert par.mode == "exact" and cut.mode == "heuristic"
+        assert (seq.value, seq.witness, seq.nodes) == (par.value, par.witness, par.nodes)
+        par.verify()
+        cut.verify()
+
+    def test_pool_worker_reports_its_timeout(self, monkeypatch):
+        monkeypatch.setattr(extremal, "_WORKER_CTX", {})
+        extremal._worker_init((8, 2, EDGE, C4, time.monotonic()))
+        val, pos, nodes, timed = extremal._worker_run(())
+        assert timed and (val, pos, nodes) == (0, (), 1)
 
     def test_monotone_in_n(self):
         values = [exact_ex(n, TRI, DIAMOND).value for n in range(3, 7)]
