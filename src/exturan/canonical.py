@@ -84,7 +84,7 @@ def _bits_of(n: int, s: int, edge_set) -> bytearray:
     return bits
 
 
-def _improve_once(n, s, emask, target):
+def _improve_once(n, s, emask, target, automorphisms=None):
     """Search for a relabelling whose bitstring exceeds ``target``.
 
     Returns such a relabelling as a list giving the old vertex of each new
@@ -104,6 +104,14 @@ def _improve_once(n, s, emask, target):
     later); transposition twins are tried once per class, which is sound
     because the twin swap extends any partial assignment to an equal-valued
     one.
+
+    When ``target`` is the graph's own bitstring, a relabelling tied with it
+    at every level maps the edge set onto itself, so each such leaf, the
+    identity among them, is an automorphism. If
+    ``automorphisms`` is a list, the adjacent transpositions of every twin
+    class and every non-identity tied leaf are appended to it, each as the
+    list of the image of every vertex. With any other target the leaves are
+    not automorphisms, so only pass a list with the graph's own bitstring.
     """
     links: dict[int, int] = {}
     for e in emask:
@@ -114,6 +122,14 @@ def _improve_once(n, s, emask, target):
             links[e ^ low] = links.get(e ^ low, 0) | low
     # only the lowest free member of each twin class is a candidate
     twins = [c for c in _twin_classes(n, emask) if c & (c - 1)]
+    identity = list(range(n))
+    if automorphisms is not None:
+        for c in twins:
+            members = [v for v in identity if c >> v & 1]
+            for u, v in zip(members, members[1:]):
+                swap = identity[:]
+                swap[u], swap[v] = v, u
+                automorphisms.append(swap)
     wants = [target[comb(j, s):comb(j + 1, s)] for j in range(n)]
     get = links.get
     perm = [-1] * n
@@ -136,6 +152,10 @@ def _improve_once(n, s, emask, target):
                 perm[j + 1:] = [u for u in range(n) if free >> u & 1]
                 return perm
         if j + 1 == n:
+            if automorphisms is not None:
+                perm[j] = cand.bit_length() - 1
+                if perm != identity:
+                    automorphisms.append(perm[:])
             return None
         while cand:
             low = cand & -cand
@@ -160,10 +180,23 @@ def _guard(n: int):
         )
 
 
-def is_canonical_raw(n: int, s: int, edge_set) -> bool:
-    """Is the graph already its own canonical form?"""
+def is_canonical_raw(n: int, s: int, edge_set, symmetries=None) -> bool:
+    """Is the graph already its own canonical form?
+
+    If it is and ``symmetries`` is a list, automorphisms of the graph met by
+    the test are appended to it, each as the list of the image of every
+    vertex: the adjacent transpositions of each twin class and every
+    non-identity relabelling that ties with the graph's own bitstring. They
+    need not generate the whole group. A non-canonical graph appends nothing.
+    """
     _guard(n)
-    return _improve_once(n, s, _vertex_masks(edge_set), _bits_of(n, s, edge_set)) is None
+    found = [] if symmetries is not None else None
+    target = _bits_of(n, s, edge_set)
+    if _improve_once(n, s, _vertex_masks(edge_set), target, found) is not None:
+        return False
+    if found:
+        symmetries.extend(found)
+    return True
 
 
 def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:

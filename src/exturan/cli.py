@@ -4,7 +4,8 @@ Every subcommand is deterministic given its flags and seed; outputs carry no
 timestamps, so repeated runs are byte identical. Exit codes are a stable
 scripting contract: 0 success/verified, 1 claim refuted, certificate
 failure or a cache entry or record failing verification, 2 usage or parse
-error, 3 infeasible or timed out.
+error, 3 infeasible or timed out. A timed-out ``ex`` still prints its whole
+table, with the best-so-far records marked heuristic.
 """
 
 from __future__ import annotations
@@ -201,6 +202,7 @@ def cmd_ex(args) -> int:
     cache = _cache_from(args)
     t_key, f_key = canonical_key(t), canonical_key(f)
     records: list[ExtremalRecord] = []
+    timed_out = []
     for n in _parse_n_range(args.n):
         try:
             rec = exact_ex(n, t, f, workers=args.workers, timeout=args.timeout,
@@ -209,6 +211,9 @@ def cmd_ex(args) -> int:
             if not args.heuristic:
                 raise
             rec = heuristic_lower(n, t, f, seed=args.seed, budget=args.budget)
+        else:
+            if rec.mode == "heuristic":
+                timed_out.append(n)
         records.append(rec)
     rows = [[r.n, t_key, f_key, r.value, r.mode] for r in records]
     payload = {
@@ -220,6 +225,10 @@ def cmd_ex(args) -> int:
     }
     _emit(args, _table(args.format, ["n", "t_key", "f_key", "value", "mode"],
                        rows, payload))
+    if timed_out:
+        print(f"timed out: best-so-far heuristic records for n = "
+              f"{', '.join(map(str, timed_out))}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -5,6 +5,9 @@ s-uniform hypergraphs on n vertices. The search enumerates hypergraphs up to
 isomorphism by orderly generation: a canonical graph is extended only by
 edges beyond its last colex position, the extension is kept only if it is
 itself canonical, and any branch containing the forbidden pattern is pruned.
+Each node keeps the automorphisms its own canonicity test met; a candidate
+edge that one of them maps to an earlier colex position is skipped before
+any test, since that relabelling of the child beats the child's bitstring.
 Each isomorphism class is visited exactly once, so the value is independent
 of vertex labelling. Among maximizing witnesses the one with the
 lexicographically smallest canonical form is kept, which makes tables
@@ -116,6 +119,7 @@ class _Ctx:
         self.s = s
         self.pot = colex_subsets(n, s)
         self.M = len(self.pot)
+        self.masks = [sum(1 << v for v in e) for e in self.pot]
         self.counter = _make_counter(n, s, pattern)
         self.forbidden = forbidden
         self.fb_possible = forbidden.n <= n
@@ -126,9 +130,10 @@ class _Timeout(Exception):
     pass
 
 
-def _explore(ctx: _Ctx, positions, edge_set, deadline):
+def _explore(ctx: _Ctx, positions, edge_set, syms, deadline):
     """Evaluate the given canonical F-free root and its whole subtree.
 
+    ``syms`` are automorphisms of the root, as from ``is_canonical_raw``.
     Returns (best value, best positions, nodes, timed_out); ties in value are
     broken toward the lexicographically smallest position tuple.
     """
@@ -137,17 +142,17 @@ def _explore(ctx: _Ctx, positions, edge_set, deadline):
     nodes = 1
     timed = False
 
-    def rec(positions, edge_set):
+    def rec(positions, edge_set, syms):
         nonlocal best_val, best_pos, nodes
-        for pos2, es2 in _children(ctx, positions, edge_set, deadline):
+        for pos2, es2, syms2 in _children(ctx, positions, edge_set, syms, deadline):
             nodes += 1
             val = ctx.counter(es2)
             if val > best_val or (val == best_val and pos2 < best_pos):
                 best_val, best_pos = val, pos2
-            rec(pos2, es2)
+            rec(pos2, es2, syms2)
 
     try:
-        rec(positions, frozenset(edge_set))
+        rec(positions, frozenset(edge_set), syms)
     except _Timeout:
         timed = True
     return best_val, best_pos, nodes, timed
@@ -168,15 +173,27 @@ def _worker_init(payload):
     _WORKER_CTX["deadline"] = deadline
 
 
-def _worker_run(positions):
+def _worker_run(positions, syms):
     ctx = _WORKER_CTX["ctx"]
     edge_set = frozenset(ctx.pot[p] for p in positions)
-    return _explore(ctx, positions, edge_set, _WORKER_CTX["deadline"])
+    return _explore(ctx, positions, edge_set, syms, _WORKER_CTX["deadline"])
 
 
-def _children(ctx: _Ctx, positions, edge_set, deadline):
-    """The canonical F-free one-edge extensions of a node, in position order.
+def _root(ctx: _Ctx):
+    """The empty graph as a search node: positions, edge set, automorphisms."""
+    syms: list = []
+    is_canonical_raw(ctx.n, ctx.s, frozenset(), syms)
+    return (), frozenset(), syms
 
+
+def _children(ctx: _Ctx, positions, edge_set, syms, deadline):
+    """The canonical F-free one-edge extensions of a node, in position order,
+    each with the automorphisms its canonicity test met.
+
+    A candidate edge that an automorphism in ``syms`` maps to a smaller
+    vertex mask is skipped untested: colex order on s-sets is the order of
+    their masks, so relabelling the child by it puts a 1 at an earlier
+    position where the child has a 0, and the child is not canonical.
     Raises _Timeout before any candidate tried after ``deadline``.
     """
     start = positions[-1] + 1 if positions else 0
@@ -184,31 +201,35 @@ def _children(ctx: _Ctx, positions, edge_set, deadline):
         if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
         e = ctx.pot[p]
+        mask = ctx.masks[p]
+        if any(sum(1 << g[v] for v in e) < mask for g in syms):
+            continue
         es2 = edge_set | {e}
         if (ctx.fb_possible and len(es2) >= ctx.fb_min
                 and embeds_using_edge(ctx.n, es2, ctx.forbidden, e)):
             continue
-        if not is_canonical_raw(ctx.n, ctx.s, es2):
+        syms2: list = []
+        if not is_canonical_raw(ctx.n, ctx.s, es2, syms2):
             continue
-        yield positions + (p,), es2
+        yield positions + (p,), es2, syms2
 
 
 def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
     # expand a frontier breadth-first, evaluating shallow nodes inline, then
     # hand subtrees to the pool; the merge rule is order independent.
     target = max(16, 4 * workers)
-    frontier = [((), frozenset())]
+    frontier = [_root(ctx)]
     best = (-1, None)
     nodes = 0
     timed = False
     try:
         while frontier and len(frontier) < target:
             nxt = []
-            for positions, es in frontier:
+            for positions, es, syms in frontier:
                 nodes += 1
                 val = ctx.counter(es)
                 best = _merge(best, (val, positions))
-                nxt.extend(_children(ctx, positions, es, deadline))
+                nxt.extend(_children(ctx, positions, es, syms, deadline))
             frontier = nxt
     except _Timeout:
         frontier, timed = [], True
@@ -216,7 +237,7 @@ def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
         payload = (ctx.n, ctx.s, pattern, forbidden, deadline)
         mp = get_context("fork")
         with mp.Pool(workers, initializer=_worker_init, initargs=(payload,)) as pool:
-            results = pool.map(_worker_run, [pos for pos, _ in frontier])
+            results = pool.starmap(_worker_run, [(pos, syms) for pos, _, syms in frontier])
         for val, pos, sub_nodes, sub_timed in results:
             nodes += sub_nodes
             best = _merge(best, (val, pos))
@@ -260,7 +281,7 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
     if workers > 1:
         val, pos, nodes, timed = _parallel_search(ctx, pattern, forbidden_g, workers, deadline)
     else:
-        val, pos, nodes, timed = _explore(ctx, (), frozenset(), deadline)
+        val, pos, nodes, timed = _explore(ctx, *_root(ctx), deadline)
     witness = make(n, s, [ctx.pot[p] for p in pos])
     record = ExtremalRecord(
         n=n, s=s, pattern=pattern, forbidden=forbidden_g, value=val,

@@ -14,7 +14,6 @@ from exturan.counting import (
     CliqueFamily,
     cliques,
     complete_subsets,
-    contains,
     edge_multiplicity,
     exponents,
     is_blowup_free,

@@ -62,6 +62,14 @@ class TestExCommand:
         out = run_cli("ex", "--n", "12", "--T", "K2_2(1,1)", "--F", "K2_2(2,2)")
         assert out.returncode == 3
 
+    def test_timeout_exits_3_after_the_table(self):
+        out = run_cli("ex", "--n", "8", "--T", "K2_2(1,1)", "--F", "K2_2(2,2)",
+                      "--timeout", "0", "--format", "json")
+        assert out.returncode == 3
+        records = json.loads(out.stdout)["records"]
+        assert [(r["n"], r["mode"]) for r in records] == [(8, "heuristic")]
+        assert "timed out" in out.stderr
+
     def test_heuristic_fallback(self):
         out = run_cli("ex", "--n", "12", "--T", "K2_2(1,1)", "--F", "K2_2(2,2)",
                       "--heuristic", "--format", "csv", "--budget", "2000")

@@ -13,12 +13,11 @@ from exturan.constructions import (
     locally_linear_spec,
     verify_lbap_properties,
 )
-from exturan.counting import complete_subsets, contains, is_blowup_free
+from exturan.counting import complete_subsets, is_blowup_free
 from exturan.extremal import exact_ex
 from exturan.hypergraph import (
     BlowupSpec,
     HypergraphError,
-    blowup,
     complete,
     complete_partite,
     make,

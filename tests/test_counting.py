@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 from itertools import combinations
 

@@ -12,11 +12,11 @@ from exturan.canonical import (
     canonical_form,
     canonical_key,
     canonical_positions,
+    colex_subsets,
     is_canonical_raw,
 )
 from exturan.extremal import (
     CacheIntegrityError,
-    ChainError,
     InfeasibleError,
     RecordCache,
     RecordError,
@@ -78,6 +78,41 @@ class TestCanonicalForm:
         assert is_canonical_raw(g.n, g.s, g.edge_set) == (own_positions(g) == want)
 
 
+def complement(g):
+    return make(g.n, g.s, [e for e in combinations(range(g.n), g.s) if e not in g.edge_set])
+
+
+def image_mask(perm, edge):
+    return sum(1 << perm[v] for v in edge)
+
+
+class TestSymmetries:
+    # the orderly search skips a child whose new edge a parent symmetry moves
+    # to an earlier colex position, so every returned symmetry must be one
+    @given(hypergraphs(max_n=7, min_s=1, max_s=3))
+    def test_symmetries_map_the_edge_set_onto_itself(self, g):
+        syms = []
+        canonical = is_canonical_raw(g.n, g.s, g.edge_set, syms)
+        assert canonical == is_canonical_raw(g.n, g.s, g.edge_set)
+        if not canonical:
+            assert syms == []
+        for perm in syms:
+            assert sorted(perm) == list(range(g.n))
+            assert perm != list(range(g.n))
+            assert {tuple(sorted(perm[v] for v in e)) for e in g.edges} == g.edge_set
+
+    @settings(max_examples=150)
+    @given(hypergraphs(max_n=7, min_s=1, max_s=3))
+    def test_moved_children_are_not_canonical(self, g):
+        parent = canonical_form(g)
+        syms = []
+        assert is_canonical_raw(parent.n, parent.s, parent.edge_set, syms)
+        last = max(own_positions(parent), default=-1)
+        for e in colex_subsets(parent.n, parent.s)[last + 1:]:
+            if any(image_mask(perm, e) < image_mask(range(parent.n), e) for perm in syms):
+                assert not is_canonical_raw(parent.n, parent.s, parent.edge_set | {e})
+
+
 class TestExactEx:
     def test_diamond_free_triangles_small(self):
         assert exact_ex(4, TRI, DIAMOND).value == 1
@@ -107,6 +142,23 @@ class TestExactEx:
         par = exact_ex(6, TRI, DIAMOND, workers=4)
         assert (seq.value, seq.witness, seq.nodes) == (par.value, par.witness, par.nodes)
 
+    # the pool only starts once the frontier reaches 16 nodes, which takes
+    # n = 6 and a dense F; naive_max_copies enumerates all 2^C(n, s) hosts
+    # (about 10 s at C(6, 2) = 15), so it checks the value at n = 5 only
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_serial_pool_and_naive_agree(self, data):
+        s = data.draw(st.sampled_from([2, 3]), label="s")
+        n = data.draw(st.sampled_from([5, 6]), label="n")
+        t = data.draw(hypergraphs(max_n=4, min_s=s, max_s=s, min_n=s), label="T")
+        f = data.draw(hypergraphs(max_n=5, min_s=s, max_s=s, min_n=s)
+                      .map(complement).filter(lambda h: h.m > 0), label="F")
+        seq = exact_ex(n, t, f)
+        par = exact_ex(n, t, f, workers=2)
+        assert (seq.value, seq.witness, seq.nodes) == (par.value, par.witness, par.nodes)
+        if n == 5:
+            assert seq.value == naive_max_copies(n, t, f)
+
     def test_timeout_returns_heuristic_record(self):
         rec = exact_ex(8, EDGE, C4, timeout=0.0)
         assert rec.mode == "heuristic"
@@ -133,7 +185,7 @@ class TestExactEx:
     def test_pool_worker_reports_its_timeout(self, monkeypatch):
         monkeypatch.setattr(extremal, "_WORKER_CTX", {})
         extremal._worker_init((8, 2, EDGE, C4, time.monotonic()))
-        val, pos, nodes, timed = extremal._worker_run(())
+        val, pos, nodes, timed = extremal._worker_run((), [])
         assert timed and (val, pos, nodes) == (0, (), 1)
 
     def test_monotone_in_n(self):

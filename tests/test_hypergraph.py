@@ -16,7 +16,6 @@ from exturan.hypergraph import (
     shadow,
     single_edge,
 )
-from oracles import brute_cliques
 from strategies import hypergraphs
 
 from itertools import combinations

@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 from exturan.counting import (
     CliqueFamily,
     cliques,
-    count_embeddings,
     edge_multiplicity,
 )
 from exturan.hypergraph import (
