@@ -495,11 +495,36 @@ def deletion_probability(n: int, spec: BlowupSpec) -> tuple[Fraction, float]:
     return gamma, float(n) ** (-float(gamma))
 
 
+def _next_lex_copy(g: UniformHypergraph, forbidden: UniformHypergraph, phi, cut: int):
+    """The lexicographically first copy of ``forbidden`` in ``g`` above the
+    mapping ``phi``, given that every map agreeing with ``phi`` on pattern
+    vertices 0..cut is no copy.
+
+    A copy above ``phi`` first differs from it at some step l <= cut, where
+    it takes a larger vertex. The regions l = cut, ..., 0 (prefix
+    ``phi[:l]`` pinned, step l above ``phi[l]``) hold such maps in
+    ascending lexicographic order, so the first hit is the answer.
+    """
+    for ell in range(cut, -1, -1):
+        domains = [(v,) for v in phi[:ell]] + [range(phi[ell] + 1, g.n)]
+        emb = contains(g, forbidden, lex_order=True, domains=domains)
+        if emb is not None:
+            return emb
+    return None
+
+
 def deletion_construct(n: int, r: int, spec: BlowupSpec, p: float, seed: int, *,
                        verify: bool = True) -> tuple[UniformHypergraph, ConstructionCertificate]:
     """Sample each potential (r-1)-edge independently with probability p, then
     repeatedly remove the lexicographically first edge of the
     lexicographically first surviving copy of the forbidden blowup.
+
+    The copies are found by one lexicographic walk, resumed after each
+    deletion rather than restarted, with the same result: deleting an edge
+    only removes copies, so no copy below the current one appears, and every
+    map that agrees with the current copy up to the pattern vertex whose
+    placement completed the deleted edge uses that edge and is no copy. The
+    walk therefore resumes at that vertex (see :func:`_next_lex_copy`).
 
     Reproducible: identical (n, r, spec, p, seed) give identical output. The
     certificate re-verifies freeness and records the sampling statistics.
@@ -516,13 +541,13 @@ def deletion_construct(n: int, r: int, spec: BlowupSpec, p: float, seed: int, *,
     forbidden = blowup(spec)[0]
 
     deletions = 0
-    while True:
-        emb = contains(g, forbidden, lex_order=True)
-        if emb is None:
-            break
-        victim = min(emb.image_edge(e) for e in forbidden.edges)
+    emb = contains(g, forbidden, lex_order=True)
+    while emb is not None:
+        hit = min(forbidden.edges, key=emb.image_edge)
+        victim = emb.image_edge(hit)
         g = make(n, s, [e for e in g.edges if e != victim])
         deletions += 1
+        emb = _next_lex_copy(g, forbidden, emb.mapping, hit[-1])
 
     claims = []
     free, emb = is_blowup_free(g, spec)

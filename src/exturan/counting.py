@@ -204,19 +204,25 @@ class Embedding:
 
 
 def contains(host: UniformHypergraph, pattern: UniformHypergraph, *,
-             lex_order: bool = False) -> Embedding | None:
+             lex_order: bool = False, domains=()) -> Embedding | None:
     """Find some subgraph embedding of ``pattern`` in ``host``, if any.
 
     With ``lex_order=True`` the pattern vertices are processed in index
     order, so the returned mapping tuple is the lexicographically first one.
+    ``domains`` needs ``lex_order``: pattern vertex i then goes only to the
+    vertices of ``domains[i]``, tried in their given order, and the result is
+    the first mapping in that order.
     """
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
+    if domains and not lex_order:
+        raise HypergraphError("domains are per pattern vertex and need lex_order")
     if pattern.n > host.n:
         return None
     plan = _compile(pattern)
     found = _backtrack(_host_index(host.n, host.edge_set),
-                       plan.by_index if lex_order else plan.by_degree, mode="first")
+                       plan.by_index if lex_order else plan.by_degree, domains,
+                       mode="first")
     return None if found is None else Embedding(pattern, host, found)
 
 

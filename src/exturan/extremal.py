@@ -250,6 +250,24 @@ def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
 # ---------------------------------------------------------------------------
 
 
+def _instance(n, pattern, forbidden) -> tuple[UniformHypergraph, UniformHypergraph]:
+    """Materialize T and F and refuse inputs no search can answer: differing
+    uniformities, and an edgeless F that fits in n vertices, which every
+    host, the empty one included, contains."""
+    pattern = materialize(pattern)
+    forbidden_g = materialize(forbidden)
+    if pattern.s != forbidden_g.s:
+        raise UniformityMismatch(
+            f"pattern uniformity {pattern.s} != forbidden uniformity {forbidden_g.s}"
+        )
+    if forbidden_g.m == 0 and forbidden_g.n <= n:
+        raise HypergraphError(
+            f"the forbidden pattern has no edges and {forbidden_g.n} <= {n} vertices, "
+            f"so every host on {n} vertices contains it"
+        )
+    return pattern, forbidden_g
+
+
 def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None = None,
              allow_large: bool = False, cache: "RecordCache | None" = None) -> ExtremalRecord:
     """Exact maximum number of copies of ``pattern`` in an F-free host.
@@ -258,12 +276,7 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
     FULL_GUARD, or LARGE_GUARD with ``allow_large``. A timeout converts the
     run into a best-so-far record marked heuristic instead of failing.
     """
-    pattern = materialize(pattern)
-    forbidden_g = materialize(forbidden)
-    if pattern.s != forbidden_g.s:
-        raise UniformityMismatch(
-            f"pattern uniformity {pattern.s} != forbidden uniformity {forbidden_g.s}"
-        )
+    pattern, forbidden_g = _instance(n, pattern, forbidden)
     s = pattern.s
     guard = LARGE_GUARD if allow_large else FULL_GUARD
     if comb(n, s) > guard:
@@ -303,12 +316,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
     random edges (occasionally restarting). Worst case the empty host with
     value 0 is returned.
     """
-    pattern = materialize(pattern)
-    forbidden_g = materialize(forbidden)
-    if pattern.s != forbidden_g.s:
-        raise UniformityMismatch(
-            f"pattern uniformity {pattern.s} != forbidden uniformity {forbidden_g.s}"
-        )
+    pattern, forbidden_g = _instance(n, pattern, forbidden)
     s = pattern.s
     t0 = time.perf_counter()
     counter = _make_counter(n, s, pattern)

@@ -225,17 +225,19 @@ def auxiliary_hypergraph(g: UniformHypergraph, f: UniformHypergraph,
 
 
 def conditional_partition(g: UniformHypergraph, f: UniformHypergraph,
-                          order_seed: int | None = None) -> PartitionMap:
+                          order_seed: int | None = None,
+                          embeddings: list | None = None) -> PartitionMap:
     """Partition by the method of conditional expectations.
 
     Vertices are assigned (in a seeded-shuffled order) to the class that
     maximizes the expected number of aligned copies under a uniform random
     completion; the expectation never drops, so the result always carries at
     least ceil(embeddings / l^l) aligned copies. The scores are exact
-    integers (expectations scaled by l^l).
+    integers (expectations scaled by l^l). A caller that already holds
+    ``all_embeddings(g, f)`` passes it as ``embeddings``.
     """
     ell = f.n
-    embs = all_embeddings(g, f)
+    embs = all_embeddings(g, f) if embeddings is None else embeddings
     occurs = defaultdict(list)
     for idx, phi in enumerate(embs):
         for pv, hv in enumerate(phi):
@@ -268,8 +270,10 @@ def conditional_partition(g: UniformHypergraph, f: UniformHypergraph,
 def aligned_threshold(g: UniformHypergraph, f: UniformHypergraph) -> int:
     """ceil(embeddings / l^l): some partition always reaches this many
     aligned copies, by averaging."""
-    n_emb = len(all_embeddings(g, f))
-    ell = f.n
+    return _threshold(len(all_embeddings(g, f)), f.n)
+
+
+def _threshold(n_emb: int, ell: int) -> int:
     return -(n_emb // -(ell ** ell))
 
 
@@ -318,25 +322,33 @@ class BlowupEmbedding:
 
 def _partite_blowup_classes(aux: UniformHypergraph, partition: PartitionMap, a: int):
     """Classes U_i inside partition class i, |U_i| = a, with every crossing
-    (l-1)-class tuple an edge of the auxiliary hypergraph."""
+    (l-1)-class tuple an edge of the auxiliary hypergraph.
+
+    The first such choice in the order of trying every a-subset of class j
+    after U_0..U_{j-1}. Every new crossing tuple holds exactly one vertex of
+    U_j, so an a-subset passes exactly when each of its members passes alone.
+    Each level therefore filters its class once to the vertices that fit and
+    walks their a-subsets: these are the passing a-subsets, in the same
+    order, so the first result is the same.
+    """
     ell = len(partition.classes)
     es = aux.edge_set
     chosen: list[tuple[int, ...]] = []
 
-    def check_new(j):
+    def fits(j, x):
         for head in combinations(range(j), ell - 2):
-            idxs = head + (j,)
-            for pick in product(*(chosen[i] for i in idxs)):
-                if tuple(sorted(pick)) not in es:
+            for pick in product(*(chosen[i] for i in head)):
+                if tuple(sorted(pick + (x,))) not in es:
                     return False
         return True
 
     def rec(j):
         if j == ell:
             return True
-        for u in combinations(partition.classes[j], a):
+        fit = [x for x in partition.classes[j] if fits(j, x)]
+        for u in combinations(fit, a):
             chosen.append(u)
-            if check_new(j) and rec(j + 1):
+            if rec(j + 1):
                 return True
             chosen.pop()
         return False
@@ -354,6 +366,10 @@ def find_blowup(g: UniformHypergraph, f: UniformHypergraph, a: int, seed: int = 
     through the auxiliary hypergraph; the pulled-back classes are then
     re-validated against the host before being returned. A none-found result
     after the retry budget is a value, not an error.
+
+    The embeddings of ``f`` are enumerated once per call; each attempt's
+    aligned copies are the ones its partition aligns, kept in their
+    lexicographic order, which is the order :func:`aligned_copies` returns.
     """
     if f.s != g.s:
         raise UniformityMismatch(f"host uniformity {g.s} != pattern {f.s}")
@@ -363,13 +379,16 @@ def find_blowup(g: UniformHypergraph, f: UniformHypergraph, a: int, seed: int = 
             f"pattern on {ell} vertices is too small for uniformity {g.s}")
     if a < 1:
         raise HypergraphError(f"class size must be >= 1, got {a}")
-    threshold = aligned_threshold(g, f)
+    embs = all_embeddings(g, f)
+    threshold = _threshold(len(embs), ell)
     if threshold == 0:
         return None  # no embeddings at all
     for k in range(retries):
         order_seed = None if k == 0 else seed * 1_000_003 + k
-        part = conditional_partition(g, f, order_seed)
-        aligned = aligned_copies(g, f, part)
+        part = conditional_partition(g, f, order_seed, embs)
+        class_of = part.class_of()
+        aligned = [phi for phi in embs
+                   if all(class_of[v] == i for i, v in enumerate(phi))]
         entry = {"retry": k, "aligned": len(aligned), "threshold": threshold,
                  "aux_edges": None, "found": False}
         if len(aligned) < threshold:

@@ -1,4 +1,4 @@
-"""Start the ``exturan`` CLI in a child process, from the package the tests import.
+"""Start the ``exturan`` CLI or a script in a child process, from the imported package.
 
 The child gets ``PYTHONPATH`` led by the absolute directory that holds the
 imported ``exturan`` package, so it runs the same code whatever its working
@@ -18,10 +18,15 @@ from exturan.cli import CACHE_ENV
 PACKAGE_ROOT = Path(exturan.__file__).resolve().parents[1]
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
+    """Run ``python *args`` in the child environment described above."""
     env = dict(os.environ)
     env.pop(CACHE_ENV, None)
     inherited = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE_ROOT), *inherited])
-    return subprocess.run([sys.executable, "-m", "exturan", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def run_cli(*args, cwd=None):
+    return run_python("-m", "exturan", *args, cwd=cwd)

@@ -5,11 +5,12 @@ bit masks) without reusing the library's search machinery, so oracle
 agreement is meaningful.
 """
 
-from itertools import combinations, permutations
+import random
+from itertools import combinations, permutations, product
 
 import numpy as np
 
-from exturan.hypergraph import UniformHypergraph, make
+from exturan.hypergraph import BlowupSpec, UniformHypergraph, blowup, make
 
 
 def brute_embeddings(host: UniformHypergraph, pattern: UniformHypergraph):
@@ -140,3 +141,70 @@ def apfree_max_by_masks(n: int, r: int) -> int:
     for bit in range(n):
         sizes += ((masks >> bit) & 1).astype(np.int8)
     return int(sizes[good].max())
+
+
+def restart_deletion(n: int, r: int, spec: BlowupSpec, p: float, seed: int):
+    """The deletion method restarted from scratch after every deletion.
+
+    Samples the (r-1)-sets in colex order with the construction's seeded
+    draws, then repeatedly takes the lexicographically first copy of the
+    blowup (the first image tuple, in ``permutations`` order, that maps
+    every pattern edge onto a host edge) and deletes its smallest image
+    edge. Returns the final host and the statistics the construction's
+    certificate records.
+    """
+    s = r - 1
+    rng = random.Random(seed)
+    colex = sorted(combinations(range(n), s), key=lambda t: t[::-1])
+    sampled = [e for e in colex if rng.random() < p]
+    pattern = blowup(spec)[0]
+    edges = set(sampled)
+    deletions = 0
+    while True:
+        image = next((im for im in permutations(range(n), pattern.n)
+                      if all(tuple(sorted(im[v] for v in e)) in edges
+                             for e in pattern.edges)), None)
+        if image is None:
+            break
+        edges.discard(min(tuple(sorted(image[v] for v in e)) for e in pattern.edges))
+        deletions += 1
+    g = make(n, s, edges)
+    stats = {
+        "sampled_edges": len(sampled),
+        "expected_sampled_edges": p * len(colex),
+        "deleted_edges": deletions,
+        "surviving_edges": g.m,
+        "surviving_cliques": len(brute_cliques(g, r)),
+    }
+    return g, stats
+
+
+def exhaustive_blowup_classes(aux: UniformHypergraph, classes, a: int):
+    """The partite class search trying every a-subset of every class.
+
+    Picks a-subsets U_0, U_1, ... of the given classes in ``combinations``
+    order, testing after each pick every crossing tuple that uses it, and
+    backtracks on failure; returns the first full choice or None.
+    """
+    ell = len(classes)
+    es = aux.edge_set
+    chosen = []
+
+    def check_new(j):
+        for head in combinations(range(j), ell - 2):
+            for pick in product(*(chosen[i] for i in head + (j,))):
+                if tuple(sorted(pick)) not in es:
+                    return False
+        return True
+
+    def rec(j):
+        if j == ell:
+            return True
+        for u in combinations(classes[j], a):
+            chosen.append(u)
+            if check_new(j) and rec(j + 1):
+                return True
+            chosen.pop()
+        return False
+
+    return tuple(chosen) if rec(0) else None

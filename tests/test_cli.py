@@ -58,6 +58,14 @@ class TestExCommand:
         assert out.returncode == 2
         assert "position" in out.stderr
 
+    @pytest.mark.parametrize("extra", [(), ("--heuristic",)])
+    def test_edgeless_forbidden_exits_2(self, tmp_path, extra):
+        path = tmp_path / "empty3.txt"
+        write_file(make(3, 2, []), path)
+        out = run_cli("ex", "--n", "5", "--T", "K3_2(1,1,1)", "--F", f"file:{path}", *extra)
+        assert out.returncode == 2
+        assert "no edges" in out.stderr
+
     def test_infeasible_without_fallback_exits_3(self):
         out = run_cli("ex", "--n", "12", "--T", "K2_2(1,1)", "--F", "K2_2(2,2)")
         assert out.returncode == 3

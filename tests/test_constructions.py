@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from exturan.constructions import (
     APFreeSet,
@@ -23,7 +27,7 @@ from exturan.hypergraph import (
     make,
     single_edge,
 )
-from oracles import apfree_max_by_masks
+from oracles import apfree_max_by_masks, restart_deletion
 
 from fractions import Fraction
 from math import comb
@@ -238,3 +242,26 @@ class TestDeletion:
     def test_bad_probability(self):
         with pytest.raises(HypergraphError):
             deletion_construct(8, 3, self.SPEC, 1.5, seed=0)
+
+    # (r, blowup spec, largest n): the oracle rescans every injective map.
+    DIFFERENTIAL = (
+        (3, BlowupSpec(complete(2, 2), (2, 2)), 9),
+        (3, BlowupSpec(complete(3, 2), (1, 1, 2)), 9),
+        (3, BlowupSpec(complete(3, 2), (1, 1, 1)), 9),
+        (3, BlowupSpec(complete(2, 2), (1, 3)), 9),
+        (4, BlowupSpec(complete(3, 3), (1, 1, 2)), 8),
+        (4, BlowupSpec(complete(4, 3), (1, 1, 1, 1)), 8),
+        (4, BlowupSpec(complete(3, 3), (1, 2, 2)), 7),
+    )
+
+    @given(st.data())
+    def test_resumed_walk_matches_restarts(self, data):
+        r, spec, top = data.draw(st.sampled_from(self.DIFFERENTIAL))
+        n = data.draw(st.integers(r, top))
+        p = data.draw(st.sampled_from([0.3, 0.6, 0.75, 0.9]))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        g, cert = deletion_construct(n, r, spec, p, seed)
+        want, stats = restart_deletion(n, r, spec, p, seed)
+        assert g.to_text() == want.to_text()
+        detail = {c.name: c.detail for c in cert.claims}["statistics"]
+        assert json.dumps(detail, sort_keys=True) == json.dumps(stats, sort_keys=True)

@@ -103,6 +103,23 @@ class TestContains:
         pattern = induced(host, verts)
         assert (contains(host, pattern) is not None) == brute_contains(host, pattern)
 
+    @given(st.data())
+    def test_lex_first_within_domains(self, data):
+        host = data.draw(hypergraphs(max_n=7, min_s=2, max_s=3, min_n=3))
+        pattern = data.draw(hypergraphs(max_n=min(4, host.n), min_s=host.s, max_s=host.s,
+                                        min_n=host.s))
+        k = data.draw(st.integers(0, pattern.n))
+        domains = [sorted(data.draw(st.sets(st.integers(0, host.n - 1))))
+                   for _ in range(k)]
+        want = next((phi for phi in brute_embeddings(host, pattern)
+                     if all(phi[i] in dom for i, dom in enumerate(domains))), None)
+        emb = contains(host, pattern, lex_order=True, domains=domains)
+        assert (emb and emb.mapping) == want
+
+    def test_domains_need_lex_order(self):
+        with pytest.raises(HypergraphError):
+            contains(complete(4, 2), complete(3, 2), domains=[(1,)])
+
     @given(hypergraphs(max_n=6, min_s=2, max_s=2, min_n=2))
     def test_random_small_patterns(self, host):
         for pattern in (complete(3, 2), cycle(4), make(3, 2, [[0, 1]])):

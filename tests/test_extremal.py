@@ -26,6 +26,7 @@ from exturan.extremal import (
 )
 from exturan.hypergraph import (
     BlowupSpec,
+    HypergraphError,
     blowup,
     complete,
     complete_partite,
@@ -137,6 +138,15 @@ class TestExactEx:
         with pytest.raises(InfeasibleError):
             exact_ex(12, EDGE, C4, allow_large=True)
 
+    def test_edgeless_forbidden_within_n_refused(self):
+        with pytest.raises(HypergraphError, match="no edges"):
+            exact_ex(5, TRI, make(3, 2, []))
+        with pytest.raises(HypergraphError, match="no edges"):
+            exact_ex(3, EDGE, make(3, 2, []))
+
+    def test_edgeless_forbidden_beyond_n_still_answers(self):
+        assert exact_ex(2, EDGE, make(3, 2, [])).value == 1
+
     def test_workers_match_sequential(self):
         seq = exact_ex(6, TRI, DIAMOND, workers=1)
         par = exact_ex(6, TRI, DIAMOND, workers=4)
@@ -235,6 +245,13 @@ class TestHeuristicLower:
     def test_forbidding_the_pattern_itself(self):
         rec = heuristic_lower(7, TRI, TRI, seed=0, budget=500)
         assert rec.value == 0
+
+    def test_edgeless_forbidden_within_n_refused(self):
+        with pytest.raises(HypergraphError, match="no edges"):
+            heuristic_lower(5, TRI, make(3, 2, []), budget=100)
+
+    def test_edgeless_forbidden_beyond_n_still_answers(self):
+        assert heuristic_lower(2, EDGE, make(3, 2, []), budget=100).value == 1
 
     def test_c4_free_ten_vertices(self):
         rec = heuristic_lower(10, EDGE, C4, seed=0, budget=4000)

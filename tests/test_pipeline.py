@@ -21,6 +21,7 @@ from exturan.hypergraph import (
 )
 from exturan.pipeline import (
     BlowupEmbedding,
+    _partite_blowup_classes,
     ThinningPlan,
     aligned_copies,
     aligned_threshold,
@@ -32,7 +33,7 @@ from exturan.pipeline import (
     shared_edge_groups,
     thin_cliques,
 )
-from oracles import brute_cliques, brute_embeddings
+from oracles import brute_cliques, brute_embeddings, exhaustive_blowup_classes
 from strategies import hypergraphs
 
 TRI = complete(3, 2)
@@ -229,6 +230,38 @@ class TestAuxiliary:
             for i in range(3):
                 proj = tuple(sorted(copy[:i] + copy[i + 1:]))
                 assert proj in aux.edge_set
+
+
+class TestClassSearch:
+    @given(st.data())
+    def test_filtered_search_matches_exhaustive(self, data):
+        ell = data.draw(st.sampled_from([3, 4]))
+        n = data.draw(st.integers(ell, 10))
+        assign = data.draw(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n))
+        part = PartitionMap.from_assignment(assign, ell)
+        class_of = part.class_of()
+        crossing = [t for t in combinations(range(n), ell - 1)
+                    if len({class_of[v] for v in t}) == ell - 1]
+        density = data.draw(st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        aux = make(n, ell - 1, [t for t in crossing if rnd.random() < density])
+        a = data.draw(st.sampled_from([1, 2]))
+        assert (_partite_blowup_classes(aux, part, a)
+                == exhaustive_blowup_classes(aux, part.classes, a))
+
+    def test_found_and_refused_cases_agree(self):
+        rnd = random.Random(7)
+        outcomes = set()
+        for _ in range(40):
+            assign = [rnd.randrange(3) for _ in range(9)]
+            part = PartitionMap.from_assignment(assign, 3)
+            class_of = part.class_of()
+            aux = make(9, 2, [t for t in combinations(range(9), 2)
+                              if class_of[t[0]] != class_of[t[1]] and rnd.random() < 0.85])
+            got = _partite_blowup_classes(aux, part, 2)
+            assert got == exhaustive_blowup_classes(aux, part.classes, 2)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
 
 
 class TestFindBlowup:
