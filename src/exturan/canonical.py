@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from .counting import HostIndex
 from .hypergraph import HypergraphError, UniformHypergraph, make
 
 MAX_CANONICAL_VERTICES = 12  # permutation search envelope
@@ -32,43 +33,31 @@ def colex_position(n: int, s: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(colex_subsets(n, s))}
 
 
-def edge_positions(g: UniformHypergraph) -> tuple[int, ...]:
-    pos = colex_position(g.n, g.s)
-    return tuple(sorted(pos[e] for e in g.edges))
-
-
-def _vertex_masks(edge_set) -> frozenset[int]:
-    """Each edge as the bitmask of its vertices."""
-    return frozenset(sum(1 << v for v in e) for e in edge_set)
-
-
-def _twin_classes(n: int, emask) -> list[int]:
+def _twin_classes(host: HostIndex) -> list[int]:
     """Vertex masks of the classes of transposition-interchangeable vertices
     (swapping the two leaves the edge set invariant).
 
     Twins have equal degree, and then swapping u and v maps the edges that
     hold u but not v one-to-one onto the equally many that hold v but not u
-    as soon as each of the former has its swapped image in the edge set.
+    as soon as each of the former has its swapped image in the edge set:
+    that image of an edge e is an edge iff v completes ``e ^ 1 << u``.
     Being twins is an equivalence: (u w) = (u v)(v w)(u v).
     """
+    n, links = host.n, host.links
     inc = [[] for _ in range(n)]
-    for e in emask:
-        rest = e
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            inc[low.bit_length() - 1].append(e)
+    for e, mask in host.edges.items():
+        for v in e:
+            inc[v].append(mask ^ 1 << v)
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
-        by_degree.setdefault(len(inc[v]), []).append(v)
+        by_degree.setdefault(host.deg[v], []).append(v)
     classes = []
     for group in by_degree.values():
         while group:
             u, *others = group
             cls, group = 1 << u, []
             for v in others:
-                uv = 1 << u | 1 << v
-                if all(e ^ uv in emask for e in inc[u] if not e >> v & 1):
+                if all(links[rest] >> v & 1 for rest in inc[u] if not rest >> v & 1):
                     cls |= 1 << v
                 else:
                     group.append(v)
@@ -84,7 +73,7 @@ def _bits_of(n: int, s: int, edge_set) -> bytearray:
     return bits
 
 
-def _improve_once(n, s, emask, target, automorphisms=None):
+def _improve_once(host: HostIndex, s, target, automorphisms=None):
     """Search for a relabelling whose bitstring exceeds ``target``.
 
     Returns such a relabelling as a list giving the old vertex of each new
@@ -96,11 +85,11 @@ def _improve_once(n, s, emask, target, automorphisms=None):
     the k-subsets of 0..j are those of 0..j-1 followed by the (k-1)-subsets
     of 0..j-1 extended by j. The bits of level j (the colex positions of the
     s-sets whose largest element is j) then ask, for each mask m in
-    ``subs[s - 1]``, whether the candidate completes m to an edge, and
-    ``links[m]`` answers that for all candidates at once. Scanning a level
-    narrows the candidate mask to those still equal to the target; one with
-    a 1 where the target has a 0 is an improvement, and any completion of
-    it improves the target. Equal branches are explored (they may diverge
+    ``subs[s - 1]``, whether the candidate completes m to an edge, and the
+    index's ``links[m]`` answers that for all candidates at once. Scanning a
+    level narrows the candidate mask to those still equal to the target; one
+    with a 1 where the target has a 0 is an improvement, and any completion
+    of it improves the target. Equal branches are explored (they may diverge
     later); transposition twins are tried once per class, which is sound
     because the twin swap extends any partial assignment to an equal-valued
     one.
@@ -113,15 +102,9 @@ def _improve_once(n, s, emask, target, automorphisms=None):
     list of the image of every vertex. With any other target the leaves are
     not automorphisms, so only pass a list with the graph's own bitstring.
     """
-    links: dict[int, int] = {}
-    for e in emask:
-        rest = e
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            links[e ^ low] = links.get(e ^ low, 0) | low
+    n = host.n
     # only the lowest free member of each twin class is a candidate
-    twins = [c for c in _twin_classes(n, emask) if c & (c - 1)]
+    twins = [c for c in _twin_classes(host) if c & (c - 1)]
     identity = list(range(n))
     if automorphisms is not None:
         for c in twins:
@@ -131,7 +114,7 @@ def _improve_once(n, s, emask, target, automorphisms=None):
                 swap[u], swap[v] = v, u
                 automorphisms.append(swap)
     wants = [target[comb(j, s):comb(j + 1, s)] for j in range(n)]
-    get = links.get
+    get = host.links.get
     perm = [-1] * n
 
     def dfs(j, subs, free):
@@ -180,8 +163,8 @@ def _guard(n: int):
         )
 
 
-def is_canonical_raw(n: int, s: int, edge_set, symmetries=None) -> bool:
-    """Is the graph already its own canonical form?
+def is_canonical_raw(host: HostIndex, s: int, symmetries=None) -> bool:
+    """Is the s-uniform graph held by ``host`` already its own canonical form?
 
     If it is and ``symmetries`` is a list, automorphisms of the graph met by
     the test are appended to it, each as the list of the image of every
@@ -189,10 +172,10 @@ def is_canonical_raw(n: int, s: int, edge_set, symmetries=None) -> bool:
     non-identity relabelling that ties with the graph's own bitstring. They
     need not generate the whole group. A non-canonical graph appends nothing.
     """
-    _guard(n)
+    _guard(host.n)
     found = [] if symmetries is not None else None
-    target = _bits_of(n, s, edge_set)
-    if _improve_once(n, s, _vertex_masks(edge_set), target, found) is not None:
+    target = _bits_of(host.n, s, host.edges)
+    if _improve_once(host, s, target, found) is not None:
         return False
     if found:
         symmetries.extend(found)
@@ -202,9 +185,9 @@ def is_canonical_raw(n: int, s: int, edge_set, symmetries=None) -> bool:
 def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
     """Sorted colex positions of the canonical form's edges."""
     _guard(n)
-    emask = _vertex_masks(edge_set)
+    host = HostIndex(n, edge_set)
     best = _bits_of(n, s, edge_set)
-    while (perm := _improve_once(n, s, emask, best)) is not None:
+    while (perm := _improve_once(host, s, best)) is not None:
         back = {old: new for new, old in enumerate(perm)}
         best = _bits_of(n, s, [tuple(sorted(back[v] for v in e)) for e in edge_set])
     return tuple(i for i, b in enumerate(best) if b)

@@ -4,8 +4,9 @@ Every subcommand is deterministic given its flags and seed; outputs carry no
 timestamps, so repeated runs are byte identical. Exit codes are a stable
 scripting contract: 0 success/verified, 1 claim refuted, certificate
 failure or a cache entry or record failing verification, 2 usage or parse
-error, 3 infeasible or timed out. A timed-out ``ex`` still prints its whole
-table, with the best-so-far records marked heuristic.
+error (a ``--workers`` below 1, a ``--timeout`` below 0 and a ``--budget``
+below 1 included), 3 infeasible or timed out. A timed-out ``ex`` still
+prints its whole table, with the best-so-far records marked heuristic.
 """
 
 from __future__ import annotations
@@ -387,6 +388,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(low, kind=int):
+    """An argparse type: a ``kind`` number no smaller than ``low`` (so not
+    NaN), else a usage error (exit 2)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exturan",
@@ -400,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--timeout", type=float, default=None)
+        p.add_argument("--workers", type=_at_least(1), default=1)
+        p.add_argument("--timeout", type=_at_least(0, float), default=None)
         p.add_argument("--cache-dir", default=None,
                        help=f"record cache directory (or ${CACHE_ENV})")
         p.add_argument("--format", choices=["text", "csv", "json"], default="text")
@@ -416,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--F", required=True, help="forbidden pattern")
     p_ex.add_argument("--heuristic", action="store_true",
                       help="fall back to local search beyond the guard")
-    p_ex.add_argument("--budget", type=int, default=4000)
+    p_ex.add_argument("--budget", type=_at_least(1), default=4000)
     p_ex.set_defaults(func=cmd_ex)
 
     p_c = sub.add_parser("construct", help="emit a certified construction")

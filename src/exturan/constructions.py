@@ -16,7 +16,7 @@ from itertools import product
 from math import comb
 
 from .canonical import canonical_key, colex_subsets
-from .counting import complete_subsets, contains, is_blowup_free
+from .counting import HostIndex, complete_subsets, contains, first_embedding, is_blowup_free
 from .extremal import ExtremalRecord
 from .hypergraph import (
     BlowupSpec,
@@ -495,10 +495,10 @@ def deletion_probability(n: int, spec: BlowupSpec) -> tuple[Fraction, float]:
     return gamma, float(n) ** (-float(gamma))
 
 
-def _next_lex_copy(g: UniformHypergraph, forbidden: UniformHypergraph, phi, cut: int):
-    """The lexicographically first copy of ``forbidden`` in ``g`` above the
-    mapping ``phi``, given that every map agreeing with ``phi`` on pattern
-    vertices 0..cut is no copy.
+def _next_lex_copy(host: HostIndex, forbidden: UniformHypergraph, phi, cut: int):
+    """The lexicographically first copy of ``forbidden`` in the indexed host
+    above the mapping ``phi``, given that every map agreeing with ``phi`` on
+    pattern vertices 0..cut is no copy.
 
     A copy above ``phi`` first differs from it at some step l <= cut, where
     it takes a larger vertex. The regions l = cut, ..., 0 (prefix
@@ -506,10 +506,10 @@ def _next_lex_copy(g: UniformHypergraph, forbidden: UniformHypergraph, phi, cut:
     ascending lexicographic order, so the first hit is the answer.
     """
     for ell in range(cut, -1, -1):
-        domains = [(v,) for v in phi[:ell]] + [range(phi[ell] + 1, g.n)]
-        emb = contains(g, forbidden, lex_order=True, domains=domains)
-        if emb is not None:
-            return emb
+        domains = [(v,) for v in phi[:ell]] + [range(phi[ell] + 1, host.n)]
+        found = first_embedding(host, forbidden, lex_order=True, domains=domains)
+        if found is not None:
+            return found
     return None
 
 
@@ -524,7 +524,9 @@ def deletion_construct(n: int, r: int, spec: BlowupSpec, p: float, seed: int, *,
     only removes copies, so no copy below the current one appears, and every
     map that agrees with the current copy up to the pattern vertex whose
     placement completed the deleted edge uses that edge and is no copy. The
-    walk therefore resumes at that vertex (see :func:`_next_lex_copy`).
+    walk therefore resumes at that vertex (see :func:`_next_lex_copy`). It
+    runs on one host index, built from the sample and updated per deletion;
+    the output hypergraph is built once, at the end.
 
     Reproducible: identical (n, r, spec, p, seed) give identical output. The
     certificate re-verifies freeness and records the sampling statistics.
@@ -537,17 +539,18 @@ def deletion_construct(n: int, r: int, spec: BlowupSpec, p: float, seed: int, *,
         raise HypergraphError(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
     sampled = [e for e in colex_subsets(n, s) if rng.random() < p]
-    g = make(n, s, sampled)
+    host = HostIndex(n, sampled)
     forbidden = blowup(spec)[0]
 
     deletions = 0
-    emb = contains(g, forbidden, lex_order=True)
-    while emb is not None:
-        hit = min(forbidden.edges, key=emb.image_edge)
-        victim = emb.image_edge(hit)
-        g = make(n, s, [e for e in g.edges if e != victim])
+    phi = first_embedding(host, forbidden, lex_order=True)
+    while phi is not None:
+        # images of distinct pattern edges differ, so the least one decides
+        victim, cut = min((tuple(sorted(phi[v] for v in f)), f[-1]) for f in forbidden.edges)
+        host.remove(victim)
         deletions += 1
-        emb = _next_lex_copy(g, forbidden, emb.mapping, hit[-1])
+        phi = _next_lex_copy(host, forbidden, phi, cut)
+    g = make(n, s, host.edges)
 
     claims = []
     free, emb = is_blowup_free(g, spec)

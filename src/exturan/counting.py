@@ -3,9 +3,16 @@
 Copies are counted unlabelled: the number of embeddings divided by the
 automorphism count of the pattern, which is the number of embeddings of the
 pattern into itself. Every search runs on one backtracker over per-step
-candidate domains. Containment search is deterministic: pattern vertices
-are ordered by descending degree with index tie-breaks and host candidates
-are tried in ascending order, so certificates are reproducible.
+candidate domains, reading the host from a :class:`HostIndex`. The index
+holds a link table: for every s-1 vertices of an edge, the mask of the
+vertices that complete them to an edge. A step that completes pattern edges
+therefore takes its candidates from the AND of the links of those edges'
+placed parts (the common-link step) instead of scanning every host vertex.
+Callers that change a host one edge at a time (the orderly search, the local
+search, the deletion walk) keep one index and update it in place.
+Containment search is deterministic: pattern vertices are ordered by
+descending degree with index tie-breaks and host candidates are tried in
+ascending order, so certificates are reproducible.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ def _edge_starts(pattern: UniformHypergraph, itself, by_degree) -> tuple:
     embedding of the pattern into itself with r pinned to t, only when the
     two orderings have the same degrees.
     """
-    deg = itself[2]
+    deg = itself.deg
     kept = []
     for f in pattern.edges:
         rest = [u for u in by_degree if u not in f]
@@ -93,45 +100,82 @@ def _edge_starts(pattern: UniformHypergraph, itself, by_degree) -> tuple:
 @lru_cache(maxsize=64)
 def _compile(pattern: UniformHypergraph) -> PatternPlan:
     """Compile ``pattern`` once; searches with the same pattern share it."""
-    itself = _host_index(pattern.n, pattern.edges)
-    deg = itself[2]
+    itself = HostIndex(pattern.n, pattern.edges)
+    deg = itself.deg
     by_degree = sorted(range(pattern.n), key=lambda v: (-deg[v], v))
     return PatternPlan(_walk(pattern, deg, by_degree), _walk(pattern, deg, range(pattern.n)),
                        _edge_starts(pattern, itself, by_degree))
 
 
-def _host_index(host_n: int, host_edge_set) -> tuple:
-    """The host as (vertex count, edges as vertex bitmasks, degree table)."""
-    deg = [0] * host_n
-    masks = set()
-    for e in host_edge_set:
-        m = 0
-        for v in e:
+class HostIndex:
+    """A host as every embedding search reads it, updated one edge at a time.
+
+    ``n`` is the vertex count, ``edges`` maps each edge (a sorted tuple) to
+    its vertex bitmask, ``deg`` holds the degree of every vertex, and
+    ``links`` maps the mask of each s-1 vertices of some edge to the mask of
+    the vertices that complete them to an edge: ``links[mask ^ bit] |= bit``
+    for every edge mask and every bit in it. Adding or removing an edge
+    costs O(s); ``add`` takes an edge that is absent and ``remove`` one that
+    is present.
+    """
+
+    __slots__ = ("n", "edges", "deg", "links")
+
+    def __init__(self, n: int, edges=()):
+        self.n = n
+        self.edges: dict[Edge, int] = {}
+        self.deg = [0] * n
+        self.links: dict[int, int] = {}
+        for e in edges:
+            self.add(e)
+
+    def add(self, edge: Edge) -> None:
+        mask = 0
+        for v in edge:
+            mask |= 1 << v
+        self.edges[edge] = mask
+        deg, links = self.deg, self.links
+        for v in edge:
             deg[v] += 1
-            m |= 1 << v
-        masks.add(m)
-    return host_n, masks, deg
+            bit = 1 << v
+            links[mask ^ bit] = links.get(mask ^ bit, 0) | bit
+
+    def remove(self, edge: Edge) -> None:
+        mask = self.edges.pop(edge)
+        deg, links = self.deg, self.links
+        for v in edge:
+            deg[v] -= 1
+            bit = 1 << v
+            rest = links[mask ^ bit] ^ bit
+            if rest:
+                links[mask ^ bit] = rest
+            else:
+                del links[mask ^ bit]
 
 
-def _backtrack(host, walk, domains=(), *, mode):
+def _backtrack(host: HostIndex, walk, domains=(), *, mode):
     """Injective subgraph-embedding search along a compiled pattern walk.
 
-    Step k maps pattern vertex ``order[k]`` to each vertex of ``domains[k]``
-    in the given order while k is below ``len(domains)``, else to each host
-    vertex in ascending order. ``mode`` "first" returns the first mapping
-    found (or None), "count" the number of mappings, "all" the list of them
-    in search order.
+    Step k maps pattern vertex ``order[k]`` to host vertices: those of
+    ``domains[k]`` in the given order while k is below ``len(domains)``,
+    else all of them in ascending order. A step that completes pattern
+    edges takes the common-link step first: the vertices that complete
+    every such edge form the AND of ``host.links`` over the masks of the
+    edges' already placed vertices, and only the free ones among them are
+    tried, in ascending bit order or, with a domain, in the domain's order.
+    ``mode`` "first" returns the first mapping found (or None), "count" the
+    number of mappings, "all" the list of them in search order.
     """
-    host_n, host_masks, host_deg = host
+    get, host_deg = host.links.get, host.deg
+    everyone = (1 << host.n) - 1
     order, needs, checks = walk
     size = len(order)
     mapping = [-1] * size
     bits = [0] * size
-    used = [False] * host_n
     found = []
     count = 0
 
-    def rec(k):
+    def rec(k, used):
         nonlocal count
         if k == size:
             if mode == "count":
@@ -139,28 +183,34 @@ def _backtrack(host, walk, domains=(), *, mode):
                 return False
             found.append(tuple(mapping))
             return mode == "first"
+        cand = everyone & ~used
+        for others in checks[k]:
+            m = 0
+            for w in others:
+                m |= bits[w]
+            cand &= get(m, 0)
+        if not cand:
+            return False
+        if k < len(domains):
+            vs = [v for v in domains[k] if cand >> v & 1]
+        else:
+            vs = []
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                vs.append(low.bit_length() - 1)
         u = order[k]
         need = needs[k]
-        for v in (domains[k] if k < len(domains) else range(host_n)):
-            if used[v] or host_deg[v] < need:
+        for v in vs:
+            if host_deg[v] < need:
                 continue
-            bit = 1 << v
-            for others in checks[k]:
-                m = bit
-                for w in others:
-                    m |= bits[w]
-                if m not in host_masks:
-                    break
-            else:
-                mapping[u] = v
-                bits[u] = bit
-                used[v] = True
-                if rec(k + 1):
-                    return True
-                used[v] = False
+            mapping[u] = v
+            bits[u] = bit = 1 << v
+            if rec(k + 1, used | bit):
+                return True
         return False
 
-    rec(0)
+    rec(0, 0)
     if mode == "count":
         return count
     if mode == "first":
@@ -203,6 +253,19 @@ class Embedding:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def first_embedding(host: HostIndex, pattern: UniformHypergraph, *,
+                    lex_order: bool = False, domains=()) -> tuple[int, ...] | None:
+    """The first embedding of ``pattern`` into an indexed host, as a mapping
+    tuple, or None; ``lex_order`` and ``domains`` as for :func:`contains`."""
+    if domains and not lex_order:
+        raise HypergraphError("domains are per pattern vertex and need lex_order")
+    if pattern.n > host.n:
+        return None
+    plan = _compile(pattern)
+    return _backtrack(host, plan.by_index if lex_order else plan.by_degree, domains,
+                      mode="first")
+
+
 def contains(host: UniformHypergraph, pattern: UniformHypergraph, *,
              lex_order: bool = False, domains=()) -> Embedding | None:
     """Find some subgraph embedding of ``pattern`` in ``host``, if any.
@@ -215,14 +278,8 @@ def contains(host: UniformHypergraph, pattern: UniformHypergraph, *,
     """
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
-    if domains and not lex_order:
-        raise HypergraphError("domains are per pattern vertex and need lex_order")
-    if pattern.n > host.n:
-        return None
-    plan = _compile(pattern)
-    found = _backtrack(_host_index(host.n, host.edge_set),
-                       plan.by_index if lex_order else plan.by_degree, domains,
-                       mode="first")
+    found = first_embedding(HostIndex(host.n, host.edges), pattern,
+                            lex_order=lex_order, domains=domains)
     return None if found is None else Embedding(pattern, host, found)
 
 
@@ -232,7 +289,7 @@ def count_embeddings(host: UniformHypergraph, pattern: UniformHypergraph) -> int
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
     if pattern.n > host.n:
         return 0
-    return _backtrack(_host_index(host.n, host.edge_set), _compile(pattern).by_degree,
+    return _backtrack(HostIndex(host.n, host.edges), _compile(pattern).by_degree,
                       mode="count")
 
 
@@ -247,16 +304,15 @@ def all_embeddings(host: UniformHypergraph, pattern: UniformHypergraph,
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
     if pattern.n > host.n:
         return []
-    return _backtrack(_host_index(host.n, host.edge_set), _compile(pattern).by_index,
+    return _backtrack(HostIndex(host.n, host.edges), _compile(pattern).by_index,
                       domains, mode="all")
 
 
-def count_embeddings_raw(host_n: int, host_edge_set, pattern: UniformHypergraph) -> int:
-    """Embedding count over a raw (n, edge set) host representation."""
-    if pattern.n > host_n:
+def count_embeddings_raw(host: HostIndex, pattern: UniformHypergraph) -> int:
+    """Embedding count over an indexed host."""
+    if pattern.n > host.n:
         return 0
-    return _backtrack(_host_index(host_n, host_edge_set), _compile(pattern).by_degree,
-                      mode="count")
+    return _backtrack(host, _compile(pattern).by_degree, mode="count")
 
 
 @lru_cache(maxsize=512)
@@ -277,16 +333,14 @@ def count_copies(host: UniformHypergraph, pattern: UniformHypergraph) -> int:
     return count_embeddings(host, pattern) // aut
 
 
-def embeds_using_edge(host_n: int, host_edge_set, pattern: UniformHypergraph,
-                      edge: Edge) -> bool:
+def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph, edge: Edge) -> bool:
     """Does some embedding of ``pattern`` send one of its edges onto ``edge``?
 
-    Raw-representation hook for incremental forbidden-pattern checks: when an
-    edge is added to a previously pattern-free host, any new copy must use it.
+    The incremental forbidden-pattern check: when ``edge`` has just been
+    added to the index of a pattern-free host, any new copy must use it.
     """
-    if pattern.n > host_n:
+    if pattern.n > host.n:
         return False
-    host = _host_index(host_n, host_edge_set)
     pinned = [(v,) for v in edge]
     return any(_backtrack(host, walk, pinned, mode="first") is not None
                for walk in _compile(pattern).starts)

@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .canonical import canonical_key, colex_subsets, is_canonical_raw
 from .counting import (
+    HostIndex,
     UniformityMismatch,
     automorphism_count,
     complete_subsets,
@@ -87,7 +88,8 @@ class ExtremalRecord:
         free, _ = is_blowup_free(self.witness, self.forbidden)
         if not free:
             raise RecordError("witness contains the forbidden pattern")
-        if _make_counter(self.n, self.s, self.pattern)(self.witness.edge_set) != self.value:
+        host = HostIndex(self.n, self.witness.edges)
+        if _make_counter(self.n, self.s, self.pattern)(host) != self.value:
             raise RecordError("witness does not attain the recorded value")
 
 
@@ -97,15 +99,15 @@ class ExtremalRecord:
 
 
 def _make_counter(n, s, pattern):
-    """Copy counter over raw edge sets, with a clique fast path."""
+    """Copy counter over a host index, with a clique fast path."""
     t = pattern.n
     if t < s or pattern.m == 0:
         const = comb(n, t)
-        return lambda edge_set: const
+        return lambda host: const
     if pattern.m == comb(t, s):
-        return lambda edge_set: len(complete_subsets(n, s, edge_set, t))
+        return lambda host: len(complete_subsets(n, s, host.edges, t))
     aut = automorphism_count(pattern)
-    return lambda edge_set: count_embeddings_raw(n, edge_set, pattern) // aut
+    return lambda host: count_embeddings_raw(host, pattern) // aut
 
 
 # ---------------------------------------------------------------------------
@@ -124,35 +126,37 @@ class _Ctx:
         self.forbidden = forbidden
         self.fb_possible = forbidden.n <= n
         self.fb_min = forbidden.m
+        self.host = HostIndex(n)  # the edges of the node being searched
 
 
 class _Timeout(Exception):
     pass
 
 
-def _explore(ctx: _Ctx, positions, edge_set, syms, deadline):
-    """Evaluate the given canonical F-free root and its whole subtree.
+def _explore(ctx: _Ctx, positions, syms, deadline):
+    """Evaluate the canonical F-free root whose edges ``ctx.host`` holds,
+    and its whole subtree.
 
     ``syms`` are automorphisms of the root, as from ``is_canonical_raw``.
     Returns (best value, best positions, nodes, timed_out); ties in value are
     broken toward the lexicographically smallest position tuple.
     """
-    best_val = ctx.counter(edge_set)
+    best_val = ctx.counter(ctx.host)
     best_pos = positions
     nodes = 1
     timed = False
 
-    def rec(positions, edge_set, syms):
+    def rec(positions, syms):
         nonlocal best_val, best_pos, nodes
-        for pos2, es2, syms2 in _children(ctx, positions, edge_set, syms, deadline):
+        for pos2, syms2 in _children(ctx, positions, syms, deadline):
             nodes += 1
-            val = ctx.counter(es2)
+            val = ctx.counter(ctx.host)
             if val > best_val or (val == best_val and pos2 < best_pos):
                 best_val, best_pos = val, pos2
-            rec(pos2, es2, syms2)
+            rec(pos2, syms2)
 
     try:
-        rec(positions, frozenset(edge_set), syms)
+        rec(positions, syms)
     except _Timeout:
         timed = True
     return best_val, best_pos, nodes, timed
@@ -173,22 +177,32 @@ def _worker_init(payload):
     _WORKER_CTX["deadline"] = deadline
 
 
+def _at_node(ctx: _Ctx, positions) -> None:
+    """Point ``ctx.host`` at the node with the given edge positions."""
+    ctx.host = HostIndex(ctx.n, [ctx.pot[p] for p in positions])
+
+
 def _worker_run(positions, syms):
     ctx = _WORKER_CTX["ctx"]
-    edge_set = frozenset(ctx.pot[p] for p in positions)
-    return _explore(ctx, positions, edge_set, syms, _WORKER_CTX["deadline"])
+    _at_node(ctx, positions)
+    return _explore(ctx, positions, syms, _WORKER_CTX["deadline"])
 
 
 def _root(ctx: _Ctx):
-    """The empty graph as a search node: positions, edge set, automorphisms."""
+    """The empty graph as a search node: positions and automorphisms."""
     syms: list = []
-    is_canonical_raw(ctx.n, ctx.s, frozenset(), syms)
-    return (), frozenset(), syms
+    is_canonical_raw(ctx.host, ctx.s, syms)
+    return (), syms
 
 
-def _children(ctx: _Ctx, positions, edge_set, syms, deadline):
-    """The canonical F-free one-edge extensions of a node, in position order,
-    each with the automorphisms its canonicity test met.
+def _children(ctx: _Ctx, positions, syms, deadline):
+    """The canonical F-free one-edge extensions of the node ``ctx.host``
+    holds, in position order, each with the automorphisms its canonicity
+    test met.
+
+    Each candidate edge is added to ``ctx.host`` for its tests and stays
+    there while its child is yielded; it is removed before the next
+    candidate, and when the generator closes.
 
     A candidate edge that an automorphism in ``syms`` maps to a smaller
     vertex mask is skipped untested: colex order on s-sets is the order of
@@ -196,6 +210,8 @@ def _children(ctx: _Ctx, positions, edge_set, syms, deadline):
     position where the child has a 0, and the child is not canonical.
     Raises _Timeout before any candidate tried after ``deadline``.
     """
+    host = ctx.host
+    fb_test = ctx.fb_possible and len(host.edges) + 1 >= ctx.fb_min
     start = positions[-1] + 1 if positions else 0
     for p in range(start, ctx.M):
         if deadline is not None and time.monotonic() > deadline:
@@ -204,14 +220,15 @@ def _children(ctx: _Ctx, positions, edge_set, syms, deadline):
         mask = ctx.masks[p]
         if any(sum(1 << g[v] for v in e) < mask for g in syms):
             continue
-        es2 = edge_set | {e}
-        if (ctx.fb_possible and len(es2) >= ctx.fb_min
-                and embeds_using_edge(ctx.n, es2, ctx.forbidden, e)):
-            continue
-        syms2: list = []
-        if not is_canonical_raw(ctx.n, ctx.s, es2, syms2):
-            continue
-        yield positions + (p,), es2, syms2
+        host.add(e)
+        try:
+            if fb_test and embeds_using_edge(host, ctx.forbidden, e):
+                continue
+            syms2: list = []
+            if is_canonical_raw(host, ctx.s, syms2):
+                yield positions + (p,), syms2
+        finally:
+            host.remove(e)
 
 
 def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
@@ -225,11 +242,12 @@ def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
     try:
         while frontier and len(frontier) < target:
             nxt = []
-            for positions, es, syms in frontier:
+            for positions, syms in frontier:
                 nodes += 1
-                val = ctx.counter(es)
+                _at_node(ctx, positions)
+                val = ctx.counter(ctx.host)
                 best = _merge(best, (val, positions))
-                nxt.extend(_children(ctx, positions, es, syms, deadline))
+                nxt.extend(_children(ctx, positions, syms, deadline))
             frontier = nxt
     except _Timeout:
         frontier, timed = [], True
@@ -237,7 +255,7 @@ def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
         payload = (ctx.n, ctx.s, pattern, forbidden, deadline)
         mp = get_context("fork")
         with mp.Pool(workers, initializer=_worker_init, initargs=(payload,)) as pool:
-            results = pool.starmap(_worker_run, [(pos, syms) for pos, _, syms in frontier])
+            results = pool.starmap(_worker_run, frontier)
         for val, pos, sub_nodes, sub_timed in results:
             nodes += sub_nodes
             best = _merge(best, (val, pos))
@@ -325,8 +343,9 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
     pot = list(combinations(range(n), s))
     rng = random.Random(seed)
 
-    edges: set = set()
-    best_val = counter(frozenset())
+    host = HostIndex(n)
+    edges = host.edges
+    best_val = counter(host)
     best_edges: tuple = ()
     steps = 0
     while steps < budget:
@@ -338,11 +357,10 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
             if e in edges:
                 continue
             steps += 1
-            es2 = frozenset(edges | {e})
-            if fb_possible and len(es2) >= fb_min and embeds_using_edge(n, es2, forbidden_g, e):
-                continue
-            edges.add(e)
-        val = counter(frozenset(edges))
+            host.add(e)
+            if fb_possible and len(edges) >= fb_min and embeds_using_edge(host, forbidden_g, e):
+                host.remove(e)
+        val = counter(host)
         if val > best_val:
             best_val = val
             best_edges = tuple(sorted(edges))
@@ -350,11 +368,10 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
             break
         if edges and rng.random() < 0.85:
             for _ in range(rng.randint(1, max(1, len(edges) // 4))):
-                if not edges:
-                    break
-                edges.discard(rng.choice(sorted(edges)))
+                host.remove(rng.choice(sorted(edges)))
         else:
-            edges.clear()
+            for e in list(edges):
+                host.remove(e)
 
     witness = make(n, s, best_edges)
     record = ExtremalRecord(

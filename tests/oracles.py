@@ -143,15 +143,24 @@ def apfree_max_by_masks(n: int, r: int) -> int:
     return int(sizes[good].max())
 
 
-def restart_deletion(n: int, r: int, spec: BlowupSpec, p: float, seed: int):
+def brute_first_copy(host: UniformHypergraph, pattern: UniformHypergraph):
+    """The lexicographically first embedding: the first image tuple, in
+    ``permutations`` order, that maps every pattern edge onto a host edge."""
+    hs = host.edge_set
+    return next((im for im in permutations(range(host.n), pattern.n)
+                 if all(tuple(sorted(im[v] for v in e)) in hs for e in pattern.edges)),
+                None)
+
+
+def restart_deletion(n: int, r: int, spec: BlowupSpec, p: float, seed: int,
+                     first_copy=brute_first_copy):
     """The deletion method restarted from scratch after every deletion.
 
     Samples the (r-1)-sets in colex order with the construction's seeded
     draws, then repeatedly takes the lexicographically first copy of the
-    blowup (the first image tuple, in ``permutations`` order, that maps
-    every pattern edge onto a host edge) and deletes its smallest image
-    edge. Returns the final host and the statistics the construction's
-    certificate records.
+    blowup, as ``first_copy(host, pattern)`` gives it (an image tuple or
+    None), and deletes its smallest image edge. Returns the final host and
+    the statistics the construction's certificate records.
     """
     s = r - 1
     rng = random.Random(seed)
@@ -161,9 +170,7 @@ def restart_deletion(n: int, r: int, spec: BlowupSpec, p: float, seed: int):
     edges = set(sampled)
     deletions = 0
     while True:
-        image = next((im for im in permutations(range(n), pattern.n)
-                      if all(tuple(sorted(im[v] for v in e)) in edges
-                             for e in pattern.edges)), None)
+        image = first_copy(make(n, s, edges), pattern)
         if image is None:
             break
         edges.discard(min(tuple(sorted(image[v] for v in e)) for e in pattern.edges))
@@ -177,6 +184,50 @@ def restart_deletion(n: int, r: int, spec: BlowupSpec, p: float, seed: int):
         "surviving_cliques": len(brute_cliques(g, r)),
     }
     return g, stats
+
+
+def first_fit_heuristic(n: int, pattern: UniformHypergraph, forbidden: UniformHypergraph,
+                        seed: int, budget: int):
+    """The seeded local search of ``heuristic_lower``, testing F by brute force.
+
+    Makes the same draws in the same order: each round shuffles the s-sets
+    (in ``combinations`` order) and tries the absent ones first-fit, one
+    step each, keeping an edge unless the host with it contains F (by
+    ``brute_contains`` on the whole host); then, while steps remain, it
+    drops 1 to max(1, m // 4) random edges with probability 0.85, or else
+    restarts from the empty host. Returns the best pattern count seen (by
+    ``brute_count_copies``, first best kept) and the host attaining it.
+    """
+    s = pattern.s
+    pot = list(combinations(range(n), s))
+    rng = random.Random(seed)
+    edges: set = set()
+    best = make(n, s, [])
+    best_val = brute_count_copies(best, pattern)
+    steps = 0
+    while steps < budget:
+        order = pot[:]
+        rng.shuffle(order)
+        for e in order:
+            if steps >= budget:
+                break
+            if e in edges:
+                continue
+            steps += 1
+            if not brute_contains(make(n, s, edges | {e}), forbidden):
+                edges.add(e)
+        g = make(n, s, edges)
+        val = brute_count_copies(g, pattern)
+        if val > best_val:
+            best_val, best = val, g
+        if steps >= budget:
+            break
+        if edges and rng.random() < 0.85:
+            for _ in range(rng.randint(1, max(1, len(edges) // 4))):
+                edges.discard(rng.choice(sorted(edges)))
+        else:
+            edges.clear()
+    return best_val, best
 
 
 def exhaustive_blowup_classes(aux: UniformHypergraph, classes, a: int):

@@ -78,6 +78,16 @@ class TestExCommand:
         assert [(r["n"], r["mode"]) for r in records] == [(8, "heuristic")]
         assert "timed out" in out.stderr
 
+    @pytest.mark.parametrize("flag, value", [("--workers", "-2"), ("--workers", "0"),
+                                             ("--timeout", "-1"), ("--timeout", "nan"),
+                                             ("--budget", "-1"), ("--budget", "0")])
+    def test_out_of_range_number_exits_2(self, flag, value):
+        out = run_cli("ex", "--n", "10", "--T", "K3_2(1,1,1)", "--F", "K3_2(1,1,2)",
+                      "--heuristic", flag, value)
+        assert out.returncode == 2
+        assert f"argument {flag}: must be at least" in out.stderr
+        assert out.stdout == ""
+
     def test_heuristic_fallback(self):
         out = run_cli("ex", "--n", "12", "--T", "K2_2(1,1)", "--F", "K2_2(2,2)",
                       "--heuristic", "--format", "csv", "--budget", "2000")

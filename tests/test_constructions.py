@@ -17,7 +17,7 @@ from exturan.constructions import (
     locally_linear_spec,
     verify_lbap_properties,
 )
-from exturan.counting import complete_subsets, is_blowup_free
+from exturan.counting import complete_subsets, contains, is_blowup_free
 from exturan.extremal import exact_ex
 from exturan.hypergraph import (
     BlowupSpec,
@@ -262,6 +262,27 @@ class TestDeletion:
         seed = data.draw(st.integers(0, 10 ** 6))
         g, cert = deletion_construct(n, r, spec, p, seed)
         want, stats = restart_deletion(n, r, spec, p, seed)
+        assert g.to_text() == want.to_text()
+        detail = {c.name: c.detail for c in cert.claims}["statistics"]
+        assert json.dumps(detail, sort_keys=True) == json.dumps(stats, sort_keys=True)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("r, spec, n", [
+        (3, BlowupSpec(complete(2, 2), (2, 2)), 40),
+        (3, BlowupSpec(complete(2, 2), (2, 2)), 41),
+        (3, BlowupSpec(complete(2, 2), (2, 2)), 42),
+        (4, BlowupSpec(complete(3, 3), (1, 1, 2)), 20),
+        (4, BlowupSpec(complete(3, 3), (1, 1, 2)), 21),
+    ])
+    def test_walk_matches_contains_restarts_at_benchmark_scale(self, r, spec, n, seed):
+        # the restart loop calls the public contains, a fresh index per call
+        def first_copy(g, pattern):
+            emb = contains(g, pattern, lex_order=True)
+            return None if emb is None else emb.mapping
+
+        _, p = deletion_probability(n, spec)
+        g, cert = deletion_construct(n, r, spec, p, seed)
+        want, stats = restart_deletion(n, r, spec, p, seed, first_copy)
         assert g.to_text() == want.to_text()
         detail = {c.name: c.detail for c in cert.claims}["statistics"]
         assert json.dumps(detail, sort_keys=True) == json.dumps(stats, sort_keys=True)

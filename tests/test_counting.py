@@ -8,7 +8,10 @@ import hypothesis.strategies as st
 
 from exturan.counting import (
     CliqueFamily,
+    _backtrack,
+    _compile,
     Embedding,
+    HostIndex,
     UniformityMismatch,
     all_embeddings,
     automorphism_count,
@@ -79,6 +82,96 @@ class TestCliques:
         assert len(cliques(g, r)) == count_copies(g, pattern)
 
 
+def index_state(host):
+    return host.n, host.edges, host.deg, host.links
+
+
+def vertex_mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+@st.composite
+def updated_index(draw, host):
+    """An index of ``host`` reached by adding its edges and some others in a
+    shuffled order, then removing the others."""
+    pot = list(combinations(range(host.n), host.s))
+    extra = draw(st.lists(st.sampled_from(pot), unique=True, max_size=12))
+    extra = [e for e in extra if e not in host.edge_set]
+    index = HostIndex(host.n)
+    for e in draw(st.permutations(list(host.edges) + extra)):
+        index.add(e)
+    for e in draw(st.permutations(extra)):
+        index.remove(e)
+    return index
+
+
+class TestHostIndex:
+    @given(st.data())
+    def test_updates_match_a_fresh_build(self, data):
+        n = data.draw(st.integers(1, 12))
+        s = data.draw(st.integers(1, min(3, n)))
+        pot = list(combinations(range(n), s))
+        index, edges = HostIndex(n), set()
+        for e in data.draw(st.lists(st.sampled_from(pot), max_size=40)):
+            if e in edges:
+                index.remove(e)
+                edges.discard(e)
+            else:
+                index.add(e)
+                edges.add(e)
+        assert index_state(index) == index_state(HostIndex(n, sorted(edges)))
+        # the fields mean what they say
+        assert index.edges == {e: vertex_mask(e) for e in edges}
+        assert index.deg == make(n, s, edges).degrees()
+        want_links = {}
+        for t in combinations(range(n), s - 1):
+            fill = vertex_mask(v for v in range(n)
+                               if v not in t and tuple(sorted(t + (v,))) in edges)
+            if fill:
+                want_links[vertex_mask(t)] = fill
+        assert index.links == want_links
+
+
+def search_order(walk, domains):
+    """The order in which the backtracker meets embeddings: step k by its
+    position in ``domains[k]`` while there is one, else by host vertex."""
+    order = walk[0]
+
+    def key(phi):
+        return tuple(domains[k].index(phi[u]) if k < len(domains) else phi[u]
+                     for k, u in enumerate(order))
+    return key
+
+
+class TestBacktrack:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_modes_match_bruteforce(self, data):
+        host = data.draw(hypergraphs(max_n=12, min_s=2, max_s=3, min_n=3))
+        pattern = data.draw(hypergraphs(max_n=4, min_s=host.s, max_s=host.s, min_n=host.s))
+        plan = _compile(pattern)
+        walk = data.draw(st.sampled_from([plan.by_degree, plan.by_index, *plan.starts]))
+        # domains in any order, often not ascending
+        domains = data.draw(st.lists(st.lists(st.integers(0, host.n - 1), unique=True),
+                                     max_size=pattern.n))
+        index = data.draw(updated_index(host))
+        order = walk[0]
+        want = sorted((phi for phi in brute_embeddings(host, pattern)
+                       if all(phi[order[k]] in dom for k, dom in enumerate(domains))),
+                      key=search_order(walk, domains))
+        assert _backtrack(index, walk, domains, mode="all") == want
+        assert _backtrack(index, walk, domains, mode="first") == (want[0] if want else None)
+        assert _backtrack(index, walk, domains, mode="count") == len(want)
+
+    def test_domain_order_is_kept(self):
+        walk = _compile(complete(3, 2)).by_index
+        host = HostIndex(5, complete(5, 2).edges)
+        assert _backtrack(host, walk, [[4, 2, 0]], mode="first") == (4, 0, 1)
+        found = _backtrack(host, walk, [[4, 2, 0], [3, 1]], mode="all")
+        assert [phi[:2] for phi in found[::3]] == [(4, 3), (4, 1), (2, 3), (2, 1), (0, 3),
+                                                  (0, 1)]
+
+
 class TestContains:
     def test_diamond_in_k4(self):
         emb = contains(complete(4, 2), blowup(DIAMOND)[0])
@@ -145,7 +238,7 @@ class TestEmbedsUsingEdge:
             tuple(sorted(image[v] for v in f)) == edge
             for image in brute_embeddings(host, pattern) for f in pattern.edges
         )
-        assert embeds_using_edge(host.n, host.edge_set, pattern, edge) == want
+        assert embeds_using_edge(HostIndex(host.n, host.edges), pattern, edge) == want
 
 
 class TestCountCopies:

@@ -15,6 +15,7 @@ from exturan.canonical import (
     colex_subsets,
     is_canonical_raw,
 )
+from exturan.counting import HostIndex
 from exturan.extremal import (
     CacheIntegrityError,
     InfeasibleError,
@@ -36,6 +37,7 @@ from exturan.hypergraph import (
 from oracles import (
     brute_canonical_positions,
     brute_isomorphic,
+    first_fit_heuristic,
     naive_max_copies,
     own_positions,
 )
@@ -76,7 +78,7 @@ class TestCanonicalForm:
         g = data.draw(hypergraphs(max_n=6, min_s=s, max_s=s, min_n=s))
         want = brute_canonical_positions(g)
         assert canonical_positions(g.n, g.s, g.edge_set) == want
-        assert is_canonical_raw(g.n, g.s, g.edge_set) == (own_positions(g) == want)
+        assert is_canonical_raw(HostIndex(g.n, g.edges), g.s) == (own_positions(g) == want)
 
 
 def complement(g):
@@ -93,8 +95,8 @@ class TestSymmetries:
     @given(hypergraphs(max_n=7, min_s=1, max_s=3))
     def test_symmetries_map_the_edge_set_onto_itself(self, g):
         syms = []
-        canonical = is_canonical_raw(g.n, g.s, g.edge_set, syms)
-        assert canonical == is_canonical_raw(g.n, g.s, g.edge_set)
+        canonical = is_canonical_raw(HostIndex(g.n, g.edges), g.s, syms)
+        assert canonical == is_canonical_raw(HostIndex(g.n, g.edges), g.s)
         if not canonical:
             assert syms == []
         for perm in syms:
@@ -107,11 +109,11 @@ class TestSymmetries:
     def test_moved_children_are_not_canonical(self, g):
         parent = canonical_form(g)
         syms = []
-        assert is_canonical_raw(parent.n, parent.s, parent.edge_set, syms)
+        assert is_canonical_raw(HostIndex(parent.n, parent.edges), parent.s, syms)
         last = max(own_positions(parent), default=-1)
         for e in colex_subsets(parent.n, parent.s)[last + 1:]:
             if any(image_mask(perm, e) < image_mask(range(parent.n), e) for perm in syms):
-                assert not is_canonical_raw(parent.n, parent.s, parent.edge_set | {e})
+                assert not is_canonical_raw(HostIndex(parent.n, parent.edges + (e,)), parent.s)
 
 
 class TestExactEx:
@@ -262,6 +264,34 @@ class TestHeuristicLower:
         a = heuristic_lower(8, EDGE, C4, seed=3, budget=1500)
         b = heuristic_lower(8, EDGE, C4, seed=3, budget=1500)
         assert a.witness == b.witness and a.value == b.value
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_walk_matches_replay_oracle(self, data):
+        s = data.draw(st.integers(2, 3))
+        forbidden = data.draw(hypergraphs(max_n=4, min_s=s, max_s=s, min_n=s)
+                              .filter(lambda g: g.m > 0))
+        pattern = data.draw(hypergraphs(max_n=4, min_s=s, max_s=s, min_n=s))
+        n = data.draw(st.integers(5, 8) if s == 2 else st.integers(4, 6))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        budget = data.draw(st.integers(1, 400))
+        assert_replays(n, pattern, forbidden, seed, budget)
+
+    # walks whose best host comes after a perturbation, so the dropped edges
+    # decide the witness
+    @pytest.mark.parametrize("n, pattern, forbidden, seed", [
+        (7, TRI, blowup(DIAMOND)[0], 0),
+        (7, TRI, blowup(DIAMOND)[0], 4),
+        (6, complete(3, 3), complete(4, 3), 5),
+    ])
+    def test_long_walk_matches_replay_oracle(self, n, pattern, forbidden, seed):
+        assert_replays(n, pattern, forbidden, seed, 200)
+
+
+def assert_replays(n, pattern, forbidden, seed, budget):
+    rec = heuristic_lower(n, pattern, forbidden, seed=seed, budget=budget)
+    value, witness = first_fit_heuristic(n, pattern, forbidden, seed, budget)
+    assert (rec.value, rec.witness) == (value, witness)
 
 
 def test_exact_ten_vertices_c4_free():
