@@ -103,6 +103,8 @@ def _improve_once(host: HostIndex, s, target, automorphisms=None):
     not automorphisms, so only pass a list with the graph's own bitstring.
     """
     n = host.n
+    if n == 0:
+        return None  # the empty relabelling is the only one
     # only the lowest free member of each twin class is a candidate
     twins = [c for c in _twin_classes(host) if c & (c - 1)]
     identity = list(range(n))

@@ -124,6 +124,17 @@ def parse_pattern_spec(text: str):
     return BlowupSpec(complete(ell, s), tuple(sizes))
 
 
+class UsageError(ValueError):
+    """A flag that the chosen construction needs is missing."""
+
+
+def _needed(args, flag: str):
+    value = getattr(args, flag)
+    if value is None:
+        raise UsageError(f"construct --kind {args.kind} needs --{flag}")
+    return value
+
+
 class CertificateError(ValueError):
     """A certificate file lacks a field that the claim reads, or has it in
     the wrong shape."""
@@ -273,7 +284,7 @@ def cmd_construct(args) -> int:
         _write_cert(cert_path, cert)
         files = [str(h_path), str(g_path), str(cert_path)]
     elif args.kind == "lb4":
-        sizes = _parse_int_list(args.a)
+        sizes = _parse_int_list(_needed(args, "a"))
         r = args.r
         nb = args.n - args.n // r
         base_forbidden = complete_partite(r - 1, sizes[:-1])[0]
@@ -294,7 +305,7 @@ def cmd_construct(args) -> int:
         _write_cert(cert_path, cert)
         files = [str(out_path), str(cert_path)]
     elif args.kind == "deletion":
-        spec = parse_pattern_spec(args.spec)
+        spec = parse_pattern_spec(_needed(args, "spec"))
         if isinstance(spec, UniformHypergraph):
             raise SpecParseError("deletion needs a blowup shorthand, not a file", 0)
         p = args.p
@@ -478,7 +489,7 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (HypergraphError, CertificateError, FileNotFoundError,
+    except (HypergraphError, CertificateError, UsageError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -333,17 +333,24 @@ def count_copies(host: UniformHypergraph, pattern: UniformHypergraph) -> int:
     return count_embeddings(host, pattern) // aut
 
 
-def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph, edge: Edge) -> bool:
-    """Does some embedding of ``pattern`` send one of its edges onto ``edge``?
+def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph,
+                      edge: Edge) -> tuple[int, ...] | None:
+    """An embedding of ``pattern`` that sends one of its edges onto ``edge``,
+    as a mapping tuple, or None if there is none.
 
     The incremental forbidden-pattern check: when ``edge`` has just been
-    added to the index of a pattern-free host, any new copy must use it.
+    added to the index of a pattern-free host, any new copy must use it. The
+    mapping names that copy, so a caller can tell later whether all of its
+    edges are still in the host.
     """
     if pattern.n > host.n:
-        return False
+        return None
     pinned = [(v,) for v in edge]
-    return any(_backtrack(host, walk, pinned, mode="first") is not None
-               for walk in _compile(pattern).starts)
+    for walk in _compile(pattern).starts:
+        found = _backtrack(host, walk, pinned, mode="first")
+        if found is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

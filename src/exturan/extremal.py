@@ -222,7 +222,7 @@ def _children(ctx: _Ctx, positions, syms, deadline):
             continue
         host.add(e)
         try:
-            if fb_test and embeds_using_edge(host, ctx.forbidden, e):
+            if fb_test and embeds_using_edge(host, ctx.forbidden, e) is not None:
                 continue
             syms2: list = []
             if is_canonical_raw(host, ctx.s, syms2):
@@ -332,7 +332,14 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
     Repeatedly grows a maximal F-free host by shuffled first-fit edge
     additions, records its pattern count, then perturbs by dropping a few
     random edges (occasionally restarting). Worst case the empty host with
-    value 0 is returned.
+    value 0 is returned; with n < s there is no edge to try and it is
+    returned at once.
+
+    Each try of an absent edge is one step. A rejected edge keeps the other
+    edges of the F-copy that rejected it; while they are all in the host, a
+    later try of the edge is rejected without a search, since that copy
+    would come back with it. Hosts, steps, values and witnesses are those
+    of searching every time.
     """
     pattern, forbidden_g = _instance(n, pattern, forbidden)
     s = pattern.s
@@ -347,8 +354,9 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
     edges = host.edges
     best_val = counter(host)
     best_edges: tuple = ()
+    kept: dict = {}  # rejected edge -> the other edges of the copy that rejected it
     steps = 0
-    while steps < budget:
+    while pot and steps < budget:
         order = pot[:]
         rng.shuffle(order)
         for e in order:
@@ -357,9 +365,15 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
             if e in edges:
                 continue
             steps += 1
+            if e in kept and all(f in edges for f in kept[e]):
+                continue
             host.add(e)
-            if fb_possible and len(edges) >= fb_min and embeds_using_edge(host, forbidden_g, e):
-                host.remove(e)
+            if fb_possible and len(edges) >= fb_min:
+                found = embeds_using_edge(host, forbidden_g, e)
+                if found is not None:
+                    host.remove(e)
+                    images = (tuple(sorted(found[v] for v in f)) for f in forbidden_g.edges)
+                    kept[e] = [f for f in images if f != e]
         val = counter(host)
         if val > best_val:
             best_val = val

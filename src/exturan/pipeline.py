@@ -18,6 +18,7 @@ from itertools import combinations, product
 
 from .counting import (
     CliqueFamily,
+    HostIndex,
     UniformityMismatch,
     all_embeddings,
     complete_subsets,
@@ -327,26 +328,25 @@ def _partite_blowup_classes(aux: UniformHypergraph, partition: PartitionMap, a: 
     The first such choice in the order of trying every a-subset of class j
     after U_0..U_{j-1}. Every new crossing tuple holds exactly one vertex of
     U_j, so an a-subset passes exactly when each of its members passes alone.
-    Each level therefore filters its class once to the vertices that fit and
-    walks their a-subsets: these are the passing a-subsets, in the same
-    order, so the first result is the same.
+    A vertex passes when it completes every crossing (l-2)-tuple of the
+    chosen classes to an edge, so the passing vertices form the AND of those
+    tuples' link masks (see :class:`HostIndex`). Each level therefore filters
+    its class once through that mask and walks the a-subsets of what is
+    left: these are the passing a-subsets, in the same order, so the first
+    result is the same.
     """
     ell = len(partition.classes)
-    es = aux.edge_set
+    get = HostIndex(aux.n, aux.edges).links.get
     chosen: list[tuple[int, ...]] = []
-
-    def fits(j, x):
-        for head in combinations(range(j), ell - 2):
-            for pick in product(*(chosen[i] for i in head)):
-                if tuple(sorted(pick + (x,))) not in es:
-                    return False
-        return True
 
     def rec(j):
         if j == ell:
             return True
-        fit = [x for x in partition.classes[j] if fits(j, x)]
-        for u in combinations(fit, a):
+        fit = -1  # every vertex, until a crossing tuple narrows it
+        for head in combinations(range(j), ell - 2):
+            for pick in product(*(chosen[i] for i in head)):
+                fit &= get(sum(1 << v for v in pick), 0)
+        for u in combinations([x for x in partition.classes[j] if fit >> x & 1], a):
             chosen.append(u)
             if rec(j + 1):
                 return True

@@ -18,14 +18,17 @@ from exturan.cli import CACHE_ENV
 PACKAGE_ROOT = Path(exturan.__file__).resolve().parents[1]
 
 
-def run_python(*args, cwd=None):
-    """Run ``python *args`` in the child environment described above."""
+def run_python(*args, cwd=None, timeout=None):
+    """Run ``python *args`` in the child environment described above; past
+    ``timeout`` seconds the child is killed and ``subprocess.TimeoutExpired``
+    raised."""
     env = dict(os.environ)
     env.pop(CACHE_ENV, None)
     inherited = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE_ROOT), *inherited])
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          timeout=timeout)
 
 
 def run_cli(*args, cwd=None):

@@ -88,6 +88,14 @@ class TestExCommand:
         assert f"argument {flag}: must be at least" in out.stderr
         assert out.stdout == ""
 
+    def test_zero_vertices(self):
+        out = run_cli("ex", "--n", "0..2", "--T", "K2_2(1,1)", "--F", "K3_2(1,1,1)",
+                      "--format", "json")
+        assert out.returncode == 0
+        records = json.loads(out.stdout)["records"]
+        assert [r["n"] for r in records] == [0, 1, 2]
+        assert records[0]["value"] == 0
+
     def test_heuristic_fallback(self):
         out = run_cli("ex", "--n", "12", "--T", "K2_2(1,1)", "--F", "K2_2(2,2)",
                       "--heuristic", "--format", "csv", "--budget", "2000")
@@ -129,6 +137,18 @@ class TestConstructCommand:
         assert out.returncode == 0
         cert = json.loads((tmp_path / "l.cert.json").read_text())
         assert cert["passed"] is True
+
+
+    @pytest.mark.parametrize("kind, flag, rest", [
+        ("lb4", "--a", ()),
+        ("deletion", "--spec", ("--p", "0")),
+    ])
+    def test_missing_kind_flag_exits_2(self, tmp_path, kind, flag, rest):
+        out = run_cli("construct", "--kind", kind, "--n", "6", "--r", "3", *rest,
+                      "--out-prefix", str(tmp_path / "m"))
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [f"error: construct --kind {kind} needs {flag}"]
+        assert out.stdout == ""
 
 
 class TestVerifyCommand:

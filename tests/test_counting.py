@@ -234,11 +234,13 @@ class TestEmbedsUsingEdge:
         inside = [e for e in host.edges if all(v in label for v in e)]
         chosen = data.draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
         pattern = make(len(keep), host.s, [[label[v] for v in e] for e in chosen])
-        want = any(
-            tuple(sorted(image[v] for v in f)) == edge
-            for image in brute_embeddings(host, pattern) for f in pattern.edges
-        )
-        assert embeds_using_edge(HostIndex(host.n, host.edges), pattern, edge) == want
+        using = [image for image in brute_embeddings(host, pattern)
+                 if any(tuple(sorted(image[v] for v in f)) == edge for f in pattern.edges)]
+        got = embeds_using_edge(HostIndex(host.n, host.edges), pattern, edge)
+        assert (got is not None) == bool(using)
+        if got is not None:
+            # the returned mapping is an embedding whose image uses the edge
+            assert got in using
 
 
 class TestCountCopies:

@@ -42,6 +42,7 @@ from oracles import (
     own_positions,
 )
 from strategies import hypergraphs
+from cli_runner import run_python
 
 TRI = complete(3, 2)
 DIAMOND = BlowupSpec(complete(3, 2), (1, 1, 2))
@@ -60,6 +61,9 @@ class TestCanonicalKey:
         rnd.shuffle(perm)
         assert canonical_key(g) == canonical_key(relabel(g, perm))
         assert canonical_form(g) == canonical_form(relabel(g, perm))
+
+    def test_zero_vertices(self):
+        assert canonical_key(make(0, 2, [])) == "s2;n0;"
 
     @given(hypergraphs(max_n=6, min_s=2, max_s=2, min_n=2),
            hypergraphs(max_n=6, min_s=2, max_s=2, min_n=2))
@@ -255,6 +259,17 @@ class TestHeuristicLower:
     def test_edgeless_forbidden_beyond_n_still_answers(self):
         assert heuristic_lower(2, EDGE, make(3, 2, []), budget=100).value == 1
 
+    def test_fewer_vertices_than_an_edge_returns(self):
+        # no s-set to try: the empty host comes back at once; in a child
+        # process so that a search that never returns fails instead of hanging
+        code = ("from exturan.extremal import heuristic_lower\n"
+                "from exturan.hypergraph import complete\n"
+                "rec = heuristic_lower(0, complete(2, 2), complete(3, 2))\n"
+                "print(rec.value, rec.nodes, rec.witness.m)\n")
+        out = run_python("-c", code, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["0", "0", "0"]
+
     def test_c4_free_ten_vertices(self):
         rec = heuristic_lower(10, EDGE, C4, seed=0, budget=4000)
         assert rec.value >= 15
@@ -286,6 +301,19 @@ class TestHeuristicLower:
     ])
     def test_long_walk_matches_replay_oracle(self, n, pattern, forbidden, seed):
         assert_replays(n, pattern, forbidden, seed, 200)
+
+    # walks in which a rejected edge's kept F-copy loses an edge to a
+    # perturbation and the edge is accepted on a later try; rejecting it by
+    # the kept copy without checking that copy's edges changes the witness
+    @pytest.mark.parametrize("n, pattern, forbidden, seed", [
+        (6, TRI, blowup(DIAMOND)[0], 1),
+        (7, TRI, blowup(DIAMOND)[0], 11),
+        (6, EDGE, C4, 20),
+        (6, TRI, complete(4, 2), 7),
+        (6, complete(3, 3), complete(4, 3), 17),
+    ])
+    def test_kept_copy_broken_by_perturbation(self, n, pattern, forbidden, seed):
+        assert_replays(n, pattern, forbidden, seed, 40)
 
 
 def assert_replays(n, pattern, forbidden, seed, budget):

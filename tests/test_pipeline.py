@@ -235,8 +235,10 @@ class TestAuxiliary:
 class TestClassSearch:
     @given(st.data())
     def test_filtered_search_matches_exhaustive(self, data):
-        ell = data.draw(st.sampled_from([3, 4]))
-        n = data.draw(st.integers(ell, 10))
+        ell = data.draw(st.sampled_from([3, 4, 5]))
+        a = data.draw(st.sampled_from([1, 2, 3]))
+        # up to a vertices per class and a few more, so every a can be found
+        n = data.draw(st.integers(ell, max(10, ell * a + 3)))
         assign = data.draw(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n))
         part = PartitionMap.from_assignment(assign, ell)
         class_of = part.class_of()
@@ -245,7 +247,6 @@ class TestClassSearch:
         density = data.draw(st.sampled_from([0.5, 0.8, 0.95, 1.0]))
         rnd = data.draw(st.randoms(use_true_random=False))
         aux = make(n, ell - 1, [t for t in crossing if rnd.random() < density])
-        a = data.draw(st.sampled_from([1, 2]))
         assert (_partite_blowup_classes(aux, part, a)
                 == exhaustive_blowup_classes(aux, part.classes, a))
 
