@@ -138,7 +138,6 @@ class TestConstructCommand:
         cert = json.loads((tmp_path / "l.cert.json").read_text())
         assert cert["passed"] is True
 
-
     @pytest.mark.parametrize("kind, flag, rest", [
         ("lb4", "--a", ()),
         ("deletion", "--spec", ("--p", "0")),

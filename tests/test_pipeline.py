@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from exturan.counting import (
@@ -233,20 +233,27 @@ class TestAuxiliary:
 
 
 class TestClassSearch:
+    @settings(max_examples=200)
     @given(st.data())
     def test_filtered_search_matches_exhaustive(self, data):
         ell = data.draw(st.sampled_from([3, 4, 5]))
         a = data.draw(st.sampled_from([1, 2, 3]))
-        # up to a vertices per class and a few more, so every a can be found
-        n = data.draw(st.integers(ell, max(10, ell * a + 3)))
-        assign = data.draw(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n))
+        # classes of a - 1 to a + 2 vertices, and every crossing tuple inside
+        # ``planted`` an edge, so that found and refused cases are both
+        # common at every l and a
+        sizes = data.draw(st.lists(st.integers(a - 1, a + 2), min_size=ell, max_size=ell))
+        assign = data.draw(st.permutations([i for i, k in enumerate(sizes) for _ in range(k)]))
+        n = len(assign)
         part = PartitionMap.from_assignment(assign, ell)
         class_of = part.class_of()
         crossing = [t for t in combinations(range(n), ell - 1)
                     if len({class_of[v] for v in t}) == ell - 1]
         density = data.draw(st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+        keep = data.draw(st.sampled_from([0.0, 0.6, 0.9]))
         rnd = data.draw(st.randoms(use_true_random=False))
-        aux = make(n, ell - 1, [t for t in crossing if rnd.random() < density])
+        planted = {v for v in range(n) if rnd.random() < keep}
+        aux = make(n, ell - 1, [t for t in crossing
+                                if set(t) <= planted or rnd.random() < density])
         assert (_partite_blowup_classes(aux, part, a)
                 == exhaustive_blowup_classes(aux, part.classes, a))
 
