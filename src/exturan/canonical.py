@@ -73,11 +73,11 @@ def _bits_of(n: int, s: int, edge_set) -> bytearray:
     return bits
 
 
-def _improve_once(host: HostIndex, s, target, automorphisms=None):
-    """Search for a relabelling whose bitstring exceeds ``target``.
+def _improve_once(host: HostIndex, s, automorphisms=None):
+    """Search for a relabelling whose bitstring exceeds the graph's own.
 
     Returns such a relabelling as a list giving the old vertex of each new
-    one, or None if ``target`` is maximal.
+    one, or None if the graph is its own canonical form.
 
     New vertex j holds old vertex ``perm[j]``. ``subs[k]`` lists, in colex
     order, the old-vertex masks of the images of the k-subsets of the
@@ -87,24 +87,23 @@ def _improve_once(host: HostIndex, s, target, automorphisms=None):
     s-sets whose largest element is j) then ask, for each mask m in
     ``subs[s - 1]``, whether the candidate completes m to an edge, and the
     index's ``links[m]`` answers that for all candidates at once. Scanning a
-    level narrows the candidate mask to those still equal to the target; one
-    with a 1 where the target has a 0 is an improvement, and any completion
-    of it improves the target. Equal branches are explored (they may diverge
-    later); transposition twins are tried once per class, which is sound
-    because the twin swap extends any partial assignment to an equal-valued
-    one.
+    level narrows the candidate mask to those still equal to the graph's
+    own bitstring (the target); one with a 1 where the target has a 0 is an
+    improvement, and any completion of it improves the target. Equal
+    branches are explored (they may diverge later); transposition twins are
+    tried once per class, which is sound because the twin swap extends any
+    partial assignment to an equal-valued one.
 
-    When ``target`` is the graph's own bitstring, a relabelling tied with it
-    at every level maps the edge set onto itself, so each such leaf, the
-    identity among them, is an automorphism. If
-    ``automorphisms`` is a list, the adjacent transpositions of every twin
+    A relabelling tied with the target at every level maps the edge set onto
+    itself, so each such leaf, the identity among them, is an automorphism.
+    If ``automorphisms`` is a list, the adjacent transpositions of every twin
     class and every non-identity tied leaf are appended to it, each as the
-    list of the image of every vertex. With any other target the leaves are
-    not automorphisms, so only pass a list with the graph's own bitstring.
+    list of the image of every vertex.
     """
     n = host.n
     if n == 0:
         return None  # the empty relabelling is the only one
+    target = _bits_of(n, s, host.edges)
     # only the lowest free member of each twin class is a candidate
     twins = [c for c in _twin_classes(host) if c & (c - 1)]
     identity = list(range(n))
@@ -168,16 +167,17 @@ def _guard(n: int):
 def is_canonical_raw(host: HostIndex, s: int, symmetries=None) -> bool:
     """Is the s-uniform graph held by ``host`` already its own canonical form?
 
-    If it is and ``symmetries`` is a list, automorphisms of the graph met by
-    the test are appended to it, each as the list of the image of every
-    vertex: the adjacent transpositions of each twin class and every
-    non-identity relabelling that ties with the graph's own bitstring. They
-    need not generate the whole group. A non-canonical graph appends nothing.
+    That is, does no relabelling beat the graph's own bitstring; one search
+    of :func:`_improve_once` answers it. If it is and ``symmetries`` is a
+    list, automorphisms of the graph met by the test are appended to it,
+    each as the list of the image of every vertex: the adjacent
+    transpositions of each twin class and every non-identity relabelling
+    that ties with the graph's own bitstring. They need not generate the
+    whole group. A non-canonical graph appends nothing.
     """
     _guard(host.n)
     found = [] if symmetries is not None else None
-    target = _bits_of(host.n, s, host.edges)
-    if _improve_once(host, s, target, found) is not None:
+    if _improve_once(host, s, found) is not None:
         return False
     if found:
         symmetries.extend(found)
@@ -188,11 +188,11 @@ def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
     """Sorted colex positions of the canonical form's edges."""
     _guard(n)
     host = HostIndex(n, edge_set)
-    best = _bits_of(n, s, edge_set)
-    while (perm := _improve_once(host, s, best)) is not None:
+    while (perm := _improve_once(host, s)) is not None:
         back = {old: new for new, old in enumerate(perm)}
-        best = _bits_of(n, s, [tuple(sorted(back[v] for v in e)) for e in edge_set])
-    return tuple(i for i, b in enumerate(best) if b)
+        host = HostIndex(n, [tuple(sorted(back[v] for v in e)) for e in host.edges])
+    pos = colex_position(n, s)
+    return tuple(sorted(pos[e] for e in host.edges))
 
 
 def canonical_form(g: UniformHypergraph) -> UniformHypergraph:

@@ -4,9 +4,14 @@ Every subcommand is deterministic given its flags and seed; outputs carry no
 timestamps, so repeated runs are byte identical. Exit codes are a stable
 scripting contract: 0 success/verified, 1 claim refuted, certificate
 failure or a cache entry or record failing verification, 2 usage or parse
-error (a ``--workers`` below 1, a ``--timeout`` below 0 and a ``--budget``
-below 1 included), 3 infeasible or timed out. A timed-out ``ex`` still
-prints its whole table, with the best-so-far records marked heuristic.
+error (a ``--workers`` below 1, a ``--timeout`` below 0, a ``--budget``
+below 1, a negative vertex count and a flag the subcommand does not take
+included), 3 infeasible or timed out. A timed-out ``ex`` still prints its
+whole table, with the best-so-far records marked heuristic. Each subcommand
+takes the shared flags it reads: ``ex`` ``--seed --workers --timeout
+--cache-dir --format --out --allow-large``, ``construct`` ``--seed --workers
+--cache-dir --allow-large``, ``verify`` ``--workers --cache-dir
+--allow-large`` and ``bounds`` ``--format --out``.
 """
 
 from __future__ import annotations
@@ -422,20 +427,23 @@ def build_parser() -> argparse.ArgumentParser:
                "(e.g. K3_2(1,1,2)); file:PATH reads the text format.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--seed": dict(type=int, default=0),
+        "--workers": dict(type=_at_least(1), default=1),
+        "--timeout": dict(type=_at_least(0, float), default=None),
+        "--cache-dir": dict(default=None, help=f"record cache directory (or ${CACHE_ENV})"),
+        "--format": dict(choices=["text", "csv", "json"], default="text"),
+        "--out": dict(default=None, help="write output to a file"),
+        "--allow-large": dict(action="store_true",
+                              help="raise the exact-search feasibility guard"),
+    }
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_at_least(1), default=1)
-        p.add_argument("--timeout", type=_at_least(0, float), default=None)
-        p.add_argument("--cache-dir", default=None,
-                       help=f"record cache directory (or ${CACHE_ENV})")
-        p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-        p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--allow-large", action="store_true",
-                       help="raise the exact-search feasibility guard")
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_ex = sub.add_parser("ex", help="exact (or heuristic) generalized Turan values")
-    common(p_ex)
+    common(p_ex, *shared)
     p_ex.add_argument("--n", required=True, help="vertex count or range, e.g. 4..7")
     p_ex.add_argument("--T", required=True, help="pattern to count")
     p_ex.add_argument("--F", required=True, help="forbidden pattern")
@@ -444,8 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--budget", type=_at_least(1), default=4000)
     p_ex.set_defaults(func=cmd_ex)
 
-    p_c = sub.add_parser("construct", help="emit a certified construction")
-    common(p_c)
+    # no abbreviations here: "--out" would be read as "--out-prefix"
+    p_c = sub.add_parser("construct", help="emit a certified construction",
+                         allow_abbrev=False)
+    common(p_c, "--seed", "--workers", "--cache-dir", "--allow-large")
     p_c.add_argument("--kind", required=True, choices=["lb4", "lbap", "deletion"])
     p_c.add_argument("--n", type=int, required=True)
     p_c.add_argument("--r", type=int, required=True)
@@ -462,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.set_defaults(func=cmd_construct)
 
     p_v = sub.add_parser("verify", help="check a claim about a hypergraph file")
-    common(p_v)
+    common(p_v, "--workers", "--cache-dir", "--allow-large")
     p_v.add_argument("host")
     p_v.add_argument("--claim", required=True,
                      help="free:SPEC | cliques:N | edge-disjoint:N | "
@@ -473,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.set_defaults(func=cmd_verify)
 
     p_b = sub.add_parser("bounds", help="exact rational exponent table")
-    common(p_b)
+    common(p_b, "--format", "--out")
     p_b.add_argument("--r", type=int, required=True)
     p_b.add_argument("--a", required=True, help="ascending class sizes, e.g. 2,2,2")
     p_b.set_defaults(func=cmd_bounds)

@@ -33,6 +33,7 @@ from .hypergraph import (
 )
 
 EXACT_APFREE_GUARD = 40
+LBAP_TUPLE_BUDGET = 500_000  # see verify_lbap_properties
 
 
 class ConstructionError(RuntimeError):
@@ -267,16 +268,16 @@ def lbap_hypergraph(n: int, r: int, ap: APFreeSet) -> tuple[UniformHypergraph, P
 
 
 def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r: int,
-                           ap: APFreeSet, *, tuple_budget: int = 500_000,
-                           seed: int = 0) -> ConstructionCertificate:
+                           ap: APFreeSet) -> ConstructionCertificate:
     """Check the three structural properties of a progression system.
 
     (1) every (r-1)-subset of vertices lies in at most one edge; (2) for any
     choice of one vertex per class, some coordinate cannot be swapped to
     another class member while keeping an edge; (3) the vertex and edge
     counts match (r-1)*r*n and n^(r-2)*|S|. Property (2) is exhaustive while
-    the class-product fits the budget and uniformly sampled above it, with
-    the sampling recorded in the certificate.
+    the class product has at most ``LBAP_TUPLE_BUDGET`` tuples and checked on
+    that many tuples sampled uniformly with seed 0 above it, with the
+    sampling recorded in the certificate.
     """
     claims = []
 
@@ -301,16 +302,16 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
     space = 1
     for c in parts.classes:
         space *= max(len(c), 1)
-    exhaustive = prop1_ok and space <= tuple_budget
+    exhaustive = prop1_ok and space <= LBAP_TUPLE_BUDGET
     violation = None
     checked = 0
+    rng = random.Random(0)
     if prop1_ok:
         if exhaustive:
             tuples = product(*parts.classes)
         else:
-            rng = random.Random(seed)
             tuples = (tuple(rng.choice(c) for c in parts.classes)
-                      for _ in range(tuple_budget))
+                      for _ in range(LBAP_TUPLE_BUDGET))
         for x in tuples:
             checked += 1
             bad = True
@@ -333,9 +334,8 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
             violation or {"checked": checked, "exhaustive": exhaustive}))
     else:
         # without uniqueness the fast reduction is unsound; sample raw swaps
-        rng = random.Random(seed)
         es = h.edge_set
-        for _ in range(tuple_budget // 10):
+        for _ in range(LBAP_TUPLE_BUDGET // 10):
             checked += 1
             x = tuple(rng.choice(c) for c in parts.classes)
             ys = tuple(rng.choice(c) for c in parts.classes)
@@ -387,14 +387,14 @@ class LbapBundle:
     certificate: ConstructionCertificate
 
 
-def build_lbap(n: int, r: int, mode: str = "exact", *, verify: bool = True,
-               tuple_budget: int = 500_000) -> LbapBundle:
+def build_lbap(n: int, r: int, mode: str = "exact", *,
+               verify: bool = True) -> LbapBundle:
     """Full pipeline: progression-free set, r-partite system, shadow graph,
     and one certificate covering the structural and shadow claims."""
     ap = apfree_set(n, r, mode)
     h, parts = lbap_hypergraph(n, r, ap)
     g = lbap_shadow_graph(h)
-    cert = verify_lbap_properties(h, parts, n, r, ap, tuple_budget=tuple_budget)
+    cert = verify_lbap_properties(h, parts, n, r, ap)
     claims = list(cert.claims)
 
     free, emb = is_blowup_free(g, locally_linear_spec(r))
@@ -488,6 +488,8 @@ def deletion_probability(n: int, spec: BlowupSpec) -> tuple[Fraction, float]:
     """Edge probability exponent balancing expected forbidden copies against
     expected edges: p = n^(-gamma) with gamma = (v - u)/(e - 1) for a blowup
     on v vertices with e edges over a u-uniform host."""
+    if n < 1:
+        raise HypergraphError(f"deletion balancing needs n >= 1, got {n}")
     g, _ = blowup(spec)
     if g.m < 2:
         raise HypergraphError("deletion balancing needs a blowup with >= 2 edges")
@@ -507,7 +509,7 @@ def _next_lex_copy(host: HostIndex, forbidden: UniformHypergraph, phi, cut: int)
     """
     for ell in range(cut, -1, -1):
         domains = [(v,) for v in phi[:ell]] + [range(phi[ell] + 1, host.n)]
-        found = first_embedding(host, forbidden, lex_order=True, domains=domains)
+        found = first_embedding(host, forbidden, domains)
         if found is not None:
             return found
     return None
@@ -543,7 +545,7 @@ def deletion_construct(n: int, r: int, spec: BlowupSpec, p: float, seed: int, *,
     forbidden = blowup(spec)[0]
 
     deletions = 0
-    phi = first_embedding(host, forbidden, lex_order=True)
+    phi = first_embedding(host, forbidden)
     while phi is not None:
         # images of distinct pattern edges differ, so the least one decides
         victim, cut = min((tuple(sorted(phi[v] for v in f)), f[-1]) for f in forbidden.edges)

@@ -238,9 +238,6 @@ class Embedding:
             if tuple(sorted(self.mapping[v] for v in e)) not in hs:
                 raise HypergraphError(f"pattern edge {e} does not map onto a host edge")
 
-    def image_edge(self, e: Edge) -> Edge:
-        return tuple(sorted(self.mapping[v] for v in e))
-
     def to_json_dict(self) -> dict:
         host_text = self.host.to_text()
         return {
@@ -253,33 +250,33 @@ class Embedding:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def first_embedding(host: HostIndex, pattern: UniformHypergraph, *,
-                    lex_order: bool = False, domains=()) -> tuple[int, ...] | None:
-    """The first embedding of ``pattern`` into an indexed host, as a mapping
-    tuple, or None; ``lex_order`` and ``domains`` as for :func:`contains`."""
-    if domains and not lex_order:
-        raise HypergraphError("domains are per pattern vertex and need lex_order")
+def first_embedding(host: HostIndex, pattern: UniformHypergraph,
+                    domains=()) -> tuple[int, ...] | None:
+    """The lexicographically first embedding of ``pattern`` into an indexed
+    host, as a mapping tuple, or None.
+
+    With ``domains``, pattern vertex i goes only to the vertices of
+    ``domains[i]``, tried in their given order, and the result is the first
+    mapping in that order.
+    """
     if pattern.n > host.n:
         return None
-    plan = _compile(pattern)
-    return _backtrack(host, plan.by_index if lex_order else plan.by_degree, domains,
-                      mode="first")
+    return _backtrack(host, _compile(pattern).by_index, domains, mode="first")
 
 
-def contains(host: UniformHypergraph, pattern: UniformHypergraph, *,
-             lex_order: bool = False, domains=()) -> Embedding | None:
+def contains(host: UniformHypergraph, pattern: UniformHypergraph) -> Embedding | None:
     """Find some subgraph embedding of ``pattern`` in ``host``, if any.
 
-    With ``lex_order=True`` the pattern vertices are processed in index
-    order, so the returned mapping tuple is the lexicographically first one.
-    ``domains`` needs ``lex_order``: pattern vertex i then goes only to the
-    vertices of ``domains[i]``, tried in their given order, and the result is
-    the first mapping in that order.
+    The pattern vertices are placed by descending degree, so the embedding
+    found is deterministic but need not be the lexicographically first one;
+    :func:`first_embedding` gives that one.
     """
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
-    found = first_embedding(HostIndex(host.n, host.edges), pattern,
-                            lex_order=lex_order, domains=domains)
+    if pattern.n > host.n:
+        return None
+    found = _backtrack(HostIndex(host.n, host.edges), _compile(pattern).by_degree,
+                       mode="first")
     return None if found is None else Embedding(pattern, host, found)
 
 

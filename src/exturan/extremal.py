@@ -122,11 +122,20 @@ class _Ctx:
         self.pot = colex_subsets(n, s)
         self.M = len(self.pot)
         self.masks = [sum(1 << v for v in e) for e in self.pot]
+        self.pattern = pattern
         self.counter = _make_counter(n, s, pattern)
         self.forbidden = forbidden
-        self.fb_possible = forbidden.n <= n
-        self.fb_min = forbidden.m
+        # a host with fewer edges than F, or fewer vertices, holds no copy of it
+        self.fb_min = forbidden.m if forbidden.n <= n else self.M + 1
         self.host = HostIndex(n)  # the edges of the node being searched
+
+    def forbidden_copy(self, edge):
+        """A copy of the forbidden pattern through ``edge``, just added to
+        ``self.host``, as a mapping tuple, or None: the host was F-free
+        before, so a new copy must use the edge."""
+        if len(self.host.edges) < self.fb_min:
+            return None
+        return embeds_using_edge(self.host, self.forbidden, edge)
 
 
 class _Timeout(Exception):
@@ -139,30 +148,28 @@ def _explore(ctx: _Ctx, positions, syms, deadline):
 
     ``syms`` are automorphisms of the root, as from ``is_canonical_raw``.
     Returns (best value, best positions, nodes, timed_out); ties in value are
-    broken toward the lexicographically smallest position tuple.
+    broken by :func:`_merge`.
     """
-    best_val = ctx.counter(ctx.host)
-    best_pos = positions
+    best = (ctx.counter(ctx.host), positions)
     nodes = 1
     timed = False
 
     def rec(positions, syms):
-        nonlocal best_val, best_pos, nodes
+        nonlocal best, nodes
         for pos2, syms2 in _children(ctx, positions, syms, deadline):
             nodes += 1
-            val = ctx.counter(ctx.host)
-            if val > best_val or (val == best_val and pos2 < best_pos):
-                best_val, best_pos = val, pos2
+            best = _merge(best, (ctx.counter(ctx.host), pos2))
             rec(pos2, syms2)
 
     try:
         rec(positions, syms)
     except _Timeout:
         timed = True
-    return best_val, best_pos, nodes, timed
+    return best[0], best[1], nodes, timed
 
 
 def _merge(a, b):
+    """The better (value, positions) result: larger value, then smaller positions."""
     if a[0] != b[0]:
         return a if a[0] > b[0] else b
     return a if a[1] <= b[1] else b
@@ -211,7 +218,6 @@ def _children(ctx: _Ctx, positions, syms, deadline):
     Raises _Timeout before any candidate tried after ``deadline``.
     """
     host = ctx.host
-    fb_test = ctx.fb_possible and len(host.edges) + 1 >= ctx.fb_min
     start = positions[-1] + 1 if positions else 0
     for p in range(start, ctx.M):
         if deadline is not None and time.monotonic() > deadline:
@@ -222,7 +228,7 @@ def _children(ctx: _Ctx, positions, syms, deadline):
             continue
         host.add(e)
         try:
-            if fb_test and embeds_using_edge(host, ctx.forbidden, e) is not None:
+            if ctx.forbidden_copy(e) is not None:
                 continue
             syms2: list = []
             if is_canonical_raw(host, ctx.s, syms2):
@@ -231,7 +237,7 @@ def _children(ctx: _Ctx, positions, syms, deadline):
             host.remove(e)
 
 
-def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
+def _parallel_search(ctx: _Ctx, workers, deadline):
     # expand a frontier breadth-first, evaluating shallow nodes inline, then
     # hand subtrees to the pool; the merge rule is order independent.
     target = max(16, 4 * workers)
@@ -252,7 +258,7 @@ def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
     except _Timeout:
         frontier, timed = [], True
     if frontier:
-        payload = (ctx.n, ctx.s, pattern, forbidden, deadline)
+        payload = (ctx.n, ctx.s, ctx.pattern, ctx.forbidden, deadline)
         mp = get_context("fork")
         with mp.Pool(workers, initializer=_worker_init, initargs=(payload,)) as pool:
             results = pool.starmap(_worker_run, frontier)
@@ -269,9 +275,11 @@ def _parallel_search(ctx: _Ctx, pattern, forbidden, workers, deadline):
 
 
 def _instance(n, pattern, forbidden) -> tuple[UniformHypergraph, UniformHypergraph]:
-    """Materialize T and F and refuse inputs no search can answer: differing
-    uniformities, and an edgeless F that fits in n vertices, which every
-    host, the empty one included, contains."""
+    """Materialize T and F and refuse inputs no search can answer: a
+    negative n, differing uniformities, and an edgeless F that fits in n
+    vertices, which every host, the empty one included, contains."""
+    if n < 0:
+        raise HypergraphError(f"vertex count must be >= 0, got {n}")
     pattern = materialize(pattern)
     forbidden_g = materialize(forbidden)
     if pattern.s != forbidden_g.s:
@@ -284,6 +292,20 @@ def _instance(n, pattern, forbidden) -> tuple[UniformHypergraph, UniformHypergra
             f"so every host on {n} vertices contains it"
         )
     return pattern, forbidden_g
+
+
+def _record(ctx: _Ctx, edges, value, mode, nodes, t0, cache) -> ExtremalRecord:
+    """The verified record of a finished search, put in ``cache`` if one is
+    given."""
+    record = ExtremalRecord(
+        n=ctx.n, s=ctx.s, pattern=ctx.pattern, forbidden=ctx.forbidden, value=value,
+        witness=make(ctx.n, ctx.s, edges), mode=mode, nodes=nodes,
+        elapsed=time.perf_counter() - t0,
+    )
+    record.verify()
+    if cache is not None:
+        cache.put(record)
+    return record
 
 
 def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None = None,
@@ -310,19 +332,11 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
     ctx = _Ctx(n, s, pattern, forbidden_g)
     deadline = time.monotonic() + timeout if timeout is not None else None
     if workers > 1:
-        val, pos, nodes, timed = _parallel_search(ctx, pattern, forbidden_g, workers, deadline)
+        val, pos, nodes, timed = _parallel_search(ctx, workers, deadline)
     else:
         val, pos, nodes, timed = _explore(ctx, *_root(ctx), deadline)
-    witness = make(n, s, [ctx.pot[p] for p in pos])
-    record = ExtremalRecord(
-        n=n, s=s, pattern=pattern, forbidden=forbidden_g, value=val,
-        witness=witness, mode="heuristic" if timed else "exact",
-        nodes=nodes, elapsed=time.perf_counter() - t0,
-    )
-    record.verify()
-    if cache is not None and record.mode == "exact":
-        cache.put(record)
-    return record
+    return _record(ctx, [ctx.pot[p] for p in pos], val, "heuristic" if timed else "exact",
+                   nodes, t0, None if timed else cache)
 
 
 def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
@@ -342,17 +356,14 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
     of searching every time.
     """
     pattern, forbidden_g = _instance(n, pattern, forbidden)
-    s = pattern.s
     t0 = time.perf_counter()
-    counter = _make_counter(n, s, pattern)
-    fb_possible = forbidden_g.n <= n
-    fb_min = forbidden_g.m
-    pot = list(combinations(range(n), s))
+    ctx = _Ctx(n, pattern.s, pattern, forbidden_g)
+    pot = list(combinations(range(n), ctx.s))
     rng = random.Random(seed)
 
-    host = HostIndex(n)
+    host = ctx.host
     edges = host.edges
-    best_val = counter(host)
+    best_val = ctx.counter(host)
     best_edges: tuple = ()
     kept: dict = {}  # rejected edge -> the other edges of the copy that rejected it
     steps = 0
@@ -368,13 +379,12 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
             if e in kept and all(f in edges for f in kept[e]):
                 continue
             host.add(e)
-            if fb_possible and len(edges) >= fb_min:
-                found = embeds_using_edge(host, forbidden_g, e)
-                if found is not None:
-                    host.remove(e)
-                    images = (tuple(sorted(found[v] for v in f)) for f in forbidden_g.edges)
-                    kept[e] = [f for f in images if f != e]
-        val = counter(host)
+            found = ctx.forbidden_copy(e)
+            if found is not None:
+                host.remove(e)
+                images = (tuple(sorted(found[v] for v in f)) for f in forbidden_g.edges)
+                kept[e] = [f for f in images if f != e]
+        val = ctx.counter(host)
         if val > best_val:
             best_val = val
             best_edges = tuple(sorted(edges))
@@ -387,16 +397,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
             for e in list(edges):
                 host.remove(e)
 
-    witness = make(n, s, best_edges)
-    record = ExtremalRecord(
-        n=n, s=s, pattern=pattern, forbidden=forbidden_g, value=best_val,
-        witness=witness, mode="heuristic", nodes=steps,
-        elapsed=time.perf_counter() - t0,
-    )
-    record.verify()
-    if cache is not None:
-        cache.put(record)
-    return record
+    return _record(ctx, best_edges, best_val, "heuristic", steps, t0, cache)
 
 
 def chain_check(n, forbidden, **kwargs) -> list[tuple[int, ExtremalRecord]]:

@@ -69,9 +69,6 @@ class UniformHypergraph:
     def edge_set(self) -> frozenset[Edge]:
         return self._edge_set  # type: ignore[attr-defined]
 
-    def is_edge(self, vertices) -> bool:
-        return tuple(sorted(vertices)) in self.edge_set
-
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for e in self.edges:
@@ -214,17 +211,7 @@ def complete_partite(s: int, sizes) -> tuple[UniformHypergraph, PartitionMap]:
         raise HypergraphError(f"need at least s={s} classes, got {ell}")
     if any(a < 1 for a in sizes):
         raise HypergraphError("class sizes must be >= 1")
-    offsets = []
-    total = 0
-    for a in sizes:
-        offsets.append(total)
-        total += a
-    classes = tuple(tuple(range(offsets[i], offsets[i] + sizes[i])) for i in range(ell))
-    edges = []
-    for idxs in combinations(range(ell), s):
-        for pick in product(*(classes[i] for i in idxs)):
-            edges.append(pick)
-    return make(total, s, edges), PartitionMap(classes)
+    return blowup(BlowupSpec(complete(ell, s), sizes))
 
 
 def blowup(spec: BlowupSpec) -> tuple[UniformHypergraph, PartitionMap]:

@@ -208,12 +208,15 @@ def aligned_copies(g: UniformHypergraph, f: UniformHypergraph,
     return all_embeddings(g, f, partition.classes)
 
 
-def _aux_from_aligned(aligned, ell: int, n: int) -> UniformHypergraph:
-    edges = set()
+def _aux_index(aligned, ell: int, n: int) -> HostIndex:
+    """The auxiliary hypergraph of the aligned copies, as a host index."""
+    index = HostIndex(n)
     for copy in aligned:
         for i in range(ell):
-            edges.add(tuple(sorted(copy[:i] + copy[i + 1:])))
-    return make(n, ell - 1, edges)
+            edge = tuple(sorted(copy[:i] + copy[i + 1:]))
+            if edge not in index.edges:
+                index.add(edge)
+    return index
 
 
 def auxiliary_hypergraph(g: UniformHypergraph, f: UniformHypergraph,
@@ -222,7 +225,8 @@ def auxiliary_hypergraph(g: UniformHypergraph, f: UniformHypergraph,
     aligned copy; every aligned copy spans a complete clique in it."""
     if f.n < 3:
         raise HypergraphError(f"pattern needs >= 3 vertices, got {f.n}")
-    return _aux_from_aligned(aligned_copies(g, f, partition), f.n, g.n)
+    index = _aux_index(aligned_copies(g, f, partition), f.n, g.n)
+    return make(g.n, f.n - 1, index.edges)
 
 
 def conditional_partition(g: UniformHypergraph, f: UniformHypergraph,
@@ -268,13 +272,9 @@ def conditional_partition(g: UniformHypergraph, f: UniformHypergraph,
     return PartitionMap.from_assignment(assign, ell)
 
 
-def aligned_threshold(g: UniformHypergraph, f: UniformHypergraph) -> int:
-    """ceil(embeddings / l^l): some partition always reaches this many
-    aligned copies, by averaging."""
-    return _threshold(len(all_embeddings(g, f)), f.n)
-
-
 def _threshold(n_emb: int, ell: int) -> int:
+    """ceil(n_emb / l^l): of n_emb embeddings, some partition always aligns
+    this many, by averaging."""
     return -(n_emb // -(ell ** ell))
 
 
@@ -321,9 +321,9 @@ class BlowupEmbedding:
         return tuple(len(c) for c in self.classes)
 
 
-def _partite_blowup_classes(aux: UniformHypergraph, partition: PartitionMap, a: int):
+def _partite_blowup_classes(aux: HostIndex, partition: PartitionMap, a: int):
     """Classes U_i inside partition class i, |U_i| = a, with every crossing
-    (l-1)-class tuple an edge of the auxiliary hypergraph.
+    (l-1)-class tuple an edge of the auxiliary hypergraph indexed by ``aux``.
 
     The first such choice in the order of trying every a-subset of class j
     after U_0..U_{j-1}. Every new crossing tuple holds exactly one vertex of
@@ -336,7 +336,7 @@ def _partite_blowup_classes(aux: UniformHypergraph, partition: PartitionMap, a: 
     result is the same.
     """
     ell = len(partition.classes)
-    get = HostIndex(aux.n, aux.edges).links.get
+    get = aux.links.get
     chosen: list[tuple[int, ...]] = []
 
     def rec(j):
@@ -391,23 +391,18 @@ def find_blowup(g: UniformHypergraph, f: UniformHypergraph, a: int, seed: int = 
                    if all(class_of[v] == i for i, v in enumerate(phi))]
         entry = {"retry": k, "aligned": len(aligned), "threshold": threshold,
                  "aux_edges": None, "found": False}
+        if trace is not None:
+            trace.append(entry)  # filled in below as the attempt goes on
         if len(aligned) < threshold:
-            if trace is not None:
-                trace.append(entry)
             continue
-        aux = _aux_from_aligned(aligned, ell, g.n)
-        entry["aux_edges"] = aux.m
+        aux = _aux_index(aligned, ell, g.n)
+        entry["aux_edges"] = len(aux.edges)
         classes = _partite_blowup_classes(aux, part, a)
         if classes is not None:
             try:
                 emb = BlowupEmbedding(g, f, classes)
             except HypergraphError:
-                emb = None  # pullback failed validation; keep searching
-            if emb is not None:
-                entry["found"] = True
-                if trace is not None:
-                    trace.append(entry)
-                return emb
-        if trace is not None:
-            trace.append(entry)
+                continue  # pullback failed validation; keep searching
+            entry["found"] = True
+            return emb
     return None

@@ -88,6 +88,14 @@ class TestExCommand:
         assert f"argument {flag}: must be at least" in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("n", ["-2", "-2..1"])
+    @pytest.mark.parametrize("extra", [(), ("--heuristic",)])
+    def test_negative_vertex_count_exits_2(self, n, extra):
+        out = run_cli("ex", f"--n={n}", "--T", "K2_2(1,1)", "--F", "K3_2(1,1,1)", *extra)
+        assert out.returncode == 2
+        assert_one_line(out.stderr, "error: vertex count must be >= 0")
+        assert out.stdout == ""
+
     def test_zero_vertices(self):
         out = run_cli("ex", "--n", "0..2", "--T", "K2_2(1,1)", "--F", "K3_2(1,1,1)",
                       "--format", "json")
@@ -147,6 +155,13 @@ class TestConstructCommand:
                       "--out-prefix", str(tmp_path / "m"))
         assert out.returncode == 2
         assert out.stderr.splitlines() == [f"error: construct --kind {kind} needs {flag}"]
+        assert out.stdout == ""
+
+    def test_deletion_without_p_on_no_vertices_exits_2(self, tmp_path):
+        out = run_cli("construct", "--kind", "deletion", "--n", "0", "--r", "3",
+                      "--spec", "K3_2(1,1,2)", "--out-prefix", str(tmp_path / "d"))
+        assert out.returncode == 2
+        assert_one_line(out.stderr, "error: deletion balancing needs n >= 1")
         assert out.stdout == ""
 
 
@@ -272,6 +287,50 @@ class TestBoundsCommand:
 
     def test_unsorted_rejected(self):
         assert run_cli("bounds", "--r", "3", "--a", "2,1,1").returncode == 2
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand takes only the shared flags it reads."""
+
+    ARGS = {
+        "construct": ("--kind", "lbap", "--n", "4", "--r", "3", "--out-prefix", "{tmp}/c"),
+        "verify": ("{tmp}/h.txt", "--claim", "cliques:0"),
+        "bounds": ("--r", "3", "--a", "2,2,2"),
+    }
+    VALUES = {"--seed": ("1",), "--workers": ("1",), "--timeout": ("5",),
+              "--cache-dir": ("{tmp}/cache",), "--format": ("json",),
+              "--out": ("{tmp}/out.txt",), "--allow-large": ()}
+    KEPT = {
+        "construct": ("--seed", "--workers", "--cache-dir", "--allow-large"),
+        "verify": ("--workers", "--cache-dir", "--allow-large"),
+        "bounds": ("--format", "--out"),
+    }
+
+    def argv(self, tmp_path, command, flag):
+        write_file(make(3, 2, []), tmp_path / "h.txt")
+        words = (command, *self.ARGS[command], flag, *self.VALUES[flag])
+        return [w.format(tmp=tmp_path) for w in words]
+
+    @pytest.mark.parametrize("command, flag", [
+        ("construct", "--timeout"), ("construct", "--format"), ("construct", "--out"),
+        ("verify", "--seed"), ("verify", "--timeout"), ("verify", "--format"),
+        ("verify", "--out"),
+        ("bounds", "--seed"), ("bounds", "--workers"), ("bounds", "--timeout"),
+        ("bounds", "--cache-dir"), ("bounds", "--allow-large"),
+    ])
+    def test_dropped_flag_exits_2(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(tmp_path, command, flag))
+        assert exc.value.code == 2
+        err = capsys.readouterr()
+        assert "unrecognized arguments" in err.err and err.out == ""
+        assert not (tmp_path / "out.txt").exists()
+        assert not (tmp_path / "c.h.txt").exists()
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in KEPT.items()
+                                               for f in flags])
+    def test_kept_flag_is_accepted(self, tmp_path, command, flag):
+        assert main(self.argv(tmp_path, command, flag)) == 0
 
 
 def test_repeated_runs_byte_identical():

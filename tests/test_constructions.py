@@ -17,7 +17,7 @@ from exturan.constructions import (
     locally_linear_spec,
     verify_lbap_properties,
 )
-from exturan.counting import complete_subsets, contains, is_blowup_free
+from exturan.counting import HostIndex, complete_subsets, first_embedding, is_blowup_free
 from exturan.extremal import exact_ex
 from exturan.hypergraph import (
     BlowupSpec,
@@ -275,10 +275,9 @@ class TestDeletion:
         (4, BlowupSpec(complete(3, 3), (1, 1, 2)), 21),
     ])
     def test_walk_matches_contains_restarts_at_benchmark_scale(self, r, spec, n, seed):
-        # the restart loop calls the public contains, a fresh index per call
+        # the restart loop builds a fresh index per call
         def first_copy(g, pattern):
-            emb = contains(g, pattern, lex_order=True)
-            return None if emb is None else emb.mapping
+            return first_embedding(HostIndex(g.n, g.edges), pattern)
 
         _, p = deletion_probability(n, spec)
         g, cert = deletion_construct(n, r, spec, p, seed)

@@ -22,6 +22,7 @@ from exturan.counting import (
     edge_multiplicity,
     embeds_using_edge,
     exponents,
+    first_embedding,
     is_blowup_free,
 )
 from exturan.hypergraph import (
@@ -181,8 +182,8 @@ class TestContains:
         assert contains(cycle(5), complete(3, 2)) is None
 
     def test_lex_order_gives_smallest_mapping(self):
-        emb = contains(complete(5, 2), complete(3, 2), lex_order=True)
-        assert emb.mapping == (0, 1, 2)
+        host = complete(5, 2)
+        assert first_embedding(HostIndex(host.n, host.edges), complete(3, 2)) == (0, 1, 2)
 
     def test_embedding_validates(self):
         with pytest.raises(HypergraphError):
@@ -206,12 +207,7 @@ class TestContains:
                    for _ in range(k)]
         want = next((phi for phi in brute_embeddings(host, pattern)
                      if all(phi[i] in dom for i, dom in enumerate(domains))), None)
-        emb = contains(host, pattern, lex_order=True, domains=domains)
-        assert (emb and emb.mapping) == want
-
-    def test_domains_need_lex_order(self):
-        with pytest.raises(HypergraphError):
-            contains(complete(4, 2), complete(3, 2), domains=[(1,)])
+        assert first_embedding(HostIndex(host.n, host.edges), pattern, domains) == want
 
     @given(hypergraphs(max_n=6, min_s=2, max_s=2, min_n=2))
     def test_random_small_patterns(self, host):

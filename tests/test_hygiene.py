@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and every
+module-level definition of the package has a caller outside the tests.
 
 No linter ships with the project, so this reads each module with ``ast``:
 a name bound by an import must appear as a name somewhere else in the same
@@ -7,6 +8,8 @@ module. ``from __future__ import annotations`` is exempt, and so is
 """
 
 import ast
+import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,40 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert unused == [], f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _trace_targets():
+    path = TESTS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {attr.partition(".")[0] for _, attr, _ in tracing.TARGETS}
+
+
+def _referenced(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_module_level_definition_has_a_caller():
+    """A module-level function or class of the package is referenced somewhere
+    in the package outside its own body (an export is imported by
+    ``exturan/__init__.py``) or wrapped by the benchmark's tracer; anything
+    else only tests reach."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in SRC.glob("*.py")}
+    uses = Counter(name for tree in trees.values() for name in _referenced(tree))
+    kept = _trace_targets()
+    orphans = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = Counter(_referenced(node))
+                if node.name not in kept and uses[node.name] - own[node.name] < 1:
+                    orphans.append(f"{module}:{node.name} (line {node.lineno})")
+    assert orphans == [], "defined but never used in the package: " + ", ".join(orphans)

@@ -8,6 +8,8 @@ import hypothesis.strategies as st
 
 from exturan.counting import (
     CliqueFamily,
+    HostIndex,
+    all_embeddings,
     cliques,
     edge_multiplicity,
 )
@@ -22,9 +24,9 @@ from exturan.hypergraph import (
 from exturan.pipeline import (
     BlowupEmbedding,
     _partite_blowup_classes,
+    _threshold,
     ThinningPlan,
     aligned_copies,
-    aligned_threshold,
     auxiliary_hypergraph,
     conditional_partition,
     edge_disjoint_greedy,
@@ -203,7 +205,8 @@ class TestAligned:
         for seed in (None, 1, 2, 3):
             g = random_host(11, n=9, density=0.7)
             part = conditional_partition(g, TRI, seed)
-            assert len(aligned_copies(g, TRI, part)) >= aligned_threshold(g, TRI)
+            threshold = _threshold(len(all_embeddings(g, TRI)), 3)
+            assert len(aligned_copies(g, TRI, part)) >= threshold
 
 
 class TestAuxiliary:
@@ -254,7 +257,7 @@ class TestClassSearch:
         planted = {v for v in range(n) if rnd.random() < keep}
         aux = make(n, ell - 1, [t for t in crossing
                                 if set(t) <= planted or rnd.random() < density])
-        assert (_partite_blowup_classes(aux, part, a)
+        assert (_partite_blowup_classes(HostIndex(n, aux.edges), part, a)
                 == exhaustive_blowup_classes(aux, part.classes, a))
 
     def test_found_and_refused_cases_agree(self):
@@ -266,7 +269,7 @@ class TestClassSearch:
             class_of = part.class_of()
             aux = make(9, 2, [t for t in combinations(range(9), 2)
                               if class_of[t[0]] != class_of[t[1]] and rnd.random() < 0.85])
-            got = _partite_blowup_classes(aux, part, 2)
+            got = _partite_blowup_classes(HostIndex(9, aux.edges), part, 2)
             assert got == exhaustive_blowup_classes(aux, part.classes, 2)
             outcomes.add(got is None)
         assert outcomes == {True, False}
