@@ -28,6 +28,7 @@ from .constructions import (
     deletion_construct,
     deletion_probability,
     lb4_construct,
+    lb4_sizes,
     verify_lbap_properties,
     APFreeSet,
 )
@@ -289,8 +290,8 @@ def cmd_construct(args) -> int:
         _write_cert(cert_path, cert)
         files = [str(h_path), str(g_path), str(cert_path)]
     elif args.kind == "lb4":
-        sizes = _parse_int_list(_needed(args, "a"))
         r = args.r
+        sizes = lb4_sizes(args.n, r, _parse_int_list(_needed(args, "a")))
         nb = args.n - args.n // r
         base_forbidden = complete_partite(r - 1, sizes[:-1])[0]
         if args.base:

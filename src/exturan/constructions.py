@@ -417,6 +417,19 @@ def build_lbap(n: int, r: int, mode: str = "exact", *,
 # ---------------------------------------------------------------------------
 
 
+def lb4_sizes(n: int, r: int, sizes) -> tuple[int, ...]:
+    """The class sizes of an lb4 construction on n vertices, as a tuple,
+    once the shape is checked: r >= 3, r sizes in ascending order, n >= 0."""
+    sizes = tuple(int(a) for a in sizes)
+    if r < 3 or len(sizes) != r:
+        raise HypergraphError(f"need r >= 3 class sizes, got {sizes} for r={r}")
+    if any(sizes[i] > sizes[i + 1] for i in range(r - 1)):
+        raise HypergraphError("sizes must be sorted ascending")
+    if n < 0:
+        raise HypergraphError(f"vertex count must be >= 0, got {n}")
+    return sizes
+
+
 def lb4_construct(n: int, r: int, sizes, base: ExtremalRecord, *,
                   verify: bool = True) -> tuple[UniformHypergraph, ConstructionCertificate]:
     """Apex construction: floor(n/r) vertices whose link is the complete
@@ -428,11 +441,7 @@ def lb4_construct(n: int, r: int, sizes, base: ExtremalRecord, *,
     avoids the r-class blowup with the given sizes and carries at least
     floor(n/r) * base.value cliques.
     """
-    sizes = tuple(int(a) for a in sizes)
-    if r < 3 or len(sizes) != r:
-        raise HypergraphError(f"need r >= 3 class sizes, got {sizes} for r={r}")
-    if any(sizes[i] > sizes[i + 1] for i in range(r - 1)):
-        raise HypergraphError("sizes must be sorted ascending")
+    sizes = lb4_sizes(n, r, sizes)
     na = n // r
     nb = n - na
     base_forbidden = complete_partite(r - 1, sizes[:-1])[0]

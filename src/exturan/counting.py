@@ -8,6 +8,13 @@ holds a link table: for every s-1 vertices of an edge, the mask of the
 vertices that complete them to an edge. A step that completes pattern edges
 therefore takes its candidates from the AND of the links of those edges'
 placed parts (the common-link step) instead of scanning every host vertex.
+The backtracker is generated code: for each compiled walk, number of domain
+steps and search mode, the source of one function with one nested loop per
+step (its link AND and degree test written out) is built from the walk's
+integers and fixed names only, compiled with ``exec`` once and cached.
+CPython compiles at most 20 nested loops in one function, so a longer walk
+becomes a chain of such functions, 20 steps each, whose innermost loop calls
+the next with the vertices placed so far.
 Callers that change a host one edge at a time (the orderly search, the local
 search, the deletion walk) keep one index and update it in place.
 Containment search is deterministic: pattern vertices are ordered by
@@ -61,30 +68,42 @@ def _walk(pattern: UniformHypergraph, deg, order) -> tuple:
 
 
 class PatternPlan(NamedTuple):
-    """The walks the embedding search takes through one pattern.
+    """The two walks every embedding search of one pattern can take.
 
     ``by_degree`` visits vertices by descending degree with index
-    tie-breaks and ``by_index`` in index order. Each walk in ``starts``
-    visits one ordered pattern edge first, then the rest by degree; see
-    :func:`_edge_starts`.
+    tie-breaks and ``by_index`` in index order. The walks that begin with
+    a pattern edge are built apart, on first use; see :func:`_edge_starts`.
     """
 
     by_degree: tuple
     by_index: tuple
-    starts: tuple
 
 
-def _edge_starts(pattern: UniformHypergraph, itself, by_degree) -> tuple:
+@lru_cache(maxsize=64)
+def _compile(pattern: UniformHypergraph) -> PatternPlan:
+    """Compile ``pattern`` once; searches with the same pattern share it."""
+    deg = pattern.degrees()
+    by_degree = sorted(range(pattern.n), key=lambda v: (-deg[v], v))
+    return PatternPlan(_walk(pattern, deg, by_degree), _walk(pattern, deg, range(pattern.n)))
+
+
+@lru_cache(maxsize=64)
+def _edge_starts(pattern: UniformHypergraph) -> tuple:
     """Walks that begin with the orderings of the pattern edges, one per
-    orbit of those orderings under the automorphisms of the pattern.
+    orbit of those orderings under the automorphisms of the pattern, each
+    going on with the rest of the ``by_degree`` walk.
 
     An embedding that sends ordering t onto a host edge, composed with an
     automorphism mapping an earlier kept ordering r onto t, sends r onto the
     same host edge, so t adds nothing. The automorphism is looked for as an
     embedding of the pattern into itself with r pinned to t, only when the
-    two orderings have the same degrees.
+    two orderings have the same degrees. On a large pattern these searches
+    cost far more than one search of a host, so only
+    :func:`embeds_using_edge`, the one reader, builds the walks.
     """
+    itself = HostIndex(pattern.n, pattern.edges)
     deg = itself.deg
+    by_degree = _compile(pattern).by_degree[0]
     kept = []
     for f in pattern.edges:
         rest = [u for u in by_degree if u not in f]
@@ -95,16 +114,6 @@ def _edge_starts(pattern: UniformHypergraph, itself, by_degree) -> tuple:
                        for k, walk in kept):
                 kept.append((key, _walk(pattern, deg, list(t) + rest)))
     return tuple(walk for _, walk in kept)
-
-
-@lru_cache(maxsize=64)
-def _compile(pattern: UniformHypergraph) -> PatternPlan:
-    """Compile ``pattern`` once; searches with the same pattern share it."""
-    itself = HostIndex(pattern.n, pattern.edges)
-    deg = itself.deg
-    by_degree = sorted(range(pattern.n), key=lambda v: (-deg[v], v))
-    return PatternPlan(_walk(pattern, deg, by_degree), _walk(pattern, deg, range(pattern.n)),
-                       _edge_starts(pattern, itself, by_degree))
 
 
 class HostIndex:
@@ -153,6 +162,89 @@ class HostIndex:
                 del links[mask ^ bit]
 
 
+_MAX_LOOPS = 20  # CPython compiles no function with more nested loops
+
+
+@lru_cache(maxsize=256)
+def _kernel(walk, ndom: int, mode: str):
+    """The search along ``walk`` whose first ``ndom`` steps read domains, in
+    ``mode``, as generated code: one nested loop per step, in chunks of at
+    most ``_MAX_LOOPS`` steps, each chunk a function ``_k{a}`` (a its first
+    step) that the innermost loop of the chunk before calls with the used
+    mask and the vertices placed so far. Only integers from the walk and
+    fixed names go into the source, which runs with no builtins.
+
+    Names: ``c{k}`` is step k's candidate mask, ``v{k}`` its host vertex,
+    ``b{k}`` that vertex's bit and ``u{k}`` the mask used after step k.
+    """
+    order, needs, checks = walk
+    size = len(order)
+    at = {u: k for k, u in enumerate(order)}
+    image = "(" + "".join(f"v{at[u]:d}, " for u in range(size)) + ")"
+    tail = {"first": "return None", "count": "return count", "all": "return out"}[mode]
+    lines = []
+    for a in range(0, max(size, 1), _MAX_LOOPS):
+        b = min(a + _MAX_LOOPS, size)
+        carried = "".join(f", v{k:d}" for k in range(a))
+        if a:
+            carried = (", out" if mode == "all" else "") + ", used" + carried
+        lines.append(f"def _k{a:d}(get, deg, everyone, domains{carried}):")
+        if mode == "count":
+            lines.append("    count = 0")
+        elif mode == "all" and not a:
+            lines.append("    out = []")
+        read = {at[w] for k in range(a, b) for others in checks[k] for w in others}
+        lines += [f"    b{k:d} = 1 << v{k:d}" for k in sorted(read) if k < a]
+        used = "used" if a else ""
+        pad = "    "
+        for k in range(a, b):
+            gets = [f"get({' | '.join(f'b{at[w]:d}' for w in others) or '0'}, 0)"
+                    for others in checks[k]]
+            if gets:
+                cand = " & ".join(gets + ([f"~{used}"] if used else []))
+            else:
+                cand = f"everyone ^ {used}" if used else "everyone"
+            lines.append(f"{pad}c{k:d} = {cand}")
+            # a vertex in a link mask lies on an edge, so degree 1 holds
+            need = needs[k] if needs[k] > (1 if gets else 0) else 0
+            if mode == "count" and k == size - 1 and k >= ndom and not need:
+                lines.append(f"{pad}count += c{k:d}.bit_count()")
+                break
+            if k < ndom:
+                lines += [f"{pad}for v{k:d} in domains[{k:d}]:",
+                          f"{pad}    if not c{k:d} >> v{k:d} & 1:",
+                          f"{pad}        continue"]
+            else:
+                lines += [f"{pad}while c{k:d}:",
+                          f"{pad}    b{k:d} = c{k:d} & -c{k:d}",
+                          f"{pad}    c{k:d} ^= b{k:d}",
+                          f"{pad}    v{k:d} = b{k:d}.bit_length() - 1"]
+            pad += "    "
+            if need:
+                lines += [f"{pad}if deg[v{k:d}] < {need:d}:", f"{pad}    continue"]
+            if k < size - 1:
+                if k < ndom:
+                    lines.append(f"{pad}b{k:d} = 1 << v{k:d}")
+                lines.append(f"{pad}u{k:d} = {used} | b{k:d}" if used else f"{pad}u{k:d} = b{k:d}")
+                used = f"u{k:d}"
+        else:  # the innermost loop: a full mapping, or the next chunk
+            if b == size:
+                lines.append(pad + {"first": f"return {image}", "count": "count += 1",
+                                    "all": f"out.append({image})"}[mode])
+            else:
+                call = (f"_k{b:d}(get, deg, everyone, domains"
+                        + (", out" if mode == "all" else "") + f", {used}"
+                        + "".join(f", v{k:d}" for k in range(b)) + ")")
+                lines += ({"first": [f"{pad}found = {call}", f"{pad}if found is not None:",
+                                     f"{pad}    return found"],
+                           "count": [f"{pad}count += {call}"],
+                           "all": [pad + call]}[mode])
+        lines.append(f"    {tail}")
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace["_k0"]
+
+
 def _backtrack(host: HostIndex, walk, domains=(), *, mode):
     """Injective subgraph-embedding search along a compiled pattern walk.
 
@@ -163,59 +255,19 @@ def _backtrack(host: HostIndex, walk, domains=(), *, mode):
     every such edge form the AND of ``host.links`` over the masks of the
     edges' already placed vertices, and only the free ones among them are
     tried, in ascending bit order or, with a domain, in the domain's order.
-    ``mode`` "first" returns the first mapping found (or None), "count" the
-    number of mappings, "all" the list of them in search order.
+    A vertex below the step's pattern degree is skipped. ``mode`` "first"
+    returns the first mapping found (or None), "count" the number of
+    mappings, "all" the list of them in search order.
+
+    The search runs as a function generated for the walk, the number of
+    domain steps and the mode, and cached (:func:`_kernel`): each step is
+    one loop over its candidate mask, with its link AND and degree test
+    written out, and the source holds only the walk's integers and fixed
+    names. A walk of more than ``_MAX_LOOPS`` steps runs as a chain of
+    such functions, each called from the innermost loop of the one before.
     """
-    get, host_deg = host.links.get, host.deg
-    everyone = (1 << host.n) - 1
-    order, needs, checks = walk
-    size = len(order)
-    mapping = [-1] * size
-    bits = [0] * size
-    found = []
-    count = 0
-
-    def rec(k, used):
-        nonlocal count
-        if k == size:
-            if mode == "count":
-                count += 1
-                return False
-            found.append(tuple(mapping))
-            return mode == "first"
-        cand = everyone & ~used
-        for others in checks[k]:
-            m = 0
-            for w in others:
-                m |= bits[w]
-            cand &= get(m, 0)
-        if not cand:
-            return False
-        if k < len(domains):
-            vs = [v for v in domains[k] if cand >> v & 1]
-        else:
-            vs = []
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                vs.append(low.bit_length() - 1)
-        u = order[k]
-        need = needs[k]
-        for v in vs:
-            if host_deg[v] < need:
-                continue
-            mapping[u] = v
-            bits[u] = bit = 1 << v
-            if rec(k + 1, used | bit):
-                return True
-        return False
-
-    rec(0, 0)
-    if mode == "count":
-        return count
-    if mode == "first":
-        return found[0] if found else None
-    return found
+    search = _kernel(walk, min(len(domains), len(walk[0])), mode)
+    return search(host.links.get, host.deg, (1 << host.n) - 1, domains)
 
 
 @dataclass(frozen=True)
@@ -343,7 +395,7 @@ def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph,
     if pattern.n > host.n:
         return None
     pinned = [(v,) for v in edge]
-    for walk in _compile(pattern).starts:
+    for walk in _edge_starts(pattern):
         found = _backtrack(host, walk, pinned, mode="first")
         if found is not None:
             return found

@@ -157,6 +157,17 @@ class TestConstructCommand:
         assert out.stderr.splitlines() == [f"error: construct --kind {kind} needs {flag}"]
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("n, sizes, message", [
+        ("6", "2,2", "error: need r >= 3 class sizes, got (2, 2) for r=3"),
+        ("-3", "2,2,2", "error: vertex count must be >= 0, got -3"),
+    ])
+    def test_lb4_shape_is_checked_before_the_base(self, tmp_path, n, sizes, message):
+        out = run_cli("construct", "--kind", "lb4", f"--n={n}", "--r", "3", "--a", sizes,
+                      "--out-prefix", str(tmp_path / "l"))
+        assert out.returncode == 2
+        assert_one_line(out.stderr, message)
+        assert out.stdout == ""
+
     def test_deletion_without_p_on_no_vertices_exits_2(self, tmp_path):
         out = run_cli("construct", "--kind", "deletion", "--n", "0", "--r", "3",
                       "--spec", "K3_2(1,1,2)", "--out-prefix", str(tmp_path / "d"))

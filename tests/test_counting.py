@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from exturan import counting
 from exturan.counting import (
     CliqueFamily,
     _backtrack,
     _compile,
+    _edge_starts,
     Embedding,
     HostIndex,
     UniformityMismatch,
@@ -148,17 +150,18 @@ class TestBacktrack:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_modes_match_bruteforce(self, data):
-        host = data.draw(hypergraphs(max_n=12, min_s=2, max_s=3, min_n=3))
-        pattern = data.draw(hypergraphs(max_n=4, min_s=host.s, max_s=host.s, min_n=host.s))
-        plan = _compile(pattern)
-        walk = data.draw(st.sampled_from([plan.by_degree, plan.by_index, *plan.starts]))
-        # domains in any order, often not ascending
+        s = data.draw(st.integers(1, 3))
+        pattern = data.draw(hypergraphs(max_n=6, min_s=s, max_s=s, min_n=s))
+        # few enough injective maps for the brute force: at most 20,160
+        host = data.draw(hypergraphs(max_n={5: 9, 6: 8}.get(pattern.n, 12), min_s=s, max_s=s,
+                                     min_n=s))
+        walk = data.draw(st.sampled_from([*_compile(pattern), *_edge_starts(pattern)]))
+        # domains in any order, often not ascending, empty, or past the last step
         domains = data.draw(st.lists(st.lists(st.integers(0, host.n - 1), unique=True),
-                                     max_size=pattern.n))
+                                     max_size=pattern.n + 1))
         index = data.draw(updated_index(host))
-        order = walk[0]
         want = sorted((phi for phi in brute_embeddings(host, pattern)
-                       if all(phi[order[k]] in dom for k, dom in enumerate(domains))),
+                       if all(phi[u] in dom for u, dom in zip(walk[0], domains))),
                       key=search_order(walk, domains))
         assert _backtrack(index, walk, domains, mode="all") == want
         assert _backtrack(index, walk, domains, mode="first") == (want[0] if want else None)
@@ -171,6 +174,33 @@ class TestBacktrack:
         found = _backtrack(host, walk, [[4, 2, 0], [3, 1]], mode="all")
         assert [phi[:2] for phi in found[::3]] == [(4, 3), (4, 1), (2, 3), (2, 1), (0, 3),
                                                   (0, 1)]
+
+    def test_walks_longer_than_one_generated_function(self):
+        path = make(21, 2, [(i, i + 1) for i in range(20)])
+        assert count_embeddings(path, path) == 2
+        both = [tuple(range(20, -1, -1)), tuple(range(21))]
+        assert all_embeddings(path, path, [[20, 0]]) == both
+        assert contains(complete_partite(2, (7, 7, 8))[0], complete_partite(2, (7, 7, 7))[0])
+        k777 = BlowupSpec(complete(3, 2), (7, 7, 7))
+        assert is_blowup_free(complete_partite(2, (1, 10, 10))[0], k777) == (True, None)
+
+    def test_only_embeds_using_edge_builds_edge_starts(self, monkeypatch):
+        built = []
+        real = counting._edge_starts
+        monkeypatch.setattr(counting, "_edge_starts", lambda p: built.append(p) or real(p))
+        _compile.cache_clear()
+        automorphism_count.cache_clear()
+        pattern = blowup(DIAMOND)[0]
+        host = complete(5, 2)
+        index = HostIndex(host.n, host.edges)
+        contains(host, pattern)
+        count_embeddings(host, pattern)
+        all_embeddings(host, pattern)
+        first_embedding(index, pattern)
+        automorphism_count(pattern)
+        assert built == []
+        embeds_using_edge(index, pattern, (0, 1))
+        assert built == [pattern]
 
 
 class TestContains:
