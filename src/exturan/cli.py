@@ -5,9 +5,10 @@ timestamps, so repeated runs are byte identical. Exit codes are a stable
 scripting contract: 0 success/verified, 1 claim refuted, certificate
 failure or a cache entry or record failing verification, 2 usage or parse
 error (a ``--workers`` below 1, a ``--timeout`` below 0, a ``--budget``
-below 1, a negative vertex count and a flag the subcommand does not take
-included), 3 infeasible or timed out. A timed-out ``ex`` still prints its
-whole table, with the best-so-far records marked heuristic. Each subcommand
+below 1, a negative vertex count, a flag the subcommand does not take and an
+lbap certificate whose classes do not fit the host included), 3 infeasible
+or timed out. A timed-out ``ex`` still prints its whole table, with the
+best-so-far records marked heuristic. Each subcommand
 takes the shared flags it reads: ``ex`` ``--seed --workers --timeout
 --cache-dir --format --out --allow-large``, ``construct`` ``--seed --workers
 --cache-dir --allow-large``, ``verify`` ``--workers --cache-dir
@@ -268,27 +269,13 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _write_cert(path: Path, cert) -> None:
-    path.write_text(json.dumps(cert.to_json_dict(), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-
-
 def cmd_construct(args) -> int:
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "lbap":
         bundle = build_lbap(args.n, args.r, args.apfree_mode, verify=args.verify)
-        h_path = prefix.with_name(prefix.name + ".h.txt")
-        g_path = prefix.with_name(prefix.name + ".g.txt")
-        cert_path = prefix.with_name(prefix.name + ".cert.json")
-        write_file(bundle.system, h_path)
-        write_file(bundle.graph, g_path)
+        outputs = [(".h.txt", bundle.system), (".g.txt", bundle.graph)]
         cert = bundle.certificate
-        cert = type(cert)(cert.construction,
-                          dict(cert.params, parts=[list(c) for c in bundle.parts.classes]),
-                          cert.claims)
-        _write_cert(cert_path, cert)
-        files = [str(h_path), str(g_path), str(cert_path)]
     elif args.kind == "lb4":
         r = args.r
         sizes = lb4_sizes(args.n, r, _parse_int_list(_needed(args, "a")))
@@ -305,11 +292,7 @@ def cmd_construct(args) -> int:
                             workers=args.workers, allow_large=args.allow_large,
                             cache=_cache_from(args))
         h, cert = lb4_construct(args.n, r, sizes, base, verify=args.verify)
-        out_path = prefix.with_name(prefix.name + ".txt")
-        cert_path = prefix.with_name(prefix.name + ".cert.json")
-        write_file(h, out_path)
-        _write_cert(cert_path, cert)
-        files = [str(out_path), str(cert_path)]
+        outputs = [(".txt", h)]
     elif args.kind == "deletion":
         spec = parse_pattern_spec(_needed(args, "spec"))
         if isinstance(spec, UniformHypergraph):
@@ -319,13 +302,18 @@ def cmd_construct(args) -> int:
             _, p = deletion_probability(args.n, spec)
         g, cert = deletion_construct(args.n, args.r, spec, p, args.seed,
                                      verify=args.verify)
-        out_path = prefix.with_name(prefix.name + ".txt")
-        cert_path = prefix.with_name(prefix.name + ".cert.json")
-        write_file(g, out_path)
-        _write_cert(cert_path, cert)
-        files = [str(out_path), str(cert_path)]
+        outputs = [(".txt", g)]
     else:  # pragma: no cover - argparse restricts choices
         raise SpecParseError(f"unknown kind {args.kind!r}", 0)
+    files = []
+    for suffix, out in outputs:
+        path = prefix.with_name(prefix.name + suffix)
+        write_file(out, path)
+        files.append(str(path))
+    cert_path = prefix.with_name(prefix.name + ".cert.json")
+    cert_path.write_text(json.dumps(cert.to_json_dict(), sort_keys=True, indent=2) + "\n",
+                         encoding="utf-8")
+    files.append(str(cert_path))
     sys.stdout.write(json.dumps({"files": files, "kind": args.kind}, sort_keys=True) + "\n")
     return 0
 
@@ -497,11 +485,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (HypergraphError, CertificateError, UsageError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (SpecParseError, HypergraphError, CertificateError, UsageError,
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

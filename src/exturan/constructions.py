@@ -222,6 +222,14 @@ class ConstructionCertificate:
         return [c for c in self.claims if not c.ok()]
 
 
+def _free_claim(name: str, g: UniformHypergraph, spec: BlowupSpec) -> ClaimResult:
+    """The claim that ``g`` holds no copy of the blowup ``spec``, with the
+    copy found as its witness when it fails."""
+    free, emb = is_blowup_free(g, spec)
+    return ClaimResult(name, "pass" if free else "fail",
+                       {} if free else {"witness": list(emb.mapping)})
+
+
 def _require(cert: ConstructionCertificate):
     if not cert.passed:
         lines = [f"{c.name}: {c.detail}" for c in cert.failures()]
@@ -272,81 +280,80 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
     """Check the three structural properties of a progression system.
 
     (1) every (r-1)-subset of vertices lies in at most one edge; (2) for any
-    choice of one vertex per class, some coordinate cannot be swapped to
+    choice x of one vertex per class, some coordinate cannot be swapped to
     another class member while keeping an edge; (3) the vertex and edge
-    counts match (r-1)*r*n and n^(r-2)*|S|. Property (2) is exhaustive while
-    the class product has at most ``LBAP_TUPLE_BUDGET`` tuples and checked on
-    that many tuples sampled uniformly with seed 0 above it, with the
-    sampling recorded in the certificate.
+    counts match (r-1)*r*n and n^(r-2)*|S|. Both structural checks read one
+    host index: coordinate i of x can be swapped exactly when the link of the
+    other r-1 vertices of x meets class i outside x_i, and an edge, visited
+    in lexicographic order, shares an (r-1)-subset with an earlier edge
+    exactly when the link of that subset holds a vertex below the one it
+    drops. Property (2) is exact for every input: exhaustive while the class
+    product has at most ``LBAP_TUPLE_BUDGET`` tuples, and checked on that
+    many tuples sampled uniformly with seed 0 above it, with the sampling
+    recorded in the certificate. The classes must split ``0..h.n-1`` into
+    ``r`` (possibly empty) classes of an r-uniform host; any other shape
+    raises ``HypergraphError``.
     """
+    if parts.n != h.n or len(parts.classes) != r or h.s != r:
+        raise HypergraphError(
+            f"certificate needs {r} classes splitting the {h.n} vertices of an "
+            f"{r}-uniform host, got {len(parts.classes)} classes over {parts.n} "
+            f"vertices of a {h.s}-uniform host")
+    host = HostIndex(h.n, h.edges)
+    links = host.links
     claims = []
 
-    # property 1: one edge per (r-1)-subset
-    owner: dict = {}
+    # property 1: one edge per (r-1)-subset; an edge's subset is owned by the
+    # least edge through it, the one adding the least vertex of its link
     clash = None
-    for e in h.edges:
-        for i in range(len(e)):
-            sub = e[:i] + e[i + 1:]
-            if sub in owner and owner[sub] != e:
-                clash = {"subset": list(sub), "edges": [list(owner[sub]), list(e)]}
+    for e, mask in host.edges.items():
+        for v in e:
+            bit = 1 << v
+            below = links[mask ^ bit] & (bit - 1)
+            if below:
+                sub = [u for u in e if u != v]
+                owner = sorted(sub + [(below & -below).bit_length() - 1])
+                clash = {"subset": sub, "edges": [owner, list(e)]}
                 break
-            owner[sub] = e
         if clash:
             break
     claims.append(ClaimResult(
         "one-edge-per-subset", "fail" if clash else "pass", clash or {}))
-    prop1_ok = clash is None
 
-    # property 2: no fully swappable choice of one vertex per class
-    class_of = parts.class_of()
+    # property 2: no choice of one vertex per class with every coordinate swappable
+    class_masks = []
     space = 1
     for c in parts.classes:
-        space *= max(len(c), 1)
-    exhaustive = prop1_ok and space <= LBAP_TUPLE_BUDGET
+        cmask = 0
+        for v in c:
+            cmask |= 1 << v
+        class_masks.append(cmask)
+        space *= len(c)
+    exhaustive = space <= LBAP_TUPLE_BUDGET
+    if exhaustive:
+        tuples = product(*parts.classes)
+    else:
+        rng = random.Random(0)
+        tuples = (tuple(rng.choice(c) for c in parts.classes)
+                  for _ in range(LBAP_TUPLE_BUDGET))
     violation = None
     checked = 0
-    rng = random.Random(0)
-    if prop1_ok:
-        if exhaustive:
-            tuples = product(*parts.classes)
+    for x in tuples:
+        checked += 1
+        mask = 0
+        for v in x:
+            mask |= 1 << v
+        for v, cmask in zip(x, class_masks):
+            bit = 1 << v
+            if not links.get(mask ^ bit, 0) & (cmask ^ bit):
+                break
         else:
-            tuples = (tuple(rng.choice(c) for c in parts.classes)
-                      for _ in range(LBAP_TUPLE_BUDGET))
-        for x in tuples:
-            checked += 1
-            bad = True
-            for i in range(r):
-                sub = tuple(sorted(x[:i] + x[i + 1:]))
-                e = owner.get(sub)
-                if e is None:
-                    bad = False
-                    break
-                yi = next(v for v in e if class_of[v] == i)
-                if yi == x[i]:
-                    bad = False
-                    break
-            if bad:
-                violation = {"tuple": list(x)}
-                break
-        status = "fail" if violation else ("pass" if exhaustive else "pass-sampled")
-        claims.append(ClaimResult(
-            "no-local-swap", status,
-            violation or {"checked": checked, "exhaustive": exhaustive}))
-    else:
-        # without uniqueness the fast reduction is unsound; sample raw swaps
-        es = h.edge_set
-        for _ in range(LBAP_TUPLE_BUDGET // 10):
-            checked += 1
-            x = tuple(rng.choice(c) for c in parts.classes)
-            ys = tuple(rng.choice(c) for c in parts.classes)
-            if any(y == xi for y, xi in zip(ys, x)):
-                continue
-            if all(tuple(sorted(x[:i] + (ys[i],) + x[i + 1:])) in es for i in range(r)):
-                violation = {"tuple": list(x), "swap": list(ys)}
-                break
-        claims.append(ClaimResult(
-            "no-local-swap", "fail" if violation else "pass-sampled",
-            violation or {"checked": checked, "exhaustive": False}))
+            violation = {"tuple": list(x)}
+            break
+    status = "fail" if violation else ("pass" if exhaustive else "pass-sampled")
+    claims.append(ClaimResult(
+        "no-local-swap", status,
+        violation or {"checked": checked, "exhaustive": exhaustive}))
 
     # property 3: vertex and edge budgets
     want_vertices = (r - 1) * r * n
@@ -395,18 +402,14 @@ def build_lbap(n: int, r: int, mode: str = "exact", *,
     h, parts = lbap_hypergraph(n, r, ap)
     g = lbap_shadow_graph(h)
     cert = verify_lbap_properties(h, parts, n, r, ap)
-    claims = list(cert.claims)
-
-    free, emb = is_blowup_free(g, locally_linear_spec(r))
-    claims.append(ClaimResult(
-        "shadow-free", "pass" if free else "fail",
-        {} if free else {"witness": list(emb.mapping)}))
     clique_count = len(complete_subsets(g.n, g.s, g.edge_set, r))
-    claims.append(ClaimResult(
-        "shadow-clique-count", "pass" if clique_count == h.m else "fail",
-        {"cliques": clique_count, "edges": h.m}))
-
-    cert = ConstructionCertificate(cert.construction, cert.params, tuple(claims))
+    claims = cert.claims + (
+        _free_claim("shadow-free", g, locally_linear_spec(r)),
+        ClaimResult("shadow-clique-count", "pass" if clique_count == h.m else "fail",
+                    {"cliques": clique_count, "edges": h.m}),
+    )
+    cert = ConstructionCertificate(
+        cert.construction, dict(cert.params, parts=[list(c) for c in parts.classes]), claims)
     if verify:
         _require(cert)
     return LbapBundle(ap, h, parts, g, cert)
@@ -462,11 +465,7 @@ def lb4_construct(n: int, r: int, sizes, base: ExtremalRecord, *,
             edges.append((a,) + tuple(v + na for v in rest))
     h = make(n, r - 1, edges)
 
-    claims = []
-    free, emb = is_blowup_free(h, BlowupSpec(complete(r, r - 1), sizes))
-    claims.append(ClaimResult(
-        "forbidden-free", "pass" if free else "fail",
-        {} if free else {"witness": list(emb.mapping)}))
+    claims = [_free_claim("forbidden-free", h, BlowupSpec(complete(r, r - 1), sizes))]
     clique_count = len(complete_subsets(h.n, h.s, h.edge_set, r))
     bound = na * base.value
     claims.append(ClaimResult(
@@ -563,11 +562,7 @@ def deletion_construct(n: int, r: int, spec: BlowupSpec, p: float, seed: int, *,
         phi = _next_lex_copy(host, forbidden, phi, cut)
     g = make(n, s, host.edges)
 
-    claims = []
-    free, emb = is_blowup_free(g, spec)
-    claims.append(ClaimResult(
-        "forbidden-free", "pass" if free else "fail",
-        {} if free else {"witness": list(emb.mapping)}))
+    claims = [_free_claim("forbidden-free", g, spec)]
     surviving_cliques = len(complete_subsets(g.n, g.s, g.edge_set, r))
     claims.append(ClaimResult(
         "statistics", "pass",

@@ -294,17 +294,14 @@ def _instance(n, pattern, forbidden) -> tuple[UniformHypergraph, UniformHypergra
     return pattern, forbidden_g
 
 
-def _record(ctx: _Ctx, edges, value, mode, nodes, t0, cache) -> ExtremalRecord:
-    """The verified record of a finished search, put in ``cache`` if one is
-    given."""
+def _record(ctx: _Ctx, edges, value, mode, nodes, t0) -> ExtremalRecord:
+    """The verified record of a finished search."""
     record = ExtremalRecord(
         n=ctx.n, s=ctx.s, pattern=ctx.pattern, forbidden=ctx.forbidden, value=value,
         witness=make(ctx.n, ctx.s, edges), mode=mode, nodes=nodes,
         elapsed=time.perf_counter() - t0,
     )
     record.verify()
-    if cache is not None:
-        cache.put(record)
     return record
 
 
@@ -335,12 +332,15 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
         val, pos, nodes, timed = _parallel_search(ctx, workers, deadline)
     else:
         val, pos, nodes, timed = _explore(ctx, *_root(ctx), deadline)
-    return _record(ctx, [ctx.pot[p] for p in pos], val, "heuristic" if timed else "exact",
-                   nodes, t0, None if timed else cache)
+    record = _record(ctx, [ctx.pot[p] for p in pos], val,
+                     "heuristic" if timed else "exact", nodes, t0)
+    if cache is not None and not timed:
+        cache.put(record)
+    return record
 
 
-def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
-                    cache: "RecordCache | None" = None) -> ExtremalRecord:
+def heuristic_lower(n, pattern, forbidden, seed: int = 0,
+                    budget: int = 4000) -> ExtremalRecord:
     """Lower-bound witness by randomized local search, reproducible per seed.
 
     Repeatedly grows a maximal F-free host by shuffled first-fit edge
@@ -397,7 +397,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0, budget: int = 4000,
             for e in list(edges):
                 host.remove(e)
 
-    return _record(ctx, best_edges, best_val, "heuristic", steps, t0, cache)
+    return _record(ctx, best_edges, best_val, "heuristic", steps, t0)
 
 
 def chain_check(n, forbidden, **kwargs) -> list[tuple[int, ExtremalRecord]]:

@@ -259,3 +259,29 @@ def exhaustive_blowup_classes(aux: UniformHypergraph, classes, a: int):
         return False
 
     return tuple(chosen) if rec(0) else None
+
+
+def brute_swap_violation(host: UniformHypergraph, classes):
+    """The first choice x of one vertex per class, in product order, whose
+    every coordinate can be swapped: some other member of its class put in
+    its place leaves an edge. None if no choice is bad."""
+    es = host.edge_set
+    for x in product(*classes):
+        if all(any(tuple(sorted(x[:i] + (y,) + x[i + 1:])) in es for y in cls if y != x[i])
+               for i, cls in enumerate(classes)):
+            return x
+    return None
+
+
+def brute_subset_clash(host: UniformHypergraph):
+    """The first edge, in lexicographic order, one of whose (r-1)-subsets
+    (dropping vertices left to right) lies in an earlier edge, as
+    ``{"subset", "edges": [first earlier edge through it, the edge]}``;
+    None if every (r-1)-subset lies in at most one edge."""
+    for j, e in enumerate(host.edges):
+        for i in range(len(e)):
+            sub = e[:i] + e[i + 1:]
+            for f in host.edges[:j]:
+                if set(sub) <= set(f):
+                    return {"subset": list(sub), "edges": [list(f), list(e)]}
+    return None

@@ -250,6 +250,58 @@ class TestVerifyCommand:
         assert_one_line(out.stderr, "error:")
 
 
+class TestLbapPropertiesInput:
+    """``verify --claim lbap-properties`` on hand-written hosts and certificates."""
+
+    @staticmethod
+    def verify(tmp_path, host_text, r, parts):
+        host, cert = tmp_path / "h.txt", tmp_path / "h.cert.json"
+        host.write_text(host_text)
+        cert.write_text(json.dumps({"params": {"n": 1, "r": r, "elements": [],
+                                               "exact": False, "parts": parts}}))
+        return run_cli("verify", str(host), "--claim", "lbap-properties",
+                       "--cert", str(cert))
+
+    @staticmethod
+    def claim(out, name):
+        claims = json.loads(out.stdout)["certificate"]["claims"]
+        return next(c for c in claims if c["name"] == name)
+
+    @pytest.mark.parametrize("r, parts", [
+        (3, [[0, 1], [2, 3], [4]]),            # vertex 5 in no class
+        (3, [[0, 1], [2, 3], [4, 5, 6]]),      # vertex 6 is not in the host
+        (4, [[0, 1], [2, 3], [4, 5]]),         # three classes for r = 4
+    ])
+    def test_classes_that_do_not_fit_the_host_exit_2(self, tmp_path, r, parts):
+        out = self.verify(tmp_path, "3 6 2\n0 2 4\n1 3 5\n", r, parts)
+        assert out.returncode == 2
+        assert_one_line(out.stderr, "error: certificate needs")
+        assert out.stdout == ""
+
+    def test_edge_missing_a_class_is_no_swap(self, tmp_path):
+        # each choice (0, 1, v) less its class-0 vertex 0 lies only in edges
+        # with no class-0 vertex, so coordinate 0 is never swappable
+        out = self.verify(tmp_path, "3 5 2\n0 2 3\n1 2 4\n", 3, [[0], [1], [2, 3, 4]])
+        assert out.returncode == 1  # the vertex count is not 6n
+        assert out.stderr == ""
+        assert self.claim(out, "no-local-swap") == {
+            "name": "no-local-swap", "status": "pass",
+            "detail": {"checked": 3, "exhaustive": True}}
+
+    def test_empty_class_above_the_tuple_budget(self, tmp_path):
+        # the nonempty classes alone span more than LBAP_TUPLE_BUDGET tuples
+        sizes, parts = [0, 11, 11, 11, 11, 10, 10], []
+        for size in sizes:
+            start = sum(map(len, parts))
+            parts.append(list(range(start, start + size)))
+        out = self.verify(tmp_path, "7 64 0\n", 7, parts)
+        assert out.returncode == 1  # the vertex count is not 42n
+        assert out.stderr == ""
+        assert self.claim(out, "no-local-swap") == {
+            "name": "no-local-swap", "status": "pass",
+            "detail": {"checked": 0, "exhaustive": True}}
+
+
 def assert_one_line(stderr, prefix):
     assert stderr.startswith(prefix), stderr
     assert stderr.count("\n") == 1, stderr

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from exturan.constructions import (
@@ -22,15 +22,52 @@ from exturan.extremal import exact_ex
 from exturan.hypergraph import (
     BlowupSpec,
     HypergraphError,
+    PartitionMap,
     complete,
     complete_partite,
     make,
     single_edge,
 )
-from oracles import apfree_max_by_masks, restart_deletion
+from oracles import (
+    apfree_max_by_masks,
+    brute_subset_clash,
+    brute_swap_violation,
+    restart_deletion,
+)
 
 from fractions import Fraction
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
+
+
+@st.composite
+def lbap_inputs(draw):
+    """An r-uniform host (r = 3, 4) with r classes over its vertices: ordered
+    or interleaved classes, now and then an empty one; transversal or
+    arbitrary edges; and, on request, thinned to one edge per (r-1)-subset."""
+    r = draw(st.sampled_from((3, 4)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    if draw(st.integers(0, 9)) == 0:
+        sizes[draw(st.integers(0, r - 1))] = 0
+    n = max(sum(sizes), r)
+    labels = list(range(n))
+    if draw(st.booleans()):  # interleaved; otherwise each class is a run
+        labels = draw(st.permutations(labels))
+    cuts = [sum(sizes[:i]) for i in range(r)] + [n]
+    classes = tuple(tuple(sorted(labels[cuts[i]:cuts[i + 1]])) for i in range(r))
+    transversal = draw(st.booleans()) and all(classes)
+    pot = sorted(tuple(sorted(x)) for x in product(*classes)) if transversal \
+        else list(combinations(range(n), r))
+    edges = draw(st.permutations(pot))[:draw(st.integers(0, len(pot)))]
+    if draw(st.booleans()):
+        seen, unique = set(), []
+        for e in edges:
+            subs = {e[:i] + e[i + 1:] for i in range(r)}
+            if not subs & seen:
+                seen |= subs
+                unique.append(e)
+        edges = unique
+    return make(n, r, edges), classes
 
 
 class TestAPFreeSets:
@@ -116,6 +153,29 @@ class TestVerifyLbapProperties:
         claim = {c.name: c for c in cert.claims}["one-edge-per-subset"]
         assert claim.status == "fail"
         assert claim.detail["subset"] == [0, 3]
+
+    def test_non_unique_system_checked_exactly(self):
+        h = make(12, 3, [[0, 3, 8], [0, 3, 9]])
+        parts = lbap_hypergraph(2, 3, APFreeSet(2, 3, (1,), exact=False))[1]
+        cert = verify_lbap_properties(h, parts, 2, 3, APFreeSet(2, 3, (1,), exact=False))
+        claim = {c.name: c for c in cert.claims}["no-local-swap"]
+        assert (claim.status, claim.detail) == ("pass", {"checked": 48, "exhaustive": True})
+
+    @settings(max_examples=250)
+    @given(lbap_inputs())
+    def test_structural_claims_match_the_definitions(self, case):
+        h, classes = case
+        ap = APFreeSet(1, h.s, (), exact=False)
+        cert = verify_lbap_properties(h, PartitionMap(classes), 1, h.s, ap)
+        claims = {c.name: c for c in cert.claims}
+        clash = brute_subset_clash(h)
+        assert (claims["one-edge-per-subset"].status,
+                claims["one-edge-per-subset"].detail) == ("fail" if clash else "pass",
+                                                          clash or {})
+        bad = brute_swap_violation(h, classes)
+        want = ("fail", {"tuple": list(bad)}) if bad else \
+            ("pass", {"checked": prod(map(len, classes)), "exhaustive": True})
+        assert (claims["no-local-swap"].status, claims["no-local-swap"].detail) == want
 
     def test_empty_system(self):
         ap = APFreeSet(3, 3, (), exact=False)

@@ -386,10 +386,12 @@ class TestCache:
     def test_heuristic_records_keep_the_better(self, tmp_path):
         # heuristic keys carry neither seed nor budget, so runs collide
         cache = RecordCache(tmp_path)
-        small = heuristic_lower(9, EDGE, C4, budget=3, cache=cache)
-        large = heuristic_lower(9, EDGE, C4, budget=10, cache=cache)
+        small = heuristic_lower(9, EDGE, C4, budget=3)
+        cache.put(small)
+        large = heuristic_lower(9, EDGE, C4, budget=10)
+        cache.put(large)
         assert small.value < large.value
-        heuristic_lower(9, EDGE, C4, budget=3, cache=cache)
+        cache.put(heuristic_lower(9, EDGE, C4, budget=3))
         held = cache.get(9, EDGE, C4, "heuristic")
         assert (held.value, held.witness) == (large.value, large.witness)
 
