@@ -9,13 +9,22 @@ pins down a bitstring prefix and the permutation search prunes hard.
 The canonical form has the property that removing the edge with the largest
 colex position preserves canonicity, which is what the orderly search in
 :mod:`exturan.extremal` relies on.
+
+The relabelling search is generated code, as the embedding search of
+:mod:`exturan.counting` is: for each vertex count n and uniformity s, the
+source of one function with one ``while`` loop per new vertex (its
+candidate mask ``c{j}``, the placed vertices' bits ``b0..b{j-1}``) and each
+of the level's link lookups and target-bit tests written out is built from
+integers and fixed names only, compiled with ``exec`` once and cached. The
+target is one int ``T`` whose bit p is the graph's own bit at colex
+position p. With at most ``MAX_CANONICAL_VERTICES`` = 12 vertices the
+function nests at most 11 loops, under CPython's limit of 20.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
 from .counting import HostIndex
 from .hypergraph import HypergraphError, UniformHypergraph, make
@@ -65,12 +74,57 @@ def _twin_classes(host: HostIndex) -> list[int]:
     return classes
 
 
-def _bits_of(n: int, s: int, edge_set) -> bytearray:
+@lru_cache(maxsize=256)
+def _relabel_kernel(n: int, s: int):
+    """The relabelling search of :func:`_improve_once` for n vertices and
+    uniformity s, as generated code: one ``while`` loop per new vertex but
+    the last, whose candidates are then a single bit. Only integers and
+    fixed names go into the source, which runs with no builtins.
+
+    Names: ``f{j}`` is the mask of the old vertices still free before new
+    vertex j is placed, ``c{j}`` its candidate mask and ``b{j}`` the bit of
+    the old vertex it holds; ``T`` is the target bitstring. Level j reads,
+    for every (s-1)-subset of the new vertices below j in colex order, the
+    link of the subset's image, ``h = get(b_a | b_b, 0) & c{j}``, and tests
+    it against ``T`` at the colex position of the subset plus j.
+
+    The function returns the bits of an improving prefix, the improving
+    vertex last, or None; it appends the bits of each tied leaf to
+    ``leaves``.
+    """
     pos = colex_position(n, s)
-    bits = bytearray(comb(n, s))
-    for e in edge_set:
-        bits[pos[e]] = 1
-    return bits
+    full = (1 << n) - 1
+    lines = ["def _search(get, T, twins, leaves):", f"    f0 = {full:d}"]
+    pad = "    "
+    for j in range(n):
+        fail = "continue" if j else "return None"
+        placed = "".join(f"b{a:d}, " for a in range(j))
+        lines.append(f"{pad}c{j:d} = f{j:d}")
+        if j < n - 1:  # one free vertex is its own twin class
+            lines += [f"{pad}for t in twins:",
+                      f"{pad}    t &= f{j:d}",
+                      f"{pad}    c{j:d} ^= t & (t - 1)"]
+        for sub in colex_subsets(j, s - 1):
+            image = " | ".join(f"b{a:d}" for a in sub) or "0"
+            lines += [f"{pad}h = get({image}, 0) & c{j:d}",
+                      f"{pad}if T >> {pos[sub + (j,)]:d} & 1:",
+                      f"{pad}    if not h:",
+                      f"{pad}        {fail}",
+                      f"{pad}    c{j:d} = h",
+                      f"{pad}elif h:",
+                      f"{pad}    return ({placed}h & -h,)"]
+        if j == n - 1:
+            lines.append(f"{pad}leaves.append(({placed}c{j:d},))")
+        else:
+            lines += [f"{pad}while c{j:d}:",
+                      f"{pad}    b{j:d} = c{j:d} & -c{j:d}",
+                      f"{pad}    c{j:d} ^= b{j:d}",
+                      f"{pad}    f{j + 1:d} = f{j:d} ^ b{j:d}"]
+            pad += "    "
+    lines.append("    return None")
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace["_search"]
 
 
 def _improve_once(host: HostIndex, s, automorphisms=None):
@@ -79,20 +133,19 @@ def _improve_once(host: HostIndex, s, automorphisms=None):
     Returns such a relabelling as a list giving the old vertex of each new
     one, or None if the graph is its own canonical form.
 
-    New vertex j holds old vertex ``perm[j]``. ``subs[k]`` lists, in colex
-    order, the old-vertex masks of the images of the k-subsets of the
-    positions placed so far; placing a vertex appends to each list, because
-    the k-subsets of 0..j are those of 0..j-1 followed by the (k-1)-subsets
-    of 0..j-1 extended by j. The bits of level j (the colex positions of the
-    s-sets whose largest element is j) then ask, for each mask m in
-    ``subs[s - 1]``, whether the candidate completes m to an edge, and the
-    index's ``links[m]`` answers that for all candidates at once. Scanning a
-    level narrows the candidate mask to those still equal to the graph's
-    own bitstring (the target); one with a 1 where the target has a 0 is an
-    improvement, and any completion of it improves the target. Equal
+    New vertex j holds old vertex ``perm[j]``. The bits of level j (the
+    colex positions of the s-sets whose largest element is j) ask, for each
+    (s-1)-subset of the new vertices below j, whether the candidate
+    completes the subset's image to an edge, and the index's link of that
+    image answers it for all candidates at once. Scanning a level narrows
+    the candidate mask ``c{j}`` to those still equal to the graph's own
+    bitstring ``T`` (the target); one with a 1 where the target has a 0 is
+    an improvement, and any completion of it improves the target. Equal
     branches are explored (they may diverge later); transposition twins are
     tried once per class, which is sound because the twin swap extends any
-    partial assignment to an equal-valued one.
+    partial assignment to an equal-valued one. The search runs as the code
+    :func:`_relabel_kernel` generates for (n, s), with the bit of the old
+    vertex placed at level j in ``b{j}``.
 
     A relabelling tied with the target at every level maps the edge set onto
     itself, so each such leaf, the identity among them, is an automorphism.
@@ -103,7 +156,10 @@ def _improve_once(host: HostIndex, s, automorphisms=None):
     n = host.n
     if n == 0:
         return None  # the empty relabelling is the only one
-    target = _bits_of(n, s, host.edges)
+    pos = colex_position(n, s)
+    target = 0
+    for e in host.edges:
+        target |= 1 << pos[e]
     # only the lowest free member of each twin class is a candidate
     twins = [c for c in _twin_classes(host) if c & (c - 1)]
     identity = list(range(n))
@@ -114,46 +170,17 @@ def _improve_once(host: HostIndex, s, automorphisms=None):
                 swap = identity[:]
                 swap[u], swap[v] = v, u
                 automorphisms.append(swap)
-    wants = [target[comb(j, s):comb(j + 1, s)] for j in range(n)]
-    get = host.links.get
-    perm = [-1] * n
-
-    def dfs(j, subs, free):
-        cand = free
-        for c in twins:
-            c &= free
-            cand ^= c & (c - 1)
-        for m, bit in zip(subs[s - 1], wants[j]):
-            hit = get(m, 0) & cand
-            if bit:
-                cand = hit
-                if not cand:
-                    return None
-            elif hit:
-                low = hit & -hit
-                perm[j] = low.bit_length() - 1
-                free ^= low
-                perm[j + 1:] = [u for u in range(n) if free >> u & 1]
-                return perm
-        if j + 1 == n:
-            if automorphisms is not None:
-                perm[j] = cand.bit_length() - 1
-                if perm != identity:
-                    automorphisms.append(perm[:])
-            return None
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            perm[j] = low.bit_length() - 1
-            nxt = [subs[0]]
-            for k in range(1, s):
-                nxt.append(subs[k] + [m | low for m in subs[k - 1]])
-            found = dfs(j + 1, nxt, free ^ low)
-            if found is not None:
-                return found
+    leaves = []
+    found = _relabel_kernel(n, s)(host.links.get, target, twins, leaves)
+    if automorphisms is not None:
+        for leaf in leaves:
+            perm = [b.bit_length() - 1 for b in leaf]
+            if perm != identity:
+                automorphisms.append(perm)
+    if found is None:
         return None
-
-    return dfs(0, [[0]] + [[] for _ in range(1, s)], (1 << n) - 1)
+    perm = [b.bit_length() - 1 for b in found]
+    return perm + [u for u in identity if u not in perm]
 
 
 def _guard(n: int):

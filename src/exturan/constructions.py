@@ -12,7 +12,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from .canonical import canonical_key, colex_subsets
@@ -71,9 +71,14 @@ class APFreeSet:
             raise HypergraphError("elements must be sorted and duplicate free")
         if elems and (min(elems) < 1 or max(elems) > self.n):
             raise HypergraphError(f"elements outside 1..{self.n}")
-        for ap in _progressions(self.n, self.r):
-            if elems.issuperset(ap):
-                raise HypergraphError(f"elements contain the progression {ap}")
+        # a progression inside the set starts with two of its elements; the
+        # first one in (difference, start) order is reported
+        first = min(((b - a, a) for a, b in combinations(self.elements, 2)
+                     if all(a + k * (b - a) in elems for k in range(2, self.r))), default=None)
+        if first is not None:
+            d, a = first
+            ap = tuple(a + k * d for k in range(self.r))
+            raise HypergraphError(f"elements contain the progression {ap}")
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -30,7 +30,8 @@ class HypergraphError(ValueError):
 class UniformHypergraph:
     """An s-uniform edge system on n labelled vertices.
 
-    Equality and hashing use exactly ``(n, s, edges)``. Instances should be
+    Equality and hashing use exactly ``(n, s, edges)``; the hash is computed
+    once, at construction. Instances should be
     built through :func:`make` (or the generators below), which normalize
     arbitrary edge lists; the constructor itself insists on canonical input.
     """
@@ -58,6 +59,12 @@ class UniformHypergraph:
                 raise HypergraphError("edge list is not sorted and duplicate free")
             prev = e
         object.__setattr__(self, "_edge_set", frozenset(self.edges))
+        # hashed once: the pattern caches of the embedding engine look a
+        # pattern up on every search
+        object.__setattr__(self, "_hash", hash((self.n, self.s, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     # -- queries ---------------------------------------------------------
 

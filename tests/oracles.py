@@ -143,6 +143,19 @@ def apfree_max_by_masks(n: int, r: int) -> int:
     return int(sizes[good].max())
 
 
+def first_progression(n: int, r: int, elements):
+    """The first r-term progression inside 1..n, in (difference, start)
+    order, whose terms all lie in ``elements``, or None: every progression
+    of the range is tried."""
+    elems = set(elements)
+    for d in range(1, (n - 1) // (r - 1) + 1):
+        for a in range(1, n - (r - 1) * d + 1):
+            ap = tuple(a + j * d for j in range(r))
+            if elems.issuperset(ap):
+                return ap
+    return None
+
+
 def brute_first_copy(host: UniformHypergraph, pattern: UniformHypergraph):
     """The lexicographically first embedding: the first image tuple, in
     ``permutations`` order, that maps every pattern edge onto a host edge."""

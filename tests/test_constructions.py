@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from exturan import constructions
 from exturan.constructions import (
     APFreeSet,
     ConstructionError,
@@ -32,6 +33,7 @@ from oracles import (
     apfree_max_by_masks,
     brute_subset_clash,
     brute_swap_violation,
+    first_progression,
     restart_deletion,
 )
 
@@ -103,6 +105,29 @@ class TestAPFreeSets:
     def test_exact_guard(self):
         with pytest.raises(HypergraphError):
             apfree_set(99, 3)
+
+    def test_check_does_not_scan_the_range(self, monkeypatch):
+        # the check reads pairs of elements, not every progression of 1..n
+        def refuse(n, r):
+            raise AssertionError("_progressions called")
+        monkeypatch.setattr(constructions, "_progressions", refuse)
+        assert len(APFreeSet(4000, 3, (), exact=False)) == 0
+        assert len(APFreeSet(4000, 3, (1, 2, 4, 3998, 4000), exact=False)) == 5
+        with pytest.raises(HypergraphError, match=r"\(3996, 3998, 4000\)"):
+            APFreeSet(4000, 3, (1, 2, 4, 3996, 3998, 4000), exact=False)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(3, 6), st.sets(st.integers(1, n)))))
+    def test_check_matches_exhaustive_scan(self, case):
+        n, r, elems = case
+        want = first_progression(n, r, elems)
+        if want is None:
+            assert APFreeSet(n, r, tuple(sorted(elems)), exact=False).elements == tuple(sorted(elems))
+        else:
+            with pytest.raises(HypergraphError) as err:
+                APFreeSet(n, r, tuple(sorted(elems)), exact=False)
+            assert str(err.value) == f"elements contain the progression {want}"
 
     def test_exact_matches_mask_oracle(self):
         for r in (3, 4):

@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 
 from exturan import extremal
 from exturan.canonical import (
+    MAX_CANONICAL_VERTICES,
+    _relabel_kernel,
     canonical_form,
     canonical_key,
     canonical_positions,
@@ -83,6 +85,33 @@ class TestCanonicalForm:
         want = brute_canonical_positions(g)
         assert canonical_positions(g.n, g.s, g.edge_set) == want
         assert is_canonical_raw(HostIndex(g.n, g.edges), g.s) == (own_positions(g) == want)
+
+    # past the n <= 6 of the property test: levels 6 and 7 of the search
+    @pytest.mark.parametrize("n, s, edges", [
+        (7, 2, [(0, 4), (4, 1), (1, 5), (5, 2), (2, 6), (6, 3), (3, 0), (0, 1)]),
+        (7, 2, [(0, 6), (1, 6), (2, 5), (3, 5), (2, 3), (4, 6), (0, 1), (1, 4)]),
+        (7, 3, [(6, 0, 1), (6, 2, 3), (6, 4, 5), (0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4)]),
+        (8, 2, [(0, 5), (5, 3), (3, 6), (6, 0), (1, 7), (7, 2), (2, 4), (4, 1),
+                (0, 1), (5, 7), (3, 2), (6, 4)]),
+        (8, 3, [(0, 1, 7), (1, 2, 7), (2, 3, 6), (3, 4, 6), (0, 4, 5), (5, 6, 7), (1, 3, 5)]),
+    ])
+    def test_matches_bruteforce_at_seven_and_eight_vertices(self, n, s, edges):
+        g = make(n, s, edges)
+        want = brute_canonical_positions(g)
+        assert canonical_positions(n, s, g.edge_set) == want
+        assert is_canonical_raw(HostIndex(n, g.edges), s) == (own_positions(g) == want)
+        assert is_canonical_raw(HostIndex(n, canonical_form(g).edges), s)
+
+    @pytest.mark.parametrize("s", range(1, MAX_CANONICAL_VERTICES + 1))
+    def test_kernel_at_the_vertex_cap(self, s):
+        # the generated search nests one loop per vertex but the last, and
+        # CPython compiles at most 20 nested blocks in one function
+        n = MAX_CANONICAL_VERTICES
+        assert callable(_relabel_kernel(n, s))
+        for g in (make(n, s, []), complete(n, s)):
+            assert is_canonical_raw(HostIndex(n, g.edges), s)
+        with pytest.raises(HypergraphError, match="at most"):
+            canonical_positions(n + 1, s, ())
 
 
 def complement(g):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -55,6 +57,17 @@ class TestMake:
     def test_equality_is_structural(self):
         assert make(3, 2, [[0, 1]]) == make(3, 2, [[1, 0]])
         assert make(3, 2, [[0, 1]]) != make(4, 2, [[0, 1]])
+
+    @given(hypergraphs(max_n=7, max_s=3))
+    def test_hash_is_structural(self, g):
+        # the hash is computed once, at construction, from (n, s, edges)
+        twins = [make(g.n, g.s, reversed(g.edges)), UniformHypergraph(g.n, g.s, tuple(g.edges)),
+                 UniformHypergraph.from_text(g.to_text()), pickle.loads(pickle.dumps(g))]
+        for h in twins:
+            assert h is not g
+            assert h == g and hash(h) == hash(g) == hash((g.n, g.s, g.edges))
+        assert {g: 1}[twins[0]] == 1
+        assert make(g.n + 1, g.s, g.edges) != g
 
 
 class TestCompletePartite:
