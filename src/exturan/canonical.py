@@ -42,34 +42,40 @@ def colex_position(n: int, s: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(colex_subsets(n, s))}
 
 
-def _twin_classes(host: HostIndex) -> list[int]:
-    """Vertex masks of the classes of transposition-interchangeable vertices
-    (swapping the two leaves the edge set invariant).
+@lru_cache(maxsize=None)
+def _link_keys(n: int, s: int) -> tuple[int, ...]:
+    """Masks of the (s-2)-subsets of n vertices; the empty set if s < 2."""
+    return tuple(sum(1 << v for v in q) for q in combinations(range(n), max(s - 2, 0)))
 
-    Twins have equal degree, and then swapping u and v maps the edges that
-    hold u but not v one-to-one onto the equally many that hold v but not u
-    as soon as each of the former has its swapped image in the edge set:
-    that image of an edge e is an edge iff v completes ``e ^ 1 << u``.
+
+def _twin_classes(host: HostIndex, s: int) -> list[int]:
+    """Vertex masks of the classes of transposition-interchangeable vertices
+    (swapping the two leaves the edge set invariant), compared within
+    degree groups, since twins have equal degree.
+
+    The swap fixes the edges holding both u and v or neither, and maps an
+    edge Q | u | w, Q an (s-2)-set avoiding u and v, to Q | v | w. So u and
+    v are twins iff for every such Q the links of Q | u and Q | v agree
+    outside u and v (bit v of one, bit u of the other: Q | u | v, fixed).
     Being twins is an equivalence: (u w) = (u v)(v w)(u v).
     """
-    n, links = host.n, host.links
-    inc = [[] for _ in range(n)]
-    for e, mask in host.edges.items():
-        for v in e:
-            inc[v].append(mask ^ 1 << v)
+    get, keys = host.links.get, _link_keys(host.n, s)
     by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(host.deg[v], []).append(v)
+    for v in range(host.n):
+        by_degree.setdefault(host.deg[v], []).append(1 << v)
     classes = []
     for group in by_degree.values():
         while group:
-            u, *others = group
-            cls, group = 1 << u, []
-            for v in others:
-                if all(links[rest] >> v & 1 for rest in inc[u] if not rest >> v & 1):
-                    cls |= 1 << v
+            bu, *others = group
+            cls, group = bu, []
+            for bv in others:
+                uv = bu | bv
+                for q in keys:
+                    if not q & uv and (get(q | bu, 0) ^ get(q | bv, 0)) & ~uv:
+                        group.append(bv)
+                        break
                 else:
-                    group.append(v)
+                    cls |= bv
             classes.append(cls)
     return classes
 
@@ -161,7 +167,7 @@ def _improve_once(host: HostIndex, s, automorphisms=None):
     for e in host.edges:
         target |= 1 << pos[e]
     # only the lowest free member of each twin class is a candidate
-    twins = [c for c in _twin_classes(host) if c & (c - 1)]
+    twins = [c for c in _twin_classes(host, s) if c & (c - 1)]
     identity = list(range(n))
     if automorphisms is not None:
         for c in twins:

@@ -91,15 +91,16 @@ def _compile(pattern: UniformHypergraph) -> PatternPlan:
 def _edge_starts(pattern: UniformHypergraph) -> tuple:
     """Walks that begin with the orderings of the pattern edges, one per
     orbit of those orderings under the automorphisms of the pattern, each
-    going on with the rest of the ``by_degree`` walk.
+    going on with the rest of the ``by_degree`` walk; each comes with its
+    "first" kernel, so a search pinned to a host edge makes no cache lookup.
 
     An embedding that sends ordering t onto a host edge, composed with an
     automorphism mapping an earlier kept ordering r onto t, sends r onto the
     same host edge, so t adds nothing. The automorphism is looked for as an
     embedding of the pattern into itself with r pinned to t, only when the
     two orderings have the same degrees. On a large pattern these searches
-    cost far more than one search of a host, so only
-    :func:`embeds_using_edge`, the one reader, builds the walks.
+    cost far more than one search of a host, so only the searches pinned to
+    a host edge build the walks.
     """
     itself = HostIndex(pattern.n, pattern.edges)
     deg = itself.deg
@@ -113,7 +114,18 @@ def _edge_starts(pattern: UniformHypergraph) -> tuple:
             if not any(k == key and _backtrack(itself, walk, pinned, mode="first") is not None
                        for k, walk in kept):
                 kept.append((key, _walk(pattern, deg, list(t) + rest)))
-    return tuple(walk for _, walk in kept)
+    return tuple((walk, _kernel(walk, pattern.s, "first")) for _, walk in kept)
+
+
+@lru_cache(maxsize=64)
+def _through_edge(pattern: UniformHypergraph) -> tuple:
+    """For each walk of :func:`_edge_starts`, its "count" kernel and |Stab|,
+    the automorphisms of the pattern that fix each vertex of the walk's first
+    edge: that kernel's count on the pattern itself, the edge pinned to itself."""
+    itself = HostIndex(pattern.n, pattern.edges)
+    return tuple((_kernel(walk, pattern.s, "count"),
+                  _backtrack(itself, walk, [(v,) for v in walk[0][:pattern.s]], mode="count"))
+                 for walk, _ in _edge_starts(pattern))
 
 
 class HostIndex:
@@ -395,11 +407,27 @@ def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph,
     if pattern.n > host.n:
         return None
     pinned = [(v,) for v in edge]
-    for walk in _edge_starts(pattern):
-        found = _backtrack(host, walk, pinned, mode="first")
+    get, deg, everyone = host.links.get, host.deg, (1 << host.n) - 1
+    for _, search in _edge_starts(pattern):
+        found = search(get, deg, everyone, pinned)
         if found is not None:
             return found
     return None
+
+
+def copies_through_edge(host: HostIndex, pattern: UniformHypergraph, edge: Edge) -> int:
+    """Number of copies of ``pattern`` through ``edge``, an edge of an
+    indexed host: each embedding using ``edge`` pins exactly one ordered
+    pattern edge onto it, each of the |Aut| / |Stab_i| orderings in the
+    orbit of walk i of :func:`_edge_starts` is pinned there by N_i of them,
+    and a copy is |Aut| embeddings, so the count is the sum of N_i / |Stab_i|.
+    """
+    if pattern.n > host.n:
+        return 0
+    pinned = [(v,) for v in edge]
+    get, deg, everyone = host.links.get, host.deg, (1 << host.n) - 1
+    return sum(count(get, deg, everyone, pinned) // stab
+               for count, stab in _through_edge(pattern))
 
 
 # ---------------------------------------------------------------------------

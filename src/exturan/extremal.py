@@ -9,9 +9,11 @@ Each node keeps the automorphisms its own canonicity test met; a candidate
 edge that one of them maps to an earlier colex position is skipped before
 any test, since that relabelling of the child beats the child's bitstring.
 Each isomorphism class is visited exactly once, so the value is independent
-of vertex labelling. Among maximizing witnesses the one with the
-lexicographically smallest canonical form is kept, which makes tables
-reproducible across runs and worker counts.
+of vertex labelling. A child's copy count is its parent's plus the copies
+through its new edge; only subtree roots and frontier nodes count in full.
+Among maximizing witnesses the one with the lexicographically smallest
+canonical form is kept, which makes tables reproducible across runs and
+worker counts.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .counting import (
     UniformityMismatch,
     automorphism_count,
     complete_subsets,
+    copies_through_edge,
     count_embeddings_raw,
     embeds_using_edge,
     is_blowup_free,
@@ -147,22 +150,24 @@ def _explore(ctx: _Ctx, positions, syms, deadline):
     and its whole subtree.
 
     ``syms`` are automorphisms of the root, as from ``is_canonical_raw``.
-    Returns (best value, best positions, nodes, timed_out); ties in value are
-    broken by :func:`_merge`.
+    Only the root is counted in full; a child's value is its parent's plus
+    :func:`copies_through_edge` of its new edge. Returns (best value, best
+    positions, nodes, timed_out); ties in value are broken by :func:`_merge`.
     """
     best = (ctx.counter(ctx.host), positions)
     nodes = 1
     timed = False
 
-    def rec(positions, syms):
+    def rec(value, positions, syms):
         nonlocal best, nodes
         for pos2, syms2 in _children(ctx, positions, syms, deadline):
             nodes += 1
-            best = _merge(best, (ctx.counter(ctx.host), pos2))
-            rec(pos2, syms2)
+            value2 = value + copies_through_edge(ctx.host, ctx.pattern, ctx.pot[pos2[-1]])
+            best = _merge(best, (value2, pos2))
+            rec(value2, pos2, syms2)
 
     try:
-        rec(positions, syms)
+        rec(best[0], positions, syms)
     except _Timeout:
         timed = True
     return best[0], best[1], nodes, timed

@@ -43,6 +43,29 @@ def brute_count_copies(host, pattern) -> int:
     return len(brute_embeddings(host, pattern)) // brute_automorphisms(pattern)
 
 
+def brute_twin_classes(g: UniformHypergraph) -> list[int]:
+    """Vertex masks of the classes of vertices whose swap maps the edge set
+    onto itself, found by swapping every pair; listed by degree groups in
+    the order of their least vertex, each group's classes by least vertex."""
+    es = g.edge_set
+
+    def twins(u, v):
+        swap = {u: v, v: u}
+        return {tuple(sorted(swap.get(w, w) for w in e)) for e in g.edges} == es
+
+    deg = [sum(v in e for e in g.edges) for v in range(g.n)]
+    lead = {}  # degree -> least vertex of that degree
+    for v in range(g.n):
+        lead.setdefault(deg[v], v)
+    classes, placed = [], set()
+    for u in range(g.n):
+        if u not in placed:
+            cls = [u] + [v for v in range(u + 1, g.n) if twins(u, v)]
+            placed.update(cls)
+            classes.append((lead[deg[u]], u, sum(1 << v for v in cls)))
+    return [mask for _, _, mask in sorted(classes)]
+
+
 def brute_cliques(g: UniformHypergraph, r: int):
     es = g.edge_set
     return [

@@ -19,6 +19,7 @@ from exturan.counting import (
     automorphism_count,
     cliques,
     contains,
+    copies_through_edge,
     count_copies,
     count_embeddings,
     edge_multiplicity,
@@ -155,7 +156,8 @@ class TestBacktrack:
         # few enough injective maps for the brute force: at most 20,160
         host = data.draw(hypergraphs(max_n={5: 9, 6: 8}.get(pattern.n, 12), min_s=s, max_s=s,
                                      min_n=s))
-        walk = data.draw(st.sampled_from([*_compile(pattern), *_edge_starts(pattern)]))
+        walk = data.draw(st.sampled_from([*_compile(pattern),
+                                          *(w for w, _ in _edge_starts(pattern))]))
         # domains in any order, often not ascending, empty, or past the last step
         domains = data.draw(st.lists(st.lists(st.integers(0, host.n - 1), unique=True),
                                      max_size=pattern.n + 1))
@@ -267,6 +269,33 @@ class TestEmbedsUsingEdge:
         if got is not None:
             # the returned mapping is an embedding whose image uses the edge
             assert got in using
+
+
+# per uniformity: cliques, C4 or two edges on a shared pair, a path, an
+# isolated vertex, a pattern with no automorphism but the identity, and
+# fewer vertices than an edge
+THROUGH_PATTERNS = {
+    2: [complete(3, 2), complete(4, 2), complete_partite(2, (2, 2))[0],
+        make(4, 2, [(0, 1), (1, 2), (2, 3)]), make(4, 2, [(0, 1), (0, 2), (1, 2)]),
+        make(6, 2, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)]), make(1, 2, [])],
+    3: [complete(4, 3), single_edge(3), complete_partite(3, (1, 1, 2))[0],
+        make(5, 3, [(0, 1, 2), (2, 3, 4)]), make(5, 3, [(0, 1, 2), (1, 2, 3)]),
+        make(6, 3, [(0, 1, 2), (0, 1, 3), (1, 3, 4), (0, 4, 5)]), make(2, 3, [])],
+}
+
+
+class TestCopiesThroughEdge:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_bruteforce_difference(self, data):
+        s = data.draw(st.sampled_from([2, 3]))
+        pattern = data.draw(st.sampled_from(THROUGH_PATTERNS[s]))
+        host = data.draw(hypergraphs(max_n=7, min_s=s, max_s=s, min_n=s)
+                         .filter(lambda h: h.m > 0))
+        edge = data.draw(st.sampled_from(host.edges))
+        without = make(host.n, s, [e for e in host.edges if e != edge])
+        want = brute_count_copies(host, pattern) - brute_count_copies(without, pattern)
+        assert copies_through_edge(HostIndex(host.n, host.edges), pattern, edge) == want
 
 
 class TestCountCopies:

@@ -11,6 +11,7 @@ from exturan import extremal
 from exturan.canonical import (
     MAX_CANONICAL_VERTICES,
     _relabel_kernel,
+    _twin_classes,
     canonical_form,
     canonical_key,
     canonical_positions,
@@ -39,6 +40,7 @@ from exturan.hypergraph import (
 from oracles import (
     brute_canonical_positions,
     brute_isomorphic,
+    brute_twin_classes,
     first_fit_heuristic,
     naive_max_copies,
     own_positions,
@@ -112,6 +114,15 @@ class TestCanonicalForm:
             assert is_canonical_raw(HostIndex(n, g.edges), s)
         with pytest.raises(HypergraphError, match="at most"):
             canonical_positions(n + 1, s, ())
+
+
+class TestTwinClasses:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_match_bruteforce(self, data):
+        g = data.draw(hypergraphs(max_n=7, min_s=1, max_s=4))
+        g = make(data.draw(st.integers(g.n, 7)), g.s, g.edges)  # isolated vertices
+        assert _twin_classes(HostIndex(g.n, g.edges), g.s) == brute_twin_classes(g)
 
 
 def complement(g):
@@ -203,6 +214,32 @@ class TestExactEx:
         assert (seq.value, seq.witness, seq.nodes) == (par.value, par.witness, par.nodes)
         if n == 5:
             assert seq.value == naive_max_copies(n, t, f)
+
+    # a child carries its parent's value plus the copies through its new
+    # edge; each merged value is recounted in full, in the pool workers too
+    # (they inherit the patched _merge by fork and raise to the parent)
+    @pytest.mark.parametrize("n, pattern, forbidden", [
+        (6, TRI, blowup(DIAMOND)[0]), (7, complete_partite(2, (1, 2))[0], C4)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_merged_value_is_a_full_recount(self, monkeypatch, n, pattern, forbidden,
+                                                  workers):
+        count = extremal._make_counter(n, pattern.s, pattern)
+        pot = colex_subsets(n, pattern.s)
+        merged = []
+        real = extremal._merge
+
+        def merge(a, b):
+            value, positions = b
+            assert count(HostIndex(n, [pot[p] for p in positions])) == value, positions
+            merged.append(b)
+            return real(a, b)
+
+        monkeypatch.setattr(extremal, "_merge", merge)
+        record = exact_ex(n, pattern, forbidden, workers=workers)
+        if workers == 1:
+            assert len(merged) == record.nodes - 1  # every node but the root
+        else:
+            assert len(merged) < record.nodes - 1  # the pool searched the rest
 
     def test_timeout_returns_heuristic_record(self):
         rec = exact_ex(8, EDGE, C4, timeout=0.0)
