@@ -13,12 +13,15 @@ colex position preserves canonicity, which is what the orderly search in
 The relabelling search is generated code, as the embedding search of
 :mod:`exturan.counting` is: for each vertex count n and uniformity s, the
 source of one function with one ``while`` loop per new vertex (its
-candidate mask ``c{j}``, the placed vertices' bits ``b0..b{j-1}``) and each
-of the level's link lookups and target-bit tests written out is built from
-integers and fixed names only, compiled with ``exec`` once and cached. The
-target is one int ``T`` whose bit p is the graph's own bit at colex
-position p. With at most ``MAX_CANONICAL_VERTICES`` = 12 vertices the
-function nests at most 11 loops, under CPython's limit of 20.
+candidate mask ``c{j}``, the placed vertices' bits ``b0..b{j-1}``) is built
+from integers and fixed names only, compiled with ``exec`` once and cached.
+The link of each placed (s-1)-set is read into a local once, when its last
+vertex is placed, and every deeper level ANDs that local with its
+candidates; each target-bit test is written out. The target is one int
+``T`` whose bit p is the graph's own bit at colex position p; the orderly
+search carries it from parent to child. With at most
+``MAX_CANONICAL_VERTICES`` = 12 vertices the function nests at most 11
+loops, under CPython's limit of 20.
 """
 
 from __future__ import annotations
@@ -89,10 +92,13 @@ def _relabel_kernel(n: int, s: int):
 
     Names: ``f{j}`` is the mask of the old vertices still free before new
     vertex j is placed, ``c{j}`` its candidate mask and ``b{j}`` the bit of
-    the old vertex it holds; ``T`` is the target bitstring. Level j reads,
-    for every (s-1)-subset of the new vertices below j in colex order, the
-    link of the subset's image, ``h = get(b_a | b_b, 0) & c{j}``, and tests
-    it against ``T`` at the colex position of the subset plus j.
+    the old vertex it holds; ``T`` is the target bitstring. Placing ``b{j}``
+    reads, once, the link of the image of each (s-1)-set of new vertices
+    that ends in j into a local named after the set, ``l{a}_{j}`` for s = 3
+    (``l``, the link of the empty set, is read at the start when s = 1).
+    Level j tests, for every (s-1)-subset of the new vertices below j in
+    colex order, ``h = l{...} & c{j}`` against the bit ``T & 1 << p`` at the
+    colex position p of the subset plus j.
 
     The function returns the bits of an improving prefix, the improving
     vertex last, or None; it appends the bits of each tied leaf to
@@ -100,7 +106,13 @@ def _relabel_kernel(n: int, s: int):
     """
     pos = colex_position(n, s)
     full = (1 << n) - 1
+
+    def link(sub):
+        return "l" + "_".join(f"{a:d}" for a in sub)
+
     lines = ["def _search(get, T, twins, leaves):", f"    f0 = {full:d}"]
+    if s == 1:
+        lines.append("    l = get(0, 0)")
     pad = "    "
     for j in range(n):
         fail = "continue" if j else "return None"
@@ -111,9 +123,8 @@ def _relabel_kernel(n: int, s: int):
                       f"{pad}    t &= f{j:d}",
                       f"{pad}    c{j:d} ^= t & (t - 1)"]
         for sub in colex_subsets(j, s - 1):
-            image = " | ".join(f"b{a:d}" for a in sub) or "0"
-            lines += [f"{pad}h = get({image}, 0) & c{j:d}",
-                      f"{pad}if T >> {pos[sub + (j,)]:d} & 1:",
+            lines += [f"{pad}h = {link(sub)} & c{j:d}",
+                      f"{pad}if T & {1 << pos[sub + (j,)]:d}:",
                       f"{pad}    if not h:",
                       f"{pad}        {fail}",
                       f"{pad}    c{j:d} = h",
@@ -127,17 +138,21 @@ def _relabel_kernel(n: int, s: int):
                       f"{pad}    c{j:d} ^= b{j:d}",
                       f"{pad}    f{j + 1:d} = f{j:d} ^ b{j:d}"]
             pad += "    "
+            for sub in colex_subsets(j, s - 2) if s > 1 else ():
+                image = " | ".join(f"b{a:d}" for a in sub + (j,))
+                lines.append(f"{pad}{link(sub + (j,))} = get({image}, 0)")
     lines.append("    return None")
     namespace = {"__builtins__": {}}
     exec("\n".join(lines), namespace)
     return namespace["_search"]
 
 
-def _improve_once(host: HostIndex, s, automorphisms=None):
+def _improve_once(host: HostIndex, s, automorphisms=None, target=None):
     """Search for a relabelling whose bitstring exceeds the graph's own.
 
     Returns such a relabelling as a list giving the old vertex of each new
-    one, or None if the graph is its own canonical form.
+    one, or None if the graph is its own canonical form. ``target``, if
+    given, is the graph's own bitstring, else it is built from the edges.
 
     New vertex j holds old vertex ``perm[j]``. The bits of level j (the
     colex positions of the s-sets whose largest element is j) ask, for each
@@ -162,10 +177,11 @@ def _improve_once(host: HostIndex, s, automorphisms=None):
     n = host.n
     if n == 0:
         return None  # the empty relabelling is the only one
-    pos = colex_position(n, s)
-    target = 0
-    for e in host.edges:
-        target |= 1 << pos[e]
+    if target is None:
+        pos = colex_position(n, s)
+        target = 0
+        for e in host.edges:
+            target |= 1 << pos[e]
     # only the lowest free member of each twin class is a candidate
     twins = [c for c in _twin_classes(host, s) if c & (c - 1)]
     identity = list(range(n))
@@ -197,7 +213,7 @@ def _guard(n: int):
         )
 
 
-def is_canonical_raw(host: HostIndex, s: int, symmetries=None) -> bool:
+def is_canonical_raw(host: HostIndex, s: int, symmetries=None, target=None) -> bool:
     """Is the s-uniform graph held by ``host`` already its own canonical form?
 
     That is, does no relabelling beat the graph's own bitstring; one search
@@ -207,10 +223,14 @@ def is_canonical_raw(host: HostIndex, s: int, symmetries=None) -> bool:
     transpositions of each twin class and every non-identity relabelling
     that ties with the graph's own bitstring. They need not generate the
     whole group. A non-canonical graph appends nothing.
+
+    ``target`` may give the graph's own bitstring, bit p set iff the s-set
+    at colex position p is an edge, so that a caller extending a graph one
+    edge at a time need not rebuild it.
     """
     _guard(host.n)
     found = [] if symmetries is not None else None
-    if _improve_once(host, s, found) is not None:
+    if _improve_once(host, s, found, target) is not None:
         return False
     if found:
         symmetries.extend(found)

@@ -25,6 +25,7 @@ import random
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from multiprocessing import get_context
@@ -124,9 +125,9 @@ class _Ctx:
         self.s = s
         self.pot = colex_subsets(n, s)
         self.M = len(self.pot)
-        self.masks = [sum(1 << v for v in e) for e in self.pot]
         self.pattern = pattern
         self.counter = _make_counter(n, s, pattern)
+        self.moved = _moved_below(s)
         self.forbidden = forbidden
         # a host with fewer edges than F, or fewer vertices, holds no copy of it
         self.fb_min = forbidden.m if forbidden.n <= n else self.M + 1
@@ -145,29 +146,31 @@ class _Timeout(Exception):
     pass
 
 
-def _explore(ctx: _Ctx, positions, syms, deadline):
+def _explore(ctx: _Ctx, positions, syms, target, deadline):
     """Evaluate the canonical F-free root whose edges ``ctx.host`` holds,
-    and its whole subtree.
+    and its whole subtree, depth first.
 
-    ``syms`` are automorphisms of the root, as from ``is_canonical_raw``.
-    Only the root is counted in full; a child's value is its parent's plus
-    :func:`copies_through_edge` of its new edge. Returns (best value, best
-    positions, nodes, timed_out); ties in value are broken by :func:`_merge`.
+    ``syms`` are the root's automorphisms, as from ``is_canonical_raw``, and
+    ``target`` its bitstring. Only the root is counted in full; a child's
+    value is its parent's plus :func:`copies_through_edge` of its new edge. ``stack`` holds (value, children) for each node on the path.
+    Returns (best value, best positions, nodes, timed_out); ties in value
+    are broken by :func:`_merge`.
     """
     best = (ctx.counter(ctx.host), positions)
     nodes = 1
     timed = False
-
-    def rec(value, positions, syms):
-        nonlocal best, nodes
-        for pos2, syms2 in _children(ctx, positions, syms, deadline):
-            nodes += 1
-            value2 = value + copies_through_edge(ctx.host, ctx.pattern, ctx.pot[pos2[-1]])
-            best = _merge(best, (value2, pos2))
-            rec(value2, pos2, syms2)
-
+    stack = [(best[0], _children(ctx, positions, syms, target, deadline))]
     try:
-        rec(best[0], positions, syms)
+        while stack:
+            value, kids = stack[-1]
+            child = next(kids, None)
+            if child is None:
+                stack.pop()
+                continue
+            nodes += 1
+            value += copies_through_edge(ctx.host, ctx.pattern, ctx.pot[child[0][-1]])
+            best = _merge(best, (value, child[0]))
+            stack.append((value, _children(ctx, *child, deadline)))
     except _Timeout:
         timed = True
     return best[0], best[1], nodes, timed
@@ -194,23 +197,41 @@ def _at_node(ctx: _Ctx, positions) -> None:
     ctx.host = HostIndex(ctx.n, [ctx.pot[p] for p in positions])
 
 
-def _worker_run(positions, syms):
+def _worker_run(positions, syms, target):
     ctx = _WORKER_CTX["ctx"]
     _at_node(ctx, positions)
-    return _explore(ctx, positions, syms, _WORKER_CTX["deadline"])
+    return _explore(ctx, positions, syms, target, _WORKER_CTX["deadline"])
 
 
 def _root(ctx: _Ctx):
-    """The empty graph as a search node: positions and automorphisms."""
+    """The empty graph as a search node: positions, automorphisms, bitstring."""
     syms: list = []
     is_canonical_raw(ctx.host, ctx.s, syms)
-    return (), syms
+    return (), syms, 0
 
 
-def _children(ctx: _Ctx, positions, syms, deadline):
+@lru_cache(maxsize=None)
+def _moved_below(s: int):
+    """``moved(syms, e)``: does an automorphism in ``syms``, a list of vertex
+    images, map the s-set ``e`` to a smaller vertex mask? Generated per s as
+    the kernels of :mod:`exturan.canonical` are, with ``e`` unpacked."""
+    names = [f"a{i:d}" for i in range(s)]
+    lines = ["def _moved(syms, e):",
+             f"    {', '.join(names)}, = e",
+             f"    m = {' | '.join(f'1 << {a}' for a in names)}",
+             "    for g in syms:",
+             f"        if {' | '.join(f'1 << g[{a}]' for a in names)} < m:",
+             "            return True",
+             "    return False"]
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace["_moved"]
+
+
+def _children(ctx: _Ctx, positions, syms, target, deadline):
     """The canonical F-free one-edge extensions of the node ``ctx.host``
-    holds, in position order, each with the automorphisms its canonicity
-    test met.
+    holds, whose bitstring is ``target``, in position order, each as a
+    node: positions, the automorphisms its canonicity test met, bitstring.
 
     Each candidate edge is added to ``ctx.host`` for its tests and stays
     there while its child is yielded; it is removed before the next
@@ -222,22 +243,22 @@ def _children(ctx: _Ctx, positions, syms, deadline):
     position where the child has a 0, and the child is not canonical.
     Raises _Timeout before any candidate tried after ``deadline``.
     """
-    host = ctx.host
+    host, moved = ctx.host, ctx.moved
     start = positions[-1] + 1 if positions else 0
     for p in range(start, ctx.M):
         if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
         e = ctx.pot[p]
-        mask = ctx.masks[p]
-        if any(sum(1 << g[v] for v in e) < mask for g in syms):
+        if moved(syms, e):
             continue
         host.add(e)
         try:
             if ctx.forbidden_copy(e) is not None:
                 continue
             syms2: list = []
-            if is_canonical_raw(host, ctx.s, syms2):
-                yield positions + (p,), syms2
+            target2 = target | 1 << p
+            if is_canonical_raw(host, ctx.s, syms2, target2):
+                yield positions + (p,), syms2, target2
         finally:
             host.remove(e)
 
@@ -253,12 +274,12 @@ def _parallel_search(ctx: _Ctx, workers, deadline):
     try:
         while frontier and len(frontier) < target:
             nxt = []
-            for positions, syms in frontier:
+            for node in frontier:
                 nodes += 1
-                _at_node(ctx, positions)
+                _at_node(ctx, node[0])
                 val = ctx.counter(ctx.host)
-                best = _merge(best, (val, positions))
-                nxt.extend(_children(ctx, positions, syms, deadline))
+                best = _merge(best, (val, node[0]))
+                nxt.extend(_children(ctx, *node, deadline))
             frontier = nxt
     except _Timeout:
         frontier, timed = [], True
@@ -350,7 +371,9 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
 
     Repeatedly grows a maximal F-free host by shuffled first-fit edge
     additions, records its pattern count, then perturbs by dropping a few
-    random edges (occasionally restarting). Worst case the empty host with
+    random edges (occasionally restarting). The count is carried: each
+    added edge adds the copies through it and each dropped edge takes its
+    copies away before it goes. Worst case the empty host with
     value 0 is returned; with n < s there is no edge to try and it is
     returned at once.
 
@@ -368,7 +391,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
 
     host = ctx.host
     edges = host.edges
-    best_val = ctx.counter(host)
+    best_val = val = empty = ctx.counter(host)
     best_edges: tuple = ()
     kept: dict = {}  # rejected edge -> the other edges of the copy that rejected it
     steps = 0
@@ -389,7 +412,8 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
                 host.remove(e)
                 images = (tuple(sorted(found[v] for v in f)) for f in forbidden_g.edges)
                 kept[e] = [f for f in images if f != e]
-        val = ctx.counter(host)
+            else:
+                val += copies_through_edge(host, pattern, e)
         if val > best_val:
             best_val = val
             best_edges = tuple(sorted(edges))
@@ -397,10 +421,13 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
             break
         if edges and rng.random() < 0.85:
             for _ in range(rng.randint(1, max(1, len(edges) // 4))):
-                host.remove(rng.choice(sorted(edges)))
+                e = rng.choice(sorted(edges))
+                val -= copies_through_edge(host, pattern, e)
+                host.remove(e)
         else:
             for e in list(edges):
                 host.remove(e)
+            val = empty
 
     return _record(ctx, best_edges, best_val, "heuristic", steps, t0)
 

@@ -1,7 +1,10 @@
+import gc
 import json
 import random
+import re
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from exturan.canonical import (
     colex_subsets,
     is_canonical_raw,
 )
+from exturan.cli import parse_pattern_spec
 from exturan.counting import HostIndex
 from exturan.extremal import (
     CacheIntegrityError,
@@ -107,13 +111,15 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("s", range(1, MAX_CANONICAL_VERTICES + 1))
     def test_kernel_at_the_vertex_cap(self, s):
         # the generated search nests one loop per vertex but the last, and
-        # CPython compiles at most 20 nested blocks in one function
-        n = MAX_CANONICAL_VERTICES
-        assert callable(_relabel_kernel(n, s))
-        for g in (make(n, s, []), complete(n, s)):
-            assert is_canonical_raw(HostIndex(n, g.edges), s)
+        # CPython compiles at most 20 nested blocks in one function; every
+        # placed set reads its link into a local of its own, so each n up to
+        # the cap builds a different function
+        for n in range(s, MAX_CANONICAL_VERTICES + 1):
+            assert callable(_relabel_kernel(n, s))
+            for g in (make(n, s, []), complete(n, s)):
+                assert is_canonical_raw(HostIndex(n, g.edges), s)
         with pytest.raises(HypergraphError, match="at most"):
-            canonical_positions(n + 1, s, ())
+            canonical_positions(MAX_CANONICAL_VERTICES + 1, s, ())
 
 
 class TestTwinClasses:
@@ -158,6 +164,35 @@ class TestSymmetries:
         for e in colex_subsets(parent.n, parent.s)[last + 1:]:
             if any(image_mask(perm, e) < image_mask(range(parent.n), e) for perm in syms):
                 assert not is_canonical_raw(HostIndex(parent.n, parent.edges + (e,)), parent.s)
+
+
+class TestCarriedTarget:
+    # the orderly search passes each child its parent's bitstring plus the
+    # new edge's bit instead of letting the test rebuild it from the edges
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_rebuilt_target_along_orderly_paths(self, data):
+        s = data.draw(st.integers(1, 4), label="s")
+        n = data.draw(st.integers(s, min(8, s + 4)), label="n")
+        rnd = data.draw(st.randoms(use_true_random=False), label="rnd")
+        pot = colex_subsets(n, s)
+        host, target, last = HostIndex(n), 0, -1
+        while True:
+            kids = []
+            for p in range(last + 1, len(pot)):
+                host.add(pot[p])
+                carried, rebuilt = [], []
+                verdict = is_canonical_raw(host, s, carried, target | 1 << p)
+                assert verdict == is_canonical_raw(host, s, rebuilt)
+                assert carried == rebuilt
+                if verdict:
+                    kids.append(p)
+                host.remove(pot[p])
+            if not kids:
+                break
+            last = rnd.choice(kids)
+            host.add(pot[last])
+            target |= 1 << last
 
 
 class TestExactEx:
@@ -264,10 +299,23 @@ class TestExactEx:
         par.verify()
         cut.verify()
 
+    def test_search_leaves_no_reference_cycle(self):
+        # the search state goes with the call, not to the cyclic collector
+        exact_ex(7, TRI, DIAMOND)  # compile the kernels first
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            exact_ex(7, TRI, DIAMOND)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_pool_worker_reports_its_timeout(self, monkeypatch):
         monkeypatch.setattr(extremal, "_WORKER_CTX", {})
         extremal._worker_init((8, 2, EDGE, C4, time.monotonic()))
-        val, pos, nodes, timed = extremal._worker_run((), [])
+        val, pos, nodes, timed = extremal._worker_run((), [], 0)
         assert timed and (val, pos, nodes) == (0, (), 1)
 
     def test_monotone_in_n(self):
@@ -386,6 +434,24 @@ def assert_replays(n, pattern, forbidden, seed, budget):
     rec = heuristic_lower(n, pattern, forbidden, seed=seed, budget=budget)
     value, witness = first_fit_heuristic(n, pattern, forbidden, seed, budget)
     assert (rec.value, rec.witness) == (value, witness)
+
+
+# the exact-cold benchmark pins the node count of each instance; a search
+# change that visits other nodes fails here, not only in the benchmark
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_node_counts_match_the_benchmark_pins():
+    jobs = json.loads(REFERENCE.read_text(encoding="utf-8"))["jobs"]
+    checked = 0
+    for job, pin in jobs.items():
+        m = re.fullmatch(r"ex:([^/]+)/([^:]+):n=(\d+)", job)
+        if m is None or int(m[3]) > 7:
+            continue
+        rec = exact_ex(int(m[3]), parse_pattern_spec(m[1]), parse_pattern_spec(m[2]))
+        assert rec.nodes == pin["nodes"], job
+        checked += 1
+    assert checked >= 20
 
 
 def test_exact_ten_vertices_c4_free():
