@@ -14,7 +14,8 @@ The relabelling search is generated code, as the embedding search of
 :mod:`exturan.counting` is: for each vertex count n and uniformity s, the
 source of one function with one ``while`` loop per new vertex (its
 candidate mask ``c{j}``, the placed vertices' bits ``b0..b{j-1}``) is built
-from integers and fixed names only, compiled with ``exec`` once and cached.
+from integers and fixed names only, compiled once under a file name of its
+own (:func:`exturan.counting.compile_kernel`) and cached.
 The link of each placed (s-1)-set is read into a local once, when its last
 vertex is placed, and every deeper level ANDs that local with its
 candidates; each target-bit test is written out. The target is one int
@@ -29,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .counting import HostIndex
+from .counting import HostIndex, compile_kernel
 from .hypergraph import HypergraphError, UniformHypergraph, make
 
 MAX_CANONICAL_VERTICES = 12  # permutation search envelope
@@ -142,9 +143,7 @@ def _relabel_kernel(n: int, s: int):
                 image = " | ".join(f"b{a:d}" for a in sub + (j,))
                 lines.append(f"{pad}{link(sub + (j,))} = get({image}, 0)")
     lines.append("    return None")
-    namespace = {"__builtins__": {}}
-    exec("\n".join(lines), namespace)
-    return namespace["_search"]
+    return compile_kernel(lines, "_search", f"n={n:d} s={s:d}")
 
 
 def _improve_once(host: HostIndex, s, automorphisms=None, target=None):

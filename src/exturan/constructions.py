@@ -84,6 +84,15 @@ class APFreeSet:
         return len(self.elements)
 
 
+def _aps_through(n: int, r: int) -> dict:
+    """The r-term progressions in 1..n through each element."""
+    aps_through = defaultdict(list)
+    for ap in _progressions(n, r):
+        for x in ap:
+            aps_through[x].append(ap)
+    return aps_through
+
+
 def _extends_apfree(chosen: set, x: int, aps_through) -> bool:
     for ap in aps_through[x]:
         if all(y == x or y in chosen for y in ap):
@@ -92,10 +101,7 @@ def _extends_apfree(chosen: set, x: int, aps_through) -> bool:
 
 
 def _greedy_apfree(n: int, r: int) -> list[int]:
-    aps_through = defaultdict(list)
-    for ap in _progressions(n, r):
-        for x in ap:
-            aps_through[x].append(ap)
+    aps_through = _aps_through(n, r)
     chosen: set = set()
     for x in range(1, n + 1):
         if _extends_apfree(chosen, x, aps_through):
@@ -105,14 +111,10 @@ def _greedy_apfree(n: int, r: int) -> list[int]:
 
 def _exact_apfree(n: int, r: int) -> list[int]:
     """Maximum progression-free subset by branch and bound over elements."""
-    aps_through = defaultdict(list)
-    for ap in _progressions(n, r):
-        for x in ap:
-            aps_through[x].append(ap)
+    aps_through = _aps_through(n, r)
     best_set = _greedy_apfree(n, r)
     best = len(best_set)
     chosen: set = set()
-    stack: list[int] = []
 
     def dfs(x: int):
         nonlocal best, best_set

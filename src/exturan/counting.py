@@ -11,7 +11,8 @@ placed parts (the common-link step) instead of scanning every host vertex.
 The backtracker is generated code: for each compiled walk, number of domain
 steps and search mode, the source of one function with one nested loop per
 step (its link AND and degree test written out) is built from the walk's
-integers and fixed names only, compiled with ``exec`` once and cached.
+integers and fixed names only, compiled once under a file name of its own
+(:func:`compile_kernel`) and cached.
 CPython compiles at most 20 nested loops in one function, so a longer walk
 becomes a chain of such functions, 20 steps each, whose innermost loop calls
 the next with the vertices placed so far.
@@ -177,6 +178,16 @@ class HostIndex:
 _MAX_LOOPS = 20  # CPython compiles no function with more nested loops
 
 
+def compile_kernel(lines, name: str, tag: str):
+    """The function ``name`` that the generated source ``lines`` defines,
+    run with no builtins. The source compiles under the file name
+    ``<exturan:{name} {tag}>``, so profiles and tracebacks keep kernels of
+    different sizes apart."""
+    namespace = {"__builtins__": {}}
+    exec(compile("\n".join(lines), f"<exturan:{name} {tag}>", "exec"), namespace)
+    return namespace[name]
+
+
 @lru_cache(maxsize=256)
 def _kernel(walk, ndom: int, mode: str):
     """The search along ``walk`` whose first ``ndom`` steps read domains, in
@@ -252,9 +263,8 @@ def _kernel(walk, ndom: int, mode: str):
                            "count": [f"{pad}count += {call}"],
                            "all": [pad + call]}[mode])
         lines.append(f"    {tail}")
-    namespace = {"__builtins__": {}}
-    exec("\n".join(lines), namespace)
-    return namespace["_k0"]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+    return compile_kernel(lines, "_k0", f"{mode} steps={size:d} ndom={ndom:d} {digest}")
 
 
 def _backtrack(host: HostIndex, walk, domains=(), *, mode):
@@ -348,10 +358,7 @@ def count_embeddings(host: UniformHypergraph, pattern: UniformHypergraph) -> int
     """Number of labelled (injective) embeddings of ``pattern`` in ``host``."""
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
-    if pattern.n > host.n:
-        return 0
-    return _backtrack(HostIndex(host.n, host.edges), _compile(pattern).by_degree,
-                      mode="count")
+    return count_embeddings_raw(HostIndex(host.n, host.edges), pattern)
 
 
 def all_embeddings(host: UniformHypergraph, pattern: UniformHypergraph,

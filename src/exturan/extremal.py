@@ -10,7 +10,7 @@ edge that one of them maps to an earlier colex position is skipped before
 any test, since that relabelling of the child beats the child's bitstring.
 Each isomorphism class is visited exactly once, so the value is independent
 of vertex labelling. A child's copy count is its parent's plus the copies
-through its new edge; only subtree roots and frontier nodes count in full.
+through its new edge; only the root counts in full.
 Among maximizing witnesses the one with the lexicographically smallest
 canonical form is kept, which makes tables reproducible across runs and
 worker counts.
@@ -25,7 +25,7 @@ import random
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 from multiprocessing import get_context
@@ -36,6 +36,7 @@ from .counting import (
     HostIndex,
     UniformityMismatch,
     automorphism_count,
+    compile_kernel,
     complete_subsets,
     copies_through_edge,
     count_embeddings_raw,
@@ -146,20 +147,31 @@ class _Timeout(Exception):
     pass
 
 
-def _explore(ctx: _Ctx, positions, syms, target, deadline):
-    """Evaluate the canonical F-free root whose edges ``ctx.host`` holds,
-    and its whole subtree, depth first.
+_SPLIT = 5  # the depth whose nodes are dealt to the shards of a pool search
 
-    ``syms`` are the root's automorphisms, as from ``is_canonical_raw``, and
-    ``target`` its bitstring. Only the root is counted in full; a child's
-    value is its parent's plus :func:`copies_through_edge` of its new edge. ``stack`` holds (value, children) for each node on the path.
+
+def _explore(ctx: _Ctx, deadline, shard=0, shards=1):
+    """Search from the empty graph, whose edges ``ctx.host`` holds, depth
+    first, children in position order.
+
+    The nodes at depth ``_SPLIT`` are dealt round robin to ``shards``
+    shards, in the order the walk meets them, and this call descends only
+    into those of ``shard``. Every shard walks the nodes above that depth,
+    but only shard 0 counts and merges them, so the shards' node counts add
+    up to that of the unsplit search; the deal starts at shard 1, since
+    shard 0 holds those nodes. Only the root is counted in full; a
+    child's value is its parent's plus :func:`copies_through_edge` of its
+    new edge. ``stack`` holds (value, children) for each node on the path.
     Returns (best value, best positions, nodes, timed_out); ties in value
     are broken by :func:`_merge`.
     """
-    best = (ctx.counter(ctx.host), positions)
-    nodes = 1
+    syms: list = []
+    is_canonical_raw(ctx.host, ctx.s, syms)
+    best = (ctx.counter(ctx.host), ())
+    nodes = 1 if shard == 0 else 0
+    turn = 1 % shards  # the shard dealt the next node at depth _SPLIT
     timed = False
-    stack = [(best[0], _children(ctx, positions, syms, target, deadline))]
+    stack = [(best[0], _children(ctx, (), syms, 0, deadline))]
     try:
         while stack:
             value, kids = stack[-1]
@@ -167,9 +179,15 @@ def _explore(ctx: _Ctx, positions, syms, target, deadline):
             if child is None:
                 stack.pop()
                 continue
-            nodes += 1
+            depth = len(stack)
+            if depth == _SPLIT:
+                turn, owner = (turn + 1) % shards, turn
+                if owner != shard:
+                    continue
             value += copies_through_edge(ctx.host, ctx.pattern, ctx.pot[child[0][-1]])
-            best = _merge(best, (value, child[0]))
+            if depth >= _SPLIT or shard == 0:
+                nodes += 1
+                best = _merge(best, (value, child[0]))
             stack.append((value, _children(ctx, *child, deadline)))
     except _Timeout:
         timed = True
@@ -186,28 +204,13 @@ def _merge(a, b):
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(payload):
-    n, s, pattern, forbidden, deadline = payload
-    _WORKER_CTX["ctx"] = _Ctx(n, s, pattern, forbidden)
+def _worker_init(ctx: _Ctx, deadline):
+    _WORKER_CTX["ctx"] = ctx
     _WORKER_CTX["deadline"] = deadline
 
 
-def _at_node(ctx: _Ctx, positions) -> None:
-    """Point ``ctx.host`` at the node with the given edge positions."""
-    ctx.host = HostIndex(ctx.n, [ctx.pot[p] for p in positions])
-
-
-def _worker_run(positions, syms, target):
-    ctx = _WORKER_CTX["ctx"]
-    _at_node(ctx, positions)
-    return _explore(ctx, positions, syms, target, _WORKER_CTX["deadline"])
-
-
-def _root(ctx: _Ctx):
-    """The empty graph as a search node: positions, automorphisms, bitstring."""
-    syms: list = []
-    is_canonical_raw(ctx.host, ctx.s, syms)
-    return (), syms, 0
+def _worker_run(shard, shards):
+    return _explore(_WORKER_CTX["ctx"], _WORKER_CTX["deadline"], shard, shards)
 
 
 @lru_cache(maxsize=None)
@@ -223,9 +226,7 @@ def _moved_below(s: int):
              f"        if {' | '.join(f'1 << g[{a}]' for a in names)} < m:",
              "            return True",
              "    return False"]
-    namespace = {"__builtins__": {}}
-    exec("\n".join(lines), namespace)
-    return namespace["_moved"]
+    return compile_kernel(lines, "_moved", f"s={s:d}")
 
 
 def _children(ctx: _Ctx, positions, syms, target, deadline):
@@ -264,35 +265,13 @@ def _children(ctx: _Ctx, positions, syms, target, deadline):
 
 
 def _parallel_search(ctx: _Ctx, workers, deadline):
-    # expand a frontier breadth-first, evaluating shallow nodes inline, then
-    # hand subtrees to the pool; the merge rule is order independent.
-    target = max(16, 4 * workers)
-    frontier = [_root(ctx)]
-    best = (-1, None)
-    nodes = 0
-    timed = False
-    try:
-        while frontier and len(frontier) < target:
-            nxt = []
-            for node in frontier:
-                nodes += 1
-                _at_node(ctx, node[0])
-                val = ctx.counter(ctx.host)
-                best = _merge(best, (val, node[0]))
-                nxt.extend(_children(ctx, *node, deadline))
-            frontier = nxt
-    except _Timeout:
-        frontier, timed = [], True
-    if frontier:
-        payload = (ctx.n, ctx.s, ctx.pattern, ctx.forbidden, deadline)
-        mp = get_context("fork")
-        with mp.Pool(workers, initializer=_worker_init, initargs=(payload,)) as pool:
-            results = pool.starmap(_worker_run, frontier)
-        for val, pos, sub_nodes, sub_timed in results:
-            nodes += sub_nodes
-            best = _merge(best, (val, pos))
-            timed = timed or sub_timed
-    return best[0], best[1], nodes, timed
+    """One shard of :func:`_explore` per worker of a fork pool, which
+    inherits ``ctx`` unpickled; the merge rule is order independent."""
+    mp = get_context("fork")
+    with mp.Pool(workers, initializer=_worker_init, initargs=(ctx, deadline)) as pool:
+        results = pool.starmap(_worker_run, [(w, workers) for w in range(workers)])
+    best = reduce(_merge, [(val, pos) for val, pos, _, _ in results])
+    return best[0], best[1], sum(r[2] for r in results), any(r[3] for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +336,7 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
     if workers > 1:
         val, pos, nodes, timed = _parallel_search(ctx, workers, deadline)
     else:
-        val, pos, nodes, timed = _explore(ctx, *_root(ctx), deadline)
+        val, pos, nodes, timed = _explore(ctx, deadline)
     record = _record(ctx, [ctx.pot[p] for p in pos], val,
                      "heuristic" if timed else "exact", nodes, t0)
     if cache is not None and not timed:

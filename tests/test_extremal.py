@@ -121,6 +121,12 @@ class TestCanonicalForm:
         with pytest.raises(HypergraphError, match="at most"):
             canonical_positions(MAX_CANONICAL_VERTICES + 1, s, ())
 
+    def test_kernels_of_different_sizes_compile_under_different_file_names(self):
+        # profilers key functions by (file, line, name), and every kernel
+        # defines its function at line 1 under one name
+        names = {_relabel_kernel(n, 2).__code__.co_filename for n in (7, 8)}
+        assert names == {"<exturan:_search n=7 s=2>", "<exturan:_search n=8 s=2>"}
+
 
 class TestTwinClasses:
     @settings(max_examples=300)
@@ -233,9 +239,10 @@ class TestExactEx:
         par = exact_ex(6, TRI, DIAMOND, workers=4)
         assert (seq.value, seq.witness, seq.nodes) == (par.value, par.witness, par.nodes)
 
-    # the pool only starts once the frontier reaches 16 nodes, which takes
-    # n = 6 and a dense F; naive_max_copies enumerates all 2^C(n, s) hosts
-    # (about 10 s at C(6, 2) = 15), so it checks the value at n = 5 only
+    # the pool deals the nodes at depth 5 to its workers, and a tree that
+    # never reaches that depth is searched by worker 0 alone; naive_max_copies
+    # enumerates all 2^C(n, s) hosts (about 10 s at C(6, 2) = 15), so it
+    # checks the value at n = 5 only
     @settings(max_examples=20)
     @given(data=st.data())
     def test_serial_pool_and_naive_agree(self, data):
@@ -252,7 +259,8 @@ class TestExactEx:
 
     # a child carries its parent's value plus the copies through its new
     # edge; each merged value is recounted in full, in the pool workers too
-    # (they inherit the patched _merge by fork and raise to the parent)
+    # (they inherit the patched _merge by fork and raise to the parent),
+    # where the parent only merges the workers' results
     @pytest.mark.parametrize("n, pattern, forbidden", [
         (6, TRI, blowup(DIAMOND)[0]), (7, complete_partite(2, (1, 2))[0], C4)])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -314,9 +322,26 @@ class TestExactEx:
 
     def test_pool_worker_reports_its_timeout(self, monkeypatch):
         monkeypatch.setattr(extremal, "_WORKER_CTX", {})
-        extremal._worker_init((8, 2, EDGE, C4, time.monotonic()))
-        val, pos, nodes, timed = extremal._worker_run((), [], 0)
+        extremal._worker_init(extremal._Ctx(8, 2, EDGE, C4), time.monotonic())
+        val, pos, nodes, timed = extremal._worker_run(0, 2)
         assert timed and (val, pos, nodes) == (0, (), 1)
+
+    # each pool worker runs one shard of the serial walk: the nodes at depth
+    # 5 are dealt round robin, and shard 0 alone counts the nodes above
+    @pytest.mark.parametrize("n, pattern, forbidden", [
+        (6, TRI, blowup(DIAMOND)[0]), (8, EDGE, C4)])
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_shards_partition_the_serial_search(self, n, pattern, forbidden, shards):
+        val, pos, nodes, timed = extremal._explore(extremal._Ctx(n, 2, pattern, forbidden), None)
+        parts = [extremal._explore(extremal._Ctx(n, 2, pattern, forbidden), None, w, shards)
+                 for w in range(shards)]
+        assert not timed and not any(part[3] for part in parts)
+        assert sum(part[2] for part in parts) == nodes
+        assert all(part[2] > 0 for part in parts)
+        merged = parts[0][:2]
+        for part in parts[1:]:
+            merged = extremal._merge(merged, part[:2])
+        assert merged == (val, pos)
 
     def test_monotone_in_n(self):
         values = [exact_ex(n, TRI, DIAMOND).value for n in range(3, 7)]
