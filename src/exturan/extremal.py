@@ -13,7 +13,8 @@ of vertex labelling. A child's copy count is its parent's plus the copies
 through its new edge; only the root counts in full.
 Among maximizing witnesses the one with the lexicographically smallest
 canonical form is kept, which makes tables reproducible across runs and
-worker counts.
+worker counts. With k workers, this process and k - 1 forked children
+claim the subtrees at one depth, one at a time, from a shared counter.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ import hashlib
 import json
 import os
 import random
+import signal
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
-from multiprocessing import get_context
 from pathlib import Path
 
 from .canonical import canonical_key, colex_subsets, is_canonical_raw
@@ -147,29 +149,26 @@ class _Timeout(Exception):
     pass
 
 
-_SPLIT = 5  # the depth whose nodes are dealt to the shards of a pool search
+_SPLIT = 6  # the depth whose nodes are the units a parallel search claims
 
 
-def _explore(ctx: _Ctx, deadline, shard=0, shards=1):
+def _explore(ctx: _Ctx, deadline, claim=None, top=True):
     """Search from the empty graph, whose edges ``ctx.host`` holds, depth
-    first, children in position order.
+    first, children in position order; ``claim=None`` is the serial search.
 
-    The nodes at depth ``_SPLIT`` are dealt round robin to ``shards``
-    shards, in the order the walk meets them, and this call descends only
-    into those of ``shard``. Every shard walks the nodes above that depth,
-    but only shard 0 counts and merges them, so the shards' node counts add
-    up to that of the unsplit search; the deal starts at shard 1, since
-    shard 0 holds those nodes. Only the root is counted in full; a
-    child's value is its parent's plus :func:`copies_through_edge` of its
-    new edge. ``stack`` holds (value, children) for each node on the path.
-    Returns (best value, best positions, nodes, timed_out); ties in value
-    are broken by :func:`_merge`.
+    With ``claim``, the nodes at depth ``_SPLIT`` are units numbered in walk
+    order; past the unit it holds, the call takes ``claim()``, never below
+    the unit just met, and it descends only into units it holds. Only the
+    ``top`` call counts and merges the nodes above that depth, so the calls'
+    node counts add up to the serial one. ``stack`` holds (value, children)
+    for each node on the path. Returns (best value, best positions, nodes,
+    timed_out), ties in value broken by :func:`_merge`.
     """
     syms: list = []
     is_canonical_raw(ctx.host, ctx.s, syms)
     best = (ctx.counter(ctx.host), ())
-    nodes = 1 if shard == 0 else 0
-    turn = 1 % shards  # the shard dealt the next node at depth _SPLIT
+    nodes = 1 if top else 0
+    unit = held = -1  # the last unit met at depth _SPLIT, the last one claimed
     timed = False
     stack = [(best[0], _children(ctx, (), syms, 0, deadline))]
     try:
@@ -180,12 +179,14 @@ def _explore(ctx: _Ctx, deadline, shard=0, shards=1):
                 stack.pop()
                 continue
             depth = len(stack)
-            if depth == _SPLIT:
-                turn, owner = (turn + 1) % shards, turn
-                if owner != shard:
+            if depth == _SPLIT and claim is not None:
+                unit += 1
+                if unit > held:
+                    held = claim()
+                if unit != held:
                     continue
             value += copies_through_edge(ctx.host, ctx.pattern, ctx.pot[child[0][-1]])
-            if depth >= _SPLIT or shard == 0:
+            if depth >= _SPLIT or top:
                 nodes += 1
                 best = _merge(best, (value, child[0]))
             stack.append((value, _children(ctx, *child, deadline)))
@@ -199,18 +200,6 @@ def _merge(a, b):
     if a[0] != b[0]:
         return a if a[0] > b[0] else b
     return a if a[1] <= b[1] else b
-
-
-_WORKER_CTX: dict = {}
-
-
-def _worker_init(ctx: _Ctx, deadline):
-    _WORKER_CTX["ctx"] = ctx
-    _WORKER_CTX["deadline"] = deadline
-
-
-def _worker_run(shard, shards):
-    return _explore(_WORKER_CTX["ctx"], _WORKER_CTX["deadline"], shard, shards)
 
 
 @lru_cache(maxsize=None)
@@ -265,12 +254,53 @@ def _children(ctx: _Ctx, positions, syms, target, deadline):
 
 
 def _parallel_search(ctx: _Ctx, workers, deadline):
-    """One shard of :func:`_explore` per worker of a fork pool, which
-    inherits ``ctx`` unpickled; the merge rule is order independent."""
-    mp = get_context("fork")
-    with mp.Pool(workers, initializer=_worker_init, initargs=(ctx, deadline)) as pool:
-        results = pool.starmap(_worker_run, [(w, workers) for w in range(workers)])
-    best = reduce(_merge, [(val, pos) for val, pos, _, _ in results])
+    """:func:`_explore` here and in ``workers - 1`` forked children, all
+    claiming units from one counter: 8 bytes in a pipe, taken by reading
+    them and released by writing back the next unit. Each child writes its
+    result as JSON to a pipe of its own; the merge rule is order independent.
+    A child that fails raises RuntimeError, and a child still running on
+    return or raise is killed and reaped."""
+    lock_r, lock_w = os.pipe()
+    os.write(lock_w, bytes(8))
+
+    def claim():
+        unit = int.from_bytes(os.read(lock_r, 8), "big")
+        os.write(lock_w, (unit + 1).to_bytes(8, "big"))
+        return unit
+
+    running: dict = {}  # child pid -> the read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            out, into = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.write(into, json.dumps(_explore(ctx, deadline, claim, False)).encode())
+                    os._exit(0)
+                except BaseException:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(1)
+            os.close(into)
+            running[pid] = os.fdopen(out, "rb")
+        results = [_explore(ctx, deadline, claim)]
+        for pid, out in list(running.items()):
+            with out:
+                data = out.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            if code != 0 or not data:
+                raise RuntimeError(f"search worker {pid} failed: exit code {code}, "
+                                   f"{len(data)} bytes of result")
+            results.append(json.loads(data))
+    finally:
+        for pid, out in running.items():
+            out.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(lock_r)
+        os.close(lock_w)
+    best = reduce(_merge, [(val, tuple(pos)) for val, pos, _, _ in results])
     return best[0], best[1], sum(r[2] for r in results), any(r[3] for r in results)
 
 

@@ -1,9 +1,10 @@
 import gc
 import json
+import os
 import random
 import re
 import time
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 
 import pytest
@@ -239,8 +240,16 @@ class TestExactEx:
         par = exact_ex(6, TRI, DIAMOND, workers=4)
         assert (seq.value, seq.witness, seq.nodes) == (par.value, par.witness, par.nodes)
 
-    # the pool deals the nodes at depth 5 to its workers, and a tree that
-    # never reaches that depth is searched by worker 0 alone; naive_max_copies
+    # more workers than cores contend for the shared counter, over a few
+    # hundred units at depth 6: a unit claimed twice or lost changes nodes
+    def test_workers_contend_for_the_counter(self):
+        seq = exact_ex(9, EDGE, C4)
+        for _ in range(3):
+            par = exact_ex(9, EDGE, C4, workers=5)
+            assert (seq.value, seq.witness, seq.nodes) == (par.value, par.witness, par.nodes)
+
+    # the workers claim the nodes at depth 6, and a tree that never reaches
+    # that depth is searched by the parent alone; naive_max_copies
     # enumerates all 2^C(n, s) hosts (about 10 s at C(6, 2) = 15), so it
     # checks the value at n = 5 only
     @settings(max_examples=20)
@@ -258,31 +267,32 @@ class TestExactEx:
             assert seq.value == naive_max_copies(n, t, f)
 
     # a child carries its parent's value plus the copies through its new
-    # edge; each merged value is recounted in full, in the pool workers too
-    # (they inherit the patched _merge by fork and raise to the parent),
-    # where the parent only merges the workers' results
+    # edge; each merged value is recounted in full, in the forked workers too
+    # (they inherit the patched _merge by fork, and a failed check fails the
+    # worker); every process appends one line per merge to one log
     @pytest.mark.parametrize("n, pattern, forbidden", [
         (6, TRI, blowup(DIAMOND)[0]), (7, complete_partite(2, (1, 2))[0], C4)])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_merged_value_is_a_full_recount(self, monkeypatch, n, pattern, forbidden,
-                                                  workers):
-        count = extremal._make_counter(n, pattern.s, pattern)
+    def test_every_merged_value_is_a_full_recount(self, monkeypatch, tmp_path, n, pattern,
+                                                  forbidden, workers):
+        recount = extremal._make_counter(n, pattern.s, pattern)
         pot = colex_subsets(n, pattern.s)
-        merged = []
+        log = tmp_path / "merges"
         real = extremal._merge
 
         def merge(a, b):
             value, positions = b
-            assert count(HostIndex(n, [pot[p] for p in positions])) == value, positions
-            merged.append(b)
+            assert recount(HostIndex(n, [pot[p] for p in positions])) == value, positions
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{value} {list(positions)}\n")
             return real(a, b)
 
         monkeypatch.setattr(extremal, "_merge", merge)
         record = exact_ex(n, pattern, forbidden, workers=workers)
-        if workers == 1:
-            assert len(merged) == record.nodes - 1  # every node but the root
-        else:
-            assert len(merged) < record.nodes - 1  # the pool searched the rest
+        merged = log.read_text(encoding="utf-8").splitlines()
+        # every node but the root once, in whichever process claimed it, and
+        # each worker's result once more in the parent
+        assert len(merged) == record.nodes - 1 + workers - 1
 
     def test_timeout_returns_heuristic_record(self):
         rec = exact_ex(8, EDGE, C4, timeout=0.0)
@@ -320,21 +330,23 @@ class TestExactEx:
             if enabled:
                 gc.enable()
 
-    def test_pool_worker_reports_its_timeout(self, monkeypatch):
-        monkeypatch.setattr(extremal, "_WORKER_CTX", {})
-        extremal._worker_init(extremal._Ctx(8, 2, EDGE, C4), time.monotonic())
-        val, pos, nodes, timed = extremal._worker_run(0, 2)
+    def test_pool_worker_reports_its_timeout(self):
+        claim = count().__next__
+        ctx = extremal._Ctx(8, 2, EDGE, C4)
+        val, pos, nodes, timed = extremal._explore(ctx, time.monotonic(), claim, top=True)
         assert timed and (val, pos, nodes) == (0, (), 1)
 
-    # each pool worker runs one shard of the serial walk: the nodes at depth
-    # 5 are dealt round robin, and shard 0 alone counts the nodes above
+    # a search split by claims, run here one share after another: the units
+    # at depth 6 dealt round robin over k shares, or all claimed by one call;
+    # only the top share counts the nodes above
     @pytest.mark.parametrize("n, pattern, forbidden", [
         (6, TRI, blowup(DIAMOND)[0]), (8, EDGE, C4)])
-    @pytest.mark.parametrize("shards", [2, 3, 4])
-    def test_shards_partition_the_serial_search(self, n, pattern, forbidden, shards):
+    @pytest.mark.parametrize("shares", [1, 2, 3, 4])
+    def test_shards_partition_the_serial_search(self, n, pattern, forbidden, shares):
         val, pos, nodes, timed = extremal._explore(extremal._Ctx(n, 2, pattern, forbidden), None)
-        parts = [extremal._explore(extremal._Ctx(n, 2, pattern, forbidden), None, w, shards)
-                 for w in range(shards)]
+        parts = [extremal._explore(extremal._Ctx(n, 2, pattern, forbidden), None,
+                                   count(w, shares).__next__, top=(w == 0))
+                 for w in range(shares)]
         assert not timed and not any(part[3] for part in parts)
         assert sum(part[2] for part in parts) == nodes
         assert all(part[2] > 0 for part in parts)
@@ -342,6 +354,33 @@ class TestExactEx:
         for part in parts[1:]:
             merged = extremal._merge(merged, part[:2])
         assert merged == (val, pos)
+
+    # a worker that raises, or exits without writing its result, fails the
+    # search, and so does a parent that raises, whose worker, stalled here,
+    # is killed rather than waited for; no child outlives the call
+    @pytest.mark.parametrize("fault", ["worker raises", "worker exits", "parent raises"])
+    def test_failed_search_raises_and_leaves_no_child(self, monkeypatch, fault):
+        real = extremal._explore
+
+        def explore(ctx, deadline, claim=None, top=True):
+            if top and fault == "parent raises":
+                raise ValueError("the parent failed")
+            if not top and fault == "worker raises":
+                raise ValueError("the worker failed")
+            if not top and fault == "worker exits":
+                os._exit(0)
+            if not top:
+                time.sleep(60)
+            return real(ctx, deadline, claim, top)
+
+        monkeypatch.setattr(extremal, "_explore", explore)
+        error = ValueError if fault == "parent raises" else RuntimeError
+        t0 = time.monotonic()
+        with pytest.raises(error, match="failed"):
+            exact_ex(8, EDGE, C4, workers=2)
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_monotone_in_n(self):
         values = [exact_ex(n, TRI, DIAMOND).value for n in range(3, 7)]

@@ -4,11 +4,15 @@ module-level definition of the package has a caller outside the tests.
 No linter ships with the project, so this reads each module with ``ast``:
 a name bound by an import must appear as a name somewhere else in the same
 module. ``from __future__ import annotations`` is exempt, and so is
-``exturan/__init__.py``, whose imports are its exports.
+``exturan/__init__.py``, whose imports are its exports. Importing the
+package and its CLI loads no module it does not need.
 """
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -76,3 +80,14 @@ def test_every_module_level_definition_has_a_caller():
                 if node.name not in kept and uses[node.name] - own[node.name] < 1:
                     orphans.append(f"{module}:{node.name} (line {node.lineno})")
     assert orphans == [], "defined but never used in the package: " + ", ".join(orphans)
+
+
+def test_import_loads_no_process_pool_or_pickle():
+    """A parallel search forks its workers itself and reads their results as
+    JSON, so neither ``multiprocessing`` nor ``pickle`` is loaded."""
+    probe = ("import sys, exturan, exturan.cli; "
+             "print(sorted({'multiprocessing', 'pickle'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
