@@ -6,7 +6,6 @@ from .hypergraph import (
     PartitionMap,
     UniformHypergraph,
     blowup,
-    co_neighborhood,
     complete,
     complete_partite,
     induced,
@@ -22,6 +21,7 @@ from .counting import (
     ExponentReport,
     UniformityMismatch,
     cliques,
+    co_neighborhood,
     contains,
     count_copies,
     count_embeddings,

@@ -4,7 +4,8 @@ Every subcommand is deterministic given its flags and seed; outputs carry no
 timestamps, so repeated runs are byte identical. Exit codes are a stable
 scripting contract: 0 success/verified, 1 claim refuted, certificate
 failure or a cache entry or record failing verification, 2 usage or parse
-error (a ``--workers`` below 1, a ``--timeout`` below 0, a ``--budget``
+error (an input file that is missing, a directory or not UTF-8 text, a
+``--workers`` below 1, a ``--timeout`` below 0, a ``--budget``
 below 1, a negative vertex count, a flag the subcommand does not take and an
 lbap certificate whose classes do not fit the host included), 3 infeasible
 or timed out. A timed-out ``ex`` still prints its whole table, with the
@@ -60,6 +61,11 @@ from .hypergraph import (
 from .pipeline import edge_disjoint_greedy
 
 CACHE_ENV = "EXTURAN_CACHE"
+
+# what opening and reading an input path can raise: a usage error (exit 2);
+# other OS errors, a failed fork among them, are not the user's input
+_UNREADABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
+               UnicodeDecodeError)
 
 
 class SpecParseError(ValueError):
@@ -486,7 +492,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SpecParseError, HypergraphError, CertificateError, UsageError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            json.JSONDecodeError, *_UNREADABLE) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

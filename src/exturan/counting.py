@@ -1,13 +1,16 @@
-"""Clique enumeration, subgraph containment, copy counting and exponent tables.
+"""Cliques, co-neighborhoods, subgraph containment, copy counting and exponent tables.
 
 Copies are counted unlabelled: the number of embeddings divided by the
 automorphism count of the pattern, which is the number of embeddings of the
-pattern into itself. Every search runs on one backtracker over per-step
+pattern into itself. Every embedding search runs on one backtracker over per-step
 candidate domains, reading the host from a :class:`HostIndex`. The index
 holds a link table: for every s-1 vertices of an edge, the mask of the
 vertices that complete them to an edge. A step that completes pattern edges
 therefore takes its candidates from the AND of the links of those edges'
 placed parts (the common-link step) instead of scanning every host vertex.
+Cliques and co-neighborhoods take the same step without a backtracker: a
+sorted clique grows by the vertices above its last one in the AND of the
+links of its (s-1)-subsets.
 The backtracker is generated code: for each compiled walk, number of domain
 steps and search mode, the source of one function with one nested loop per
 step (its link AND and degree test written out) is built from the walk's
@@ -30,8 +33,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import prod
+from itertools import combinations, permutations
+from math import comb, prod
 from typing import NamedTuple
 
 from .hypergraph import (
@@ -396,7 +399,16 @@ def automorphism_count(pattern: UniformHypergraph) -> int:
 
 
 def count_copies(host: UniformHypergraph, pattern: UniformHypergraph) -> int:
-    """Number of unlabelled copies: embeddings / |Aut(pattern)|."""
+    """Number of unlabelled copies: C(n, t) for a pattern on t vertices with
+    no edges, the t-cliques of the host for a complete pattern, else
+    embeddings / |Aut(pattern)|."""
+    if host.s != pattern.s:
+        raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
+    t = pattern.n
+    if not pattern.m:
+        return comb(host.n, t)
+    if pattern.m == comb(t, pattern.s):
+        return len(complete_subsets(host.n, host.s, host.edge_set, t))
     aut = automorphism_count(pattern)
     return count_embeddings(host, pattern) // aut
 
@@ -443,24 +455,27 @@ def copies_through_edge(host: HostIndex, pattern: UniformHypergraph, edge: Edge)
 
 
 def complete_subsets(n: int, s: int, edge_set, r: int) -> list[tuple[int, ...]]:
-    """All r-subsets of 0..n-1 whose s-subsets all lie in ``edge_set``."""
+    """All r-subsets of 0..n-1 whose s-subsets all lie in ``edge_set``, sorted:
+    each sorted clique t grows by the vertices above t[-1] in the AND of the
+    links of t's (s-1)-subsets."""
     if r < s:
         raise HypergraphError(f"clique order {r} below uniformity {s}")
     cur = sorted(edge_set)
+    if r == s:
+        return cur
+    get = HostIndex(n, cur).links.get
     for _ in range(r - s):
-        cur_set = set(cur)
         nxt = []
         for t in cur:
-            for v in range(t[-1] + 1, n):
-                ok = True
-                for i in range(len(t)):
-                    if t[:i] + t[i + 1:] + (v,) not in cur_set:
-                        ok = False
-                        break
-                if ok:
-                    nxt.append(t + (v,))
+            cand = -1 << t[-1] + 1
+            for sub in combinations([1 << v for v in t], s - 1):
+                cand &= get(sum(sub), 0)
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                nxt.append(t + (bit.bit_length() - 1,))
         cur = nxt
-    return sorted(cur)
+    return cur
 
 
 @dataclass(frozen=True)
@@ -504,6 +519,29 @@ def cliques(g: UniformHypergraph, r: int) -> CliqueFamily:
         raise UniformityMismatch(f"host uniformity {g.s}, expected {r - 1}")
     members = complete_subsets(g.n, g.s, g.edge_set, r)
     return CliqueFamily(g, r, tuple(members))
+
+
+def co_neighborhood(g: UniformHypergraph, vs) -> UniformHypergraph:
+    """Common co-neighborhood of the vertices ``vs`` in an s-uniform host.
+
+    With r = s+1, the result keeps the host's labelling (the vertices of
+    ``vs`` become isolated) and contains an edge {w_1,..,w_s} avoiding ``vs``
+    exactly when, for every v in ``vs``, the r-set {v, w_1,..,w_s} spans a
+    complete r-clique in g, i.e. all of its s-subsets are edges: the mask
+    of ``vs`` lies inside the link of every (s-1)-subset of the edge.
+    """
+    vs = [int(v) for v in vs]
+    if not vs:
+        raise HypergraphError("co-neighborhood needs a nonempty vertex set")
+    if len(set(vs)) != len(vs):
+        raise HypergraphError("co-neighborhood vertices must be distinct")
+    if any(v < 0 or v >= g.n for v in vs):
+        raise HypergraphError(f"vertex outside 0..{g.n - 1}")
+    want = sum(1 << v for v in vs)
+    host = HostIndex(g.n, g.edges)
+    return UniformHypergraph(g.n, g.s, tuple(
+        e for e, mask in host.edges.items()
+        if not mask & want and all(host.links[mask ^ 1 << w] & want == want for w in e)))
 
 
 def edge_multiplicity(g: UniformHypergraph,

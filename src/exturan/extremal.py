@@ -37,11 +37,9 @@ from .canonical import canonical_key, colex_subsets, is_canonical_raw
 from .counting import (
     HostIndex,
     UniformityMismatch,
-    automorphism_count,
     compile_kernel,
-    complete_subsets,
     copies_through_edge,
-    count_embeddings_raw,
+    count_copies,
     embeds_using_edge,
     is_blowup_free,
     materialize,
@@ -95,26 +93,8 @@ class ExtremalRecord:
         free, _ = is_blowup_free(self.witness, self.forbidden)
         if not free:
             raise RecordError("witness contains the forbidden pattern")
-        host = HostIndex(self.n, self.witness.edges)
-        if _make_counter(self.n, self.s, self.pattern)(host) != self.value:
+        if count_copies(self.witness, self.pattern) != self.value:
             raise RecordError("witness does not attain the recorded value")
-
-
-# ---------------------------------------------------------------------------
-# counting closures
-# ---------------------------------------------------------------------------
-
-
-def _make_counter(n, s, pattern):
-    """Copy counter over a host index, with a clique fast path."""
-    t = pattern.n
-    if t < s or pattern.m == 0:
-        const = comb(n, t)
-        return lambda host: const
-    if pattern.m == comb(t, s):
-        return lambda host: len(complete_subsets(n, s, host.edges, t))
-    aut = automorphism_count(pattern)
-    return lambda host: count_embeddings_raw(host, pattern) // aut
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +109,9 @@ class _Ctx:
         self.pot = colex_subsets(n, s)
         self.M = len(self.pot)
         self.pattern = pattern
-        self.counter = _make_counter(n, s, pattern)
+        # the copies in the empty host, the root of every search; counted
+        # here, so that a pattern too large to count fails before any search
+        self.empty_count = count_copies(make(n, s, ()), pattern)
         self.moved = _moved_below(s)
         self.forbidden = forbidden
         # a host with fewer edges than F, or fewer vertices, holds no copy of it
@@ -166,7 +148,7 @@ def _explore(ctx: _Ctx, deadline, claim=None, top=True):
     """
     syms: list = []
     is_canonical_raw(ctx.host, ctx.s, syms)
-    best = (ctx.counter(ctx.host), ())
+    best = (ctx.empty_count, ())
     nodes = 1 if top else 0
     unit = held = -1  # the last unit met at depth _SPLIT, the last one claimed
     timed = False
@@ -400,7 +382,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
 
     host = ctx.host
     edges = host.edges
-    best_val = val = empty = ctx.counter(host)
+    best_val = val = empty = ctx.empty_count
     best_edges: tuple = ()
     kept: dict = {}  # rejected edge -> the other edges of the copy that rejected it
     steps = 0
@@ -509,12 +491,13 @@ class RecordCache:
 
     @staticmethod
     def _load(path: Path):
-        text = path.read_text(encoding="utf-8")
-        head, _, body = text.partition("\n")
         try:
+            head, _, body = path.read_text(encoding="utf-8").partition("\n")
             header = json.loads(head)
+            if not isinstance(header, dict):
+                raise ValueError("the header is not a JSON object")
             witness = UniformHypergraph.from_text(body)
-        except (ValueError, HypergraphError) as exc:
+        except (OSError, ValueError, HypergraphError) as exc:
             raise CacheIntegrityError(f"corrupt cache entry {path}: {exc}") from None
         return header, witness
 

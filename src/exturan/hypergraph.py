@@ -6,7 +6,8 @@ patterns, shadows and auxiliary hypergraphs alike. Edges are stored as sorted
 tuples and the edge list is kept in lexicographic order, which gives every
 value a deterministic serialization (used for cache keys). All values are
 immutable and safe to share between concurrent tasks; every operator here is
-a pure function.
+a pure function. None of them searches: cliques, co-neighborhoods and
+embeddings are found in :mod:`exturan.counting`, on a host index.
 """
 
 from __future__ import annotations
@@ -253,41 +254,6 @@ def shadow(g: UniformHypergraph, s: int) -> UniformHypergraph:
     for e in g.edges:
         edges.update(combinations(e, s))
     return UniformHypergraph(g.n, s, tuple(sorted(edges)))
-
-
-def co_neighborhood(g: UniformHypergraph, vs) -> UniformHypergraph:
-    """Common co-neighborhood of the vertices ``vs`` in an s-uniform host.
-
-    With r = s+1, the result keeps the host's labelling (the vertices of
-    ``vs`` become isolated) and contains an edge {w_1,..,w_s} avoiding ``vs``
-    exactly when, for every v in ``vs``, the r-set {v, w_1,..,w_s} spans a
-    complete r-clique in g, i.e. all of its s-subsets are edges.
-    """
-    vset = set(int(v) for v in vs)
-    if not vset:
-        raise HypergraphError("co-neighborhood needs a nonempty vertex set")
-    if len(vset) != len(list(vs)):
-        raise HypergraphError("co-neighborhood vertices must be distinct")
-    if any(v < 0 or v >= g.n for v in vset):
-        raise HypergraphError(f"vertex outside 0..{g.n - 1}")
-    es = g.edge_set
-    out = []
-    for e in g.edges:
-        if vset & set(e):
-            continue
-        ok = True
-        for v in vset:
-            # every s-subset of e+{v} other than e itself must be an edge
-            for drop in range(len(e)):
-                sub = tuple(sorted(e[:drop] + e[drop + 1:] + (v,)))
-                if sub not in es:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(e)
-    return UniformHypergraph(g.n, g.s, tuple(out))
 
 
 def induced(g: UniformHypergraph, vs) -> UniformHypergraph:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -319,6 +320,19 @@ class TestIntegrityFailures:
         assert out.returncode == 1
         assert_one_line(out.stderr, "cache integrity failure:")
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: b"\xff" + text.encode(),
+        lambda text: ("[]\n" + text.partition("\n")[2]).encode(),
+    ], ids=["not-utf8", "header-not-object"])
+    def test_unreadable_cache_entry_exits_1(self, tmp_path, capsys, corrupt):
+        args = [*self.ARGS, "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        path = next(tmp_path.glob("*.rec"))
+        path.write_bytes(corrupt(path.read_text()))
+        capsys.readouterr()
+        assert main(args) == 1
+        assert_one_line(capsys.readouterr().err, "cache integrity failure:")
+
     def test_record_error_exits_1(self, monkeypatch, capsys):
         # every record is verified where it is built, and a cache entry that
         # fails verification surfaces as CacheIntegrityError, so no command
@@ -329,6 +343,58 @@ class TestIntegrityFailures:
         monkeypatch.setattr(cli, "exact_ex", fail)
         assert main(list(self.ARGS)) == 1
         assert_one_line(capsys.readouterr().err, "record verification failed:")
+
+
+class TestUnreadableInput:
+    """An input path that is a directory or not UTF-8 text is a usage error,
+    as a missing one is: exit 2 with one ``error:`` line."""
+
+    @staticmethod
+    def inputs(tmp_path):
+        host = tmp_path / "host.txt"
+        write_file(make(4, 2, [[0, 1]]), host)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2 4 1\n0 \xff\n")
+        return host, bad
+
+    @pytest.mark.parametrize("which", ["dir", "not-utf8", "missing"])
+    def test_host(self, tmp_path, capsys, which):
+        _, bad = self.inputs(tmp_path)
+        path = {"dir": tmp_path, "not-utf8": bad, "missing": tmp_path / "none"}[which]
+        assert main(["verify", str(path), "--claim", "cliques:1"]) == 2
+        assert_one_line(capsys.readouterr().err, "error:")
+
+    @pytest.mark.parametrize("which", ["dir", "not-utf8"])
+    def test_file_spec(self, tmp_path, capsys, which):
+        _, bad = self.inputs(tmp_path)
+        path = tmp_path if which == "dir" else bad
+        assert main(["ex", "--n", "4", "--T", f"file:{path}", "--F", "K3_2(1,1,1)"]) == 2
+        assert_one_line(capsys.readouterr().err, "error:")
+
+    @pytest.mark.parametrize("which", ["dir", "not-utf8"])
+    def test_base(self, tmp_path, capsys, which):
+        _, bad = self.inputs(tmp_path)
+        path = tmp_path if which == "dir" else bad
+        assert main(["construct", "--kind", "lb4", "--n", "6", "--r", "3", "--a", "1,1,2",
+                     "--base", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
+        assert_one_line(capsys.readouterr().err, "error:")
+
+    @pytest.mark.parametrize("which", ["dir", "not-utf8"])
+    def test_cert(self, tmp_path, capsys, which):
+        host, bad = self.inputs(tmp_path)
+        path = tmp_path if which == "dir" else bad
+        assert main(["verify", str(host), "--claim", "lbap-properties",
+                     "--cert", str(path)]) == 2
+        assert_one_line(capsys.readouterr().err, "error:")
+
+    def test_failed_fork_is_not_a_usage_error(self, monkeypatch):
+        def fail():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fail)
+        with pytest.raises(BlockingIOError):
+            main(["ex", "--n", "5", "--T", "K3_2(1,1,1)", "--F", "K3_2(1,1,2)",
+                  "--workers", "2"])
 
 
 class TestBoundsCommand:

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from exturan.counting import (
     all_embeddings,
     automorphism_count,
     cliques,
+    co_neighborhood,
+    complete_subsets,
     contains,
     copies_through_edge,
     count_copies,
@@ -84,6 +87,40 @@ class TestCliques:
         r = 3
         pattern = complete_partite(r - 1, [1] * r)[0]
         assert len(cliques(g, r)) == count_copies(g, pattern)
+
+
+class TestCompleteSubsets:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_bruteforce(self, data):
+        s = data.draw(st.integers(1, 3), label="s")
+        g = data.draw(hypergraphs(max_n=8, min_s=s, max_s=s, min_n=s), label="host")
+        r = data.draw(st.integers(s, s + 3), label="r")
+        assert complete_subsets(g.n, s, g.edge_set, r) == brute_cliques(g, r)
+
+    def test_order_below_uniformity(self):
+        with pytest.raises(HypergraphError, match="below uniformity"):
+            complete_subsets(4, 2, complete(4, 2).edge_set, 1)
+
+
+class TestCoNeighborhoodDefinition:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_definition(self, data):
+        s = data.draw(st.integers(1, 3), label="s")
+        g = data.draw(hypergraphs(max_n=7, min_s=s, max_s=s, min_n=s + 1), label="host")
+        vs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3,
+                                unique=True), label="vs")
+        es = g.edge_set
+        want = tuple(e for e in g.edges if not set(vs) & set(e) and all(
+            sub in es for v in vs for sub in combinations(sorted(e + (v,)), s)))
+        assert co_neighborhood(g, vs) == make(g.n, s, want)
+
+    def test_vertices_read_once(self):
+        g = complete(4, 2)
+        assert co_neighborhood(g, (v for v in [0])) == co_neighborhood(g, [0])
+        with pytest.raises(HypergraphError, match="distinct"):
+            co_neighborhood(g, (v for v in [1, 1]))
 
 
 def index_state(host):
@@ -319,6 +356,23 @@ class TestCountCopies:
             assert count_copies(host, pattern) == brute_count_copies(host, pattern)
         assert count_embeddings(host, complete(host.s + 1, host.s)) == len(
             list(all_embeddings(host, complete(host.s + 1, host.s))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_shortcuts_and_full_count_match_bruteforce(self, data):
+        s = data.draw(st.sampled_from([2, 3]), label="s")
+        host = data.draw(hypergraphs(max_n=6, min_s=s, max_s=s, min_n=s), label="host")
+        pattern = data.draw(st.sampled_from(
+            [make(t, s, []) for t in range(5)] + [complete(t, s) for t in range(s, s + 3)]
+            + THROUGH_PATTERNS[s]), label="pattern")
+        assert count_copies(host, pattern) == brute_count_copies(host, pattern)
+
+    def test_large_edgeless_pattern_is_a_binomial(self):
+        # past the automorphism limit, which counting embeddings would need
+        for n in (8, 9, 12):
+            assert count_copies(complete(n, 2), make(9, 2, [])) == comb(n, 9)
+        with pytest.raises(UniformityMismatch):
+            count_copies(complete(9, 2), make(9, 3, []))
 
     def test_automorphisms(self):
         assert automorphism_count(complete(4, 2)) == 24

@@ -23,7 +23,7 @@ from exturan.canonical import (
     is_canonical_raw,
 )
 from exturan.cli import parse_pattern_spec
-from exturan.counting import HostIndex
+from exturan.counting import HostIndex, count_copies
 from exturan.extremal import (
     CacheIntegrityError,
     InfeasibleError,
@@ -275,14 +275,14 @@ class TestExactEx:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_merged_value_is_a_full_recount(self, monkeypatch, tmp_path, n, pattern,
                                                   forbidden, workers):
-        recount = extremal._make_counter(n, pattern.s, pattern)
         pot = colex_subsets(n, pattern.s)
         log = tmp_path / "merges"
         real = extremal._merge
 
         def merge(a, b):
             value, positions = b
-            assert recount(HostIndex(n, [pot[p] for p in positions])) == value, positions
+            host = make(n, pattern.s, [pot[p] for p in positions])
+            assert count_copies(host, pattern) == value, positions
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{value} {list(positions)}\n")
             return real(a, b)
@@ -622,6 +622,22 @@ class TestCache:
         path.write_text(json.dumps(header) + "\n" + body)
         with pytest.raises(CacheIntegrityError, match="value"):
             cache.get(5, rec.pattern, rec.forbidden, "exact")
+
+    # a file that is not UTF-8 and a header that is not a JSON object
+    @pytest.mark.parametrize("corrupt", [
+        lambda head, body: b"\xff\xfe" + (head + "\n" + body).encode(),
+        lambda head, body: (json.dumps([json.loads(head)]) + "\n" + body).encode(),
+    ], ids=["not-utf8", "header-not-object"])
+    def test_unreadable_entry_rejected_by_get_and_put(self, tmp_path, corrupt):
+        cache = RecordCache(tmp_path)
+        rec = exact_ex(5, TRI, DIAMOND, cache=cache)
+        path = next(tmp_path.glob("*.rec"))
+        head, _, body = path.read_text().partition("\n")
+        path.write_bytes(corrupt(head, body))
+        with pytest.raises(CacheIntegrityError, match="corrupt cache entry"):
+            cache.get(5, rec.pattern, rec.forbidden, "exact")
+        with pytest.raises(CacheIntegrityError, match="corrupt cache entry"):
+            cache.put(rec)
 
     def test_verify_rejects_bad_records(self):
         rec = exact_ex(4, TRI, DIAMOND)

@@ -91,3 +91,15 @@ def test_import_loads_no_process_pool_or_pickle():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_value_layer_imports_no_package_module():
+    """``hypergraph`` holds the values every other module searches, and no
+    search itself, so it imports no other ``exturan`` module."""
+    tree = ast.parse((SRC / "hypergraph.py").read_text(encoding="utf-8"))
+    found = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names if alias.name.partition(".")[0] == "exturan"]
+    found += [f"{'.' * node.level}{node.module or ''}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)
+              and (node.level or (node.module or "").partition(".")[0] == "exturan")]
+    assert found == [], f"hypergraph.py imports {', '.join(found)}"

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from exturan.counting import co_neighborhood
 from exturan.hypergraph import (
     BlowupSpec,
     HypergraphError,
     PartitionMap,
     UniformHypergraph,
     blowup,
-    co_neighborhood,
     complete,
     complete_partite,
     induced,
