@@ -23,6 +23,13 @@ candidates; each target-bit test is written out. The target is one int
 search carries it from parent to child. With at most
 ``MAX_CANONICAL_VERTICES`` = 12 vertices the function nests at most 11
 loops, under CPython's limit of 20.
+
+The search tries one vertex per class of transposition twins. A second
+generated function per (n, s), :func:`_twin_kernel`, finds the classes: it
+reads the link of each (s-1)-set once and tests each pair of vertices of
+equal degree by written-out XORs of their links. The verdict comes first:
+the test builds a relabelling only when one improves the graph, and
+automorphisms only for a canonical graph.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .counting import HostIndex, compile_kernel
 from .hypergraph import HypergraphError, UniformHypergraph, make
 
 MAX_CANONICAL_VERTICES = 12  # permutation search envelope
+_BITS = tuple(1 << v for v in range(MAX_CANONICAL_VERTICES))
 
 
 @lru_cache(maxsize=None)
@@ -46,42 +54,45 @@ def colex_position(n: int, s: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(colex_subsets(n, s))}
 
 
-@lru_cache(maxsize=None)
-def _link_keys(n: int, s: int) -> tuple[int, ...]:
-    """Masks of the (s-2)-subsets of n vertices; the empty set if s < 2."""
-    return tuple(sum(1 << v for v in q) for q in combinations(range(n), max(s - 2, 0)))
+@lru_cache(maxsize=256)
+def _twin_kernel(n: int, s: int):
+    """``twins(get, deg)``, generated as :func:`_relabel_kernel` is: the
+    vertex masks, by least vertex, of the classes of two or more twins (their
+    swap leaves the edge set invariant) of the s-uniform graph on n vertices
+    whose index has link lookup ``get`` and degrees ``deg``.
 
-
-def _twin_classes(host: HostIndex, s: int) -> list[int]:
-    """Vertex masks of the classes of transposition-interchangeable vertices
-    (swapping the two leaves the edge set invariant), compared within
-    degree groups, since twins have equal degree.
-
-    The swap fixes the edges holding both u and v or neither, and maps an
+    The swap of u and v fixes the edges holding both or neither, and maps an
     edge Q | u | w, Q an (s-2)-set avoiding u and v, to Q | v | w. So u and
-    v are twins iff for every such Q the links of Q | u and Q | v agree
-    outside u and v (bit v of one, bit u of the other: Q | u | v, fixed).
-    Being twins is an equivalence: (u w) = (u v)(v w)(u v).
+    v are twins iff they have equal degree and, for every such Q, the links
+    of Q | u and Q | v agree outside u and v (bit v of one, bit u of the
+    other: Q | u | v, fixed); at s = 1 equal degree decides. The link of
+    each (s-1)-set is read once into ``l{rank}``, rank its colex rank, and a
+    pair's test ORs written-out XORs. Being twins is an equivalence,
+    (u w) = (u v)(v w)(u v), so a vertex already in a class opens none.
     """
-    get, keys = host.links.get, _link_keys(host.n, s)
-    by_degree: dict[int, list[int]] = {}
-    for v in range(host.n):
-        by_degree.setdefault(host.deg[v], []).append(1 << v)
-    classes = []
-    for group in by_degree.values():
-        while group:
-            bu, *others = group
-            cls, group = bu, []
-            for bv in others:
-                uv = bu | bv
-                for q in keys:
-                    if not q & uv and (get(q | bu, 0) ^ get(q | bv, 0)) & ~uv:
-                        group.append(bv)
-                        break
-                else:
-                    cls |= bv
-            classes.append(cls)
-    return classes
+    full = (1 << n) - 1
+    rank = colex_position(n, s - 1)
+    lines = ["def _twins(get, deg):"]
+    if s > 1:
+        lines += [f"    l{i:d} = get({sum(1 << v for v in q):d}, 0)"
+                  for q, i in rank.items()]
+    lines += [f"    {''.join(f'd{v:d}, ' for v in range(n))}= deg",
+              "    out = []", "    seen = 0"]
+    for u in range(n - 1):
+        lines += [f"    if not seen & {1 << u:d}:", f"        c = {1 << u:d}"]
+        for v in range(u + 1, n):
+            test = f"d{u:d} == d{v:d}"
+            if s > 1:
+                rest = [w for w in range(n) if w != u and w != v]
+                xors = "|".join(f"l{rank[tuple(sorted(q + (u,)))]:d}^"
+                                f"l{rank[tuple(sorted(q + (v,)))]:d}"
+                                for q in combinations(rest, s - 2))
+                test += f" and not ({xors}) & {full ^ 1 << u ^ 1 << v:d}"
+            lines += [f"        if {test}:", f"            c |= {1 << v:d}"]
+        lines += [f"        if c != {1 << u:d}:", "            out.append(c)",
+                  "            seen |= c"]
+    lines.append("    return out")
+    return compile_kernel(lines, "_twins", f"n={n:d} s={s:d}")
 
 
 @lru_cache(maxsize=256)
@@ -169,9 +180,10 @@ def _improve_once(host: HostIndex, s, automorphisms=None, target=None):
 
     A relabelling tied with the target at every level maps the edge set onto
     itself, so each such leaf, the identity among them, is an automorphism.
-    If ``automorphisms`` is a list, the adjacent transpositions of every twin
-    class and every non-identity tied leaf are appended to it, each as the
-    list of the image of every vertex.
+    If the graph is canonical and ``automorphisms`` is a list, the adjacent
+    transpositions of every twin class and then every non-identity tied leaf
+    are appended to it, each as the list of the image of every vertex; a
+    graph that is not canonical appends nothing.
     """
     n = host.n
     if n == 0:
@@ -181,27 +193,25 @@ def _improve_once(host: HostIndex, s, automorphisms=None, target=None):
         target = 0
         for e in host.edges:
             target |= 1 << pos[e]
+    get = host.links.get
     # only the lowest free member of each twin class is a candidate
-    twins = [c for c in _twin_classes(host, s) if c & (c - 1)]
-    identity = list(range(n))
+    twins = _twin_kernel(n, s)(get, host.deg)
+    leaves = []
+    found = _relabel_kernel(n, s)(get, target, twins, leaves)
+    if found is not None:
+        perm = [b.bit_length() - 1 for b in found]
+        return perm + [u for u in range(n) if u not in perm]
     if automorphisms is not None:
         for c in twins:
-            members = [v for v in identity if c >> v & 1]
+            members = [v for v in range(n) if c >> v & 1]
             for u, v in zip(members, members[1:]):
-                swap = identity[:]
+                swap = list(range(n))
                 swap[u], swap[v] = v, u
                 automorphisms.append(swap)
-    leaves = []
-    found = _relabel_kernel(n, s)(host.links.get, target, twins, leaves)
-    if automorphisms is not None:
-        for leaf in leaves:
-            perm = [b.bit_length() - 1 for b in leaf]
-            if perm != identity:
-                automorphisms.append(perm)
-    if found is None:
-        return None
-    perm = [b.bit_length() - 1 for b in found]
-    return perm + [u for u in identity if u not in perm]
+        identity = _BITS[:n]  # the identity as a leaf: old vertex bit per new one
+        automorphisms.extend([b.bit_length() - 1 for b in leaf]
+                             for leaf in leaves if leaf != identity)
+    return None
 
 
 def _guard(n: int):
@@ -228,12 +238,7 @@ def is_canonical_raw(host: HostIndex, s: int, symmetries=None, target=None) -> b
     edge at a time need not rebuild it.
     """
     _guard(host.n)
-    found = [] if symmetries is not None else None
-    if _improve_once(host, s, found, target) is not None:
-        return False
-    if found:
-        symmetries.extend(found)
-    return True
+    return _improve_once(host, s, symmetries, target) is None
 
 
 def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:

@@ -62,10 +62,9 @@ from .pipeline import edge_disjoint_greedy
 
 CACHE_ENV = "EXTURAN_CACHE"
 
-# what opening and reading an input path can raise: a usage error (exit 2);
-# other OS errors, a failed fork among them, are not the user's input
-_UNREADABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
-               UnicodeDecodeError)
+# what opening an input path can raise: a usage error (exit 2); other OS
+# errors, a failed fork among them, are not the user's input
+_UNREADABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
 class SpecParseError(ValueError):
@@ -149,8 +148,8 @@ def _needed(args, flag: str):
 
 
 class CertificateError(ValueError):
-    """A certificate file lacks a field that the claim reads, or has it in
-    the wrong shape."""
+    """A certificate file is not UTF-8 text, lacks a field that the claim
+    reads, or has it in the wrong shape."""
 
 
 def _parse_count(claim: str, prefix: str) -> int:
@@ -213,7 +212,10 @@ def _table(fmt: str, header: list[str], rows: list[list], json_payload) -> str:
 
 def _cache_from(args) -> RecordCache | None:
     root = args.cache_dir or os.environ.get(CACHE_ENV)
-    return RecordCache(root) if root else None
+    try:
+        return RecordCache(root) if root else None
+    except FileExistsError:
+        raise UsageError(f"cache directory {root} exists and is not a directory") from None
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +362,10 @@ def cmd_verify(args) -> int:
         trace.append({"step": "greedy-extraction", "found": len(sub), "want": want})
     elif claim == "lbap-properties":
         cert_path = args.cert or (args.host + ".cert.json")
-        meta = json.loads(Path(cert_path).read_text(encoding="utf-8"))
+        try:
+            meta = json.loads(Path(cert_path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CertificateError(f"certificate {cert_path} is not UTF-8 text: {exc}") from None
         try:
             params = meta["params"]
             ap = APFreeSet(params["n"], params["r"], tuple(params["elements"]),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -483,18 +483,22 @@ class CliqueFamily:
     """An ordered collection of r-sets, each spanning a clique in the host.
 
     The host is (r-1)-uniform; "spanning a clique" means all r of the
-    (r-1)-subsets of the member are host edges.
+    (r-1)-subsets of the member are host edges. ``check=False`` skips the
+    member checks, for members that :func:`complete_subsets` produced.
     """
 
     host: UniformHypergraph
     r: int
     members: tuple[tuple[int, ...], ...]
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check):
         if self.r != self.host.s + 1:
             raise HypergraphError(
                 f"clique order {self.r} does not match host uniformity {self.host.s}"
             )
+        if not check:
+            return
         es = self.host.edge_set
         seen = set()
         for t in self.members:
@@ -518,7 +522,7 @@ def cliques(g: UniformHypergraph, r: int) -> CliqueFamily:
     if g.s != r - 1:
         raise UniformityMismatch(f"host uniformity {g.s}, expected {r - 1}")
     members = complete_subsets(g.n, g.s, g.edge_set, r)
-    return CliqueFamily(g, r, tuple(members))
+    return CliqueFamily(g, r, tuple(members), check=False)  # sorted cliques, once each
 
 
 def co_neighborhood(g: UniformHypergraph, vs) -> UniformHypergraph:

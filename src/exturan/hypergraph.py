@@ -140,7 +140,11 @@ def make(n: int, s: int, edges) -> UniformHypergraph:
 
 def read_file(path) -> UniformHypergraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return UniformHypergraph.from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise HypergraphError(f"{path} is not UTF-8 text: {exc}") from None
+    return UniformHypergraph.from_text(text)
 
 
 def write_file(g: UniformHypergraph, path) -> None:

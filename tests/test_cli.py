@@ -303,9 +303,10 @@ class TestLbapPropertiesInput:
             "detail": {"checked": 0, "exhaustive": True}}
 
 
-def assert_one_line(stderr, prefix):
+def assert_one_line(stderr, prefix, path=None):
     assert stderr.startswith(prefix), stderr
     assert stderr.count("\n") == 1, stderr
+    assert path is None or str(path) in stderr, stderr
 
 
 class TestIntegrityFailures:
@@ -347,7 +348,8 @@ class TestIntegrityFailures:
 
 class TestUnreadableInput:
     """An input path that is a directory or not UTF-8 text is a usage error,
-    as a missing one is: exit 2 with one ``error:`` line."""
+    as a missing one is, and so is a cache directory that is a file: exit 2
+    with one ``error:`` line that names the path."""
 
     @staticmethod
     def inputs(tmp_path):
@@ -362,14 +364,14 @@ class TestUnreadableInput:
         _, bad = self.inputs(tmp_path)
         path = {"dir": tmp_path, "not-utf8": bad, "missing": tmp_path / "none"}[which]
         assert main(["verify", str(path), "--claim", "cliques:1"]) == 2
-        assert_one_line(capsys.readouterr().err, "error:")
+        assert_one_line(capsys.readouterr().err, "error:", path)
 
     @pytest.mark.parametrize("which", ["dir", "not-utf8"])
     def test_file_spec(self, tmp_path, capsys, which):
         _, bad = self.inputs(tmp_path)
         path = tmp_path if which == "dir" else bad
         assert main(["ex", "--n", "4", "--T", f"file:{path}", "--F", "K3_2(1,1,1)"]) == 2
-        assert_one_line(capsys.readouterr().err, "error:")
+        assert_one_line(capsys.readouterr().err, "error:", path)
 
     @pytest.mark.parametrize("which", ["dir", "not-utf8"])
     def test_base(self, tmp_path, capsys, which):
@@ -377,7 +379,7 @@ class TestUnreadableInput:
         path = tmp_path if which == "dir" else bad
         assert main(["construct", "--kind", "lb4", "--n", "6", "--r", "3", "--a", "1,1,2",
                      "--base", str(path), "--out-prefix", str(tmp_path / "x")]) == 2
-        assert_one_line(capsys.readouterr().err, "error:")
+        assert_one_line(capsys.readouterr().err, "error:", path)
 
     @pytest.mark.parametrize("which", ["dir", "not-utf8"])
     def test_cert(self, tmp_path, capsys, which):
@@ -385,7 +387,19 @@ class TestUnreadableInput:
         path = tmp_path if which == "dir" else bad
         assert main(["verify", str(host), "--claim", "lbap-properties",
                      "--cert", str(path)]) == 2
-        assert_one_line(capsys.readouterr().err, "error:")
+        assert_one_line(capsys.readouterr().err, "error:", path)
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_cache_dir_that_is_a_file(self, tmp_path, capsys, monkeypatch, via):
+        path = tmp_path / "cache"
+        path.write_text("")
+        args = ["ex", "--n", "4", "--T", "K3_2(1,1,1)", "--F", "K3_2(1,1,2)"]
+        if via == "flag":
+            args += ["--cache-dir", str(path)]
+        else:
+            monkeypatch.setenv(cli.CACHE_ENV, str(path))
+        assert main(args) == 2
+        assert_one_line(capsys.readouterr().err, "error:", path)
 
     def test_failed_fork_is_not_a_usage_error(self, monkeypatch):
         def fail():

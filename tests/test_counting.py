@@ -78,6 +78,15 @@ class TestCliques:
         with pytest.raises(HypergraphError, match="duplicate"):
             CliqueFamily(g, 3, ((0, 1, 2), (0, 1, 2)))
 
+    def test_cliques_trusts_the_enumeration(self, monkeypatch):
+        # cliques() does not re-check what complete_subsets enumerated; a
+        # family built directly from the same members is still checked
+        host = make(4, 2, [[0, 1]])
+        monkeypatch.setattr(counting, "complete_subsets", lambda *args: [(0, 1, 2)])
+        assert cliques(host, 3).members == ((0, 1, 2),)
+        with pytest.raises(HypergraphError, match="span"):
+            CliqueFamily(host, 3, ((0, 1, 2),))
+
     @given(hypergraphs(max_n=7, min_s=2, max_s=3, min_n=3))
     def test_matches_bruteforce(self, g):
         assert list(cliques(g, g.s + 1).members) == brute_cliques(g, g.s + 1)

@@ -15,7 +15,7 @@ from exturan import extremal
 from exturan.canonical import (
     MAX_CANONICAL_VERTICES,
     _relabel_kernel,
-    _twin_classes,
+    _twin_kernel,
     canonical_form,
     canonical_key,
     canonical_positions,
@@ -114,19 +114,26 @@ class TestCanonicalForm:
         # the generated search nests one loop per vertex but the last, and
         # CPython compiles at most 20 nested blocks in one function; every
         # placed set reads its link into a local of its own, so each n up to
-        # the cap builds a different function
+        # the cap builds a different function; the twin kernel is built for
+        # the same (n, s), and on the empty and the complete host every two
+        # vertices are twins
         for n in range(s, MAX_CANONICAL_VERTICES + 1):
             assert callable(_relabel_kernel(n, s))
             for g in (make(n, s, []), complete(n, s)):
-                assert is_canonical_raw(HostIndex(n, g.edges), s)
+                host = HostIndex(n, g.edges)
+                assert _twin_kernel(n, s)(host.links.get, host.deg) == (
+                    [(1 << n) - 1] if n > 1 else [])
+                assert is_canonical_raw(host, s)
         with pytest.raises(HypergraphError, match="at most"):
             canonical_positions(MAX_CANONICAL_VERTICES + 1, s, ())
 
     def test_kernels_of_different_sizes_compile_under_different_file_names(self):
         # profilers key functions by (file, line, name), and every kernel
         # defines its function at line 1 under one name
-        names = {_relabel_kernel(n, 2).__code__.co_filename for n in (7, 8)}
-        assert names == {"<exturan:_search n=7 s=2>", "<exturan:_search n=8 s=2>"}
+        names = {kernel(n, 2).__code__.co_filename
+                 for kernel in (_relabel_kernel, _twin_kernel) for n in (7, 8)}
+        assert names == {"<exturan:_search n=7 s=2>", "<exturan:_search n=8 s=2>",
+                         "<exturan:_twins n=7 s=2>", "<exturan:_twins n=8 s=2>"}
 
 
 class TestTwinClasses:
@@ -135,7 +142,10 @@ class TestTwinClasses:
     def test_match_bruteforce(self, data):
         g = data.draw(hypergraphs(max_n=7, min_s=1, max_s=4))
         g = make(data.draw(st.integers(g.n, 7)), g.s, g.edges)  # isolated vertices
-        assert _twin_classes(HostIndex(g.n, g.edges), g.s) == brute_twin_classes(g)
+        host = HostIndex(g.n, g.edges)
+        # the kernel lists the classes of two or more vertices by least vertex
+        want = sorted((c for c in brute_twin_classes(g) if c & (c - 1)), key=lambda c: c & -c)
+        assert _twin_kernel(g.n, g.s)(host.links.get, host.deg) == want
 
 
 def complement(g):

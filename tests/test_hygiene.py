@@ -103,3 +103,19 @@ def test_value_layer_imports_no_package_module():
               if isinstance(node, ast.ImportFrom)
               and (node.level or (node.module or "").partition(".")[0] == "exturan")]
     assert found == [], f"hypergraph.py imports {', '.join(found)}"
+
+
+def test_generated_code_compiles_only_in_compile_kernel():
+    """``exec``, ``eval`` and ``compile`` appear in the package only inside
+    ``counting.compile_kernel``, so every generated kernel compiles under a
+    file name of its own."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {id(sub) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "compile_kernel"
+                  and path.name == "counting.py" for sub in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno} {node.id}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in {"exec", "eval", "compile"}
+                  and id(node) not in inside]
+    assert found == [], "code compiled outside compile_kernel: " + ", ".join(found)
