@@ -65,9 +65,9 @@ def _twin_kernel(n: int, s: int):
     edge Q | u | w, Q an (s-2)-set avoiding u and v, to Q | v | w. So u and
     v are twins iff they have equal degree and, for every such Q, the links
     of Q | u and Q | v agree outside u and v (bit v of one, bit u of the
-    other: Q | u | v, fixed); at s = 1 equal degree decides. The link of
-    each (s-1)-set is read once into ``l{rank}``, rank its colex rank, and a
-    pair's test ORs written-out XORs. Being twins is an equivalence,
+    other: Q | u | v, fixed); at s = 1, and with no edge at n < s, equal
+    degree decides. The link of each (s-1)-set is read once into
+    ``l{rank}``, rank its colex rank, and a pair's test ORs written-out XORs. Being twins is an equivalence,
     (u w) = (u v)(v w)(u v), so a vertex already in a class opens none.
     """
     full = (1 << n) - 1
@@ -76,13 +76,13 @@ def _twin_kernel(n: int, s: int):
     if s > 1:
         lines += [f"    l{i:d} = get({sum(1 << v for v in q):d}, 0)"
                   for q, i in rank.items()]
-    lines += [f"    {''.join(f'd{v:d}, ' for v in range(n))}= deg",
+    lines += [f"    [{''.join(f'd{v:d}, ' for v in range(n))}] = deg",
               "    out = []", "    seen = 0"]
     for u in range(n - 1):
         lines += [f"    if not seen & {1 << u:d}:", f"        c = {1 << u:d}"]
         for v in range(u + 1, n):
             test = f"d{u:d} == d{v:d}"
-            if s > 1:
+            if 1 < s <= n:  # with n < s no (s-2)-set avoids u and v
                 rest = [w for w in range(n) if w != u and w != v]
                 xors = "|".join(f"l{rank[tuple(sorted(q + (u,)))]:d}^"
                                 f"l{rank[tuple(sorted(q + (v,)))]:d}"

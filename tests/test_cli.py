@@ -48,6 +48,13 @@ class TestExCommand:
         assert [r.split(",")[0] for r in rows[1:]] == ["4", "5"]
         assert [r.split(",")[-2] for r in rows[1:]] == ["1", "2"]
 
+    def test_range_starting_below_the_uniformity(self):
+        out = run_cli("ex", "--n", "2..5", "--T", "K3_3(1,1,1)",
+                      "--F", "K4_3(1,1,1,1)", "--format", "csv")
+        assert out.returncode == 0, out.stderr
+        assert [r.split(",")[-2] for r in out.stdout.strip().splitlines()[1:]] == [
+            "0", "1", "3", "7"]
+
     def test_forbidding_pattern_itself_gives_zero(self):
         out = run_cli("ex", "--n", "4", "--T", "K3_2(1,1,1)",
                       "--F", "K3_2(1,1,1)", "--format", "json")

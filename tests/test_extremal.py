@@ -116,8 +116,8 @@ class TestCanonicalForm:
         # placed set reads its link into a local of its own, so each n up to
         # the cap builds a different function; the twin kernel is built for
         # the same (n, s), and on the empty and the complete host every two
-        # vertices are twins
-        for n in range(s, MAX_CANONICAL_VERTICES + 1):
+        # vertices are twins; below n = s neither host has an edge
+        for n in range(MAX_CANONICAL_VERTICES + 1):
             assert callable(_relabel_kernel(n, s))
             for g in (make(n, s, []), complete(n, s)):
                 host = HostIndex(n, g.edges)
@@ -137,11 +137,23 @@ class TestCanonicalForm:
 
 
 class TestTwinClasses:
+    @pytest.mark.parametrize("n, s", [(0, 3), (1, 3), (2, 3), (3, 4), (2, 4)])
+    def test_fewer_vertices_than_the_uniformity(self, n, s):
+        # no (s-2)-set avoids two vertices, so the pair test has no link
+        # term and equal degree decides
+        g = make(n, s, [])
+        host = HostIndex(n, g.edges)
+        assert _twin_kernel(n, s)(host.links.get, host.deg) == ([(1 << n) - 1] if n > 1 else [])
+        assert is_canonical_raw(host, s)
+        assert canonical_key(g) == f"s{s:d};n{n:d};"
+        assert canonical_form(g) == g
+
     @settings(max_examples=300)
     @given(st.data())
     def test_match_bruteforce(self, data):
         g = data.draw(hypergraphs(max_n=7, min_s=1, max_s=4))
-        g = make(data.draw(st.integers(g.n, 7)), g.s, g.edges)  # isolated vertices
+        # isolated vertices; an edgeless graph may have fewer than s of them
+        g = make(data.draw(st.integers(g.n if g.edges else 0, 7)), g.s, g.edges)
         host = HostIndex(g.n, g.edges)
         # the kernel lists the classes of two or more vertices by least vertex
         want = sorted((c for c in brute_twin_classes(g) if c & (c - 1)), key=lambda c: c & -c)
@@ -244,6 +256,12 @@ class TestExactEx:
 
     def test_edgeless_forbidden_beyond_n_still_answers(self):
         assert exact_ex(2, EDGE, make(3, 2, [])).value == 1
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_vertices_than_the_uniformity(self, n):
+        # the root of the search is the edgeless graph on n < s vertices
+        rec = exact_ex(n, single_edge(3), complete(4, 3))
+        assert rec.value == 0 and rec.witness == make(n, 3, []) and rec.nodes == 1
 
     def test_workers_match_sequential(self):
         seq = exact_ex(6, TRI, DIAMOND, workers=1)
