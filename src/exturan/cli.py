@@ -13,7 +13,8 @@ best-so-far records marked heuristic. Each subcommand
 takes the shared flags it reads: ``ex`` ``--seed --workers --timeout
 --cache-dir --format --out --allow-large``, ``construct`` ``--seed --workers
 --cache-dir --allow-large``, ``verify`` ``--workers --cache-dir
---allow-large`` and ``bounds`` ``--format --out``.
+--allow-large`` and ``bounds`` ``--format --out``. An invocation builds the
+arguments of its own subcommand only (``build_parser(command)``).
 """
 
 from __future__ import annotations
@@ -278,8 +279,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     if args.kind == "lbap":
         bundle = build_lbap(args.n, args.r, args.apfree_mode, verify=args.verify)
         outputs = [(".h.txt", bundle.system), (".g.txt", bundle.graph)]
@@ -313,6 +312,8 @@ def cmd_construct(args) -> int:
         outputs = [(".txt", g)]
     else:  # pragma: no cover - argparse restricts choices
         raise SpecParseError(f"unknown kind {args.kind!r}", 0)
+    prefix = Path(args.out_prefix)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
     files = []
     for suffix, out in outputs:
         path = prefix.with_name(prefix.name + suffix)
@@ -417,7 +418,15 @@ def _at_least(low, kind=int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``exturan`` parser. Every subcommand is registered by name and
+    help, but only ``command`` gets its arguments and handler; every
+    subcommand does when ``command`` is None or names none of them.
+
+    The top-level usage, help and errors read only names and help strings,
+    so an argv that starts with ``command`` parses and prints as it would
+    with the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="exturan",
         description="Exact generalized Turan numbers, certified constructions "
@@ -427,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                "(e.g. K3_2(1,1,2)); file:PATH reads the text format.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    full = command not in ("ex", "construct", "verify", "bounds")
     shared = {
         "--seed": dict(type=int, default=0),
         "--workers": dict(type=_at_least(1), default=1),
@@ -442,58 +452,62 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **shared[flag])
 
-    p_ex = sub.add_parser("ex", help="exact (or heuristic) generalized Turan values")
-    common(p_ex, *shared)
-    p_ex.add_argument("--n", required=True, help="vertex count or range, e.g. 4..7")
-    p_ex.add_argument("--T", required=True, help="pattern to count")
-    p_ex.add_argument("--F", required=True, help="forbidden pattern")
-    p_ex.add_argument("--heuristic", action="store_true",
-                      help="fall back to local search beyond the guard")
-    p_ex.add_argument("--budget", type=_at_least(1), default=4000)
-    p_ex.set_defaults(func=cmd_ex)
+    def subparser(name, func, **options):
+        """Register ``name``; return its parser if it is built here, else None."""
+        p = sub.add_parser(name, **options)
+        if not (full or name == command):
+            return None
+        p.set_defaults(func=func)
+        return p
+
+    if p := subparser("ex", cmd_ex, help="exact (or heuristic) generalized Turan values"):
+        common(p, *shared)
+        p.add_argument("--n", required=True, help="vertex count or range, e.g. 4..7")
+        p.add_argument("--T", required=True, help="pattern to count")
+        p.add_argument("--F", required=True, help="forbidden pattern")
+        p.add_argument("--heuristic", action="store_true",
+                       help="fall back to local search beyond the guard")
+        p.add_argument("--budget", type=_at_least(1), default=4000)
 
     # no abbreviations here: "--out" would be read as "--out-prefix"
-    p_c = sub.add_parser("construct", help="emit a certified construction",
-                         allow_abbrev=False)
-    common(p_c, "--seed", "--workers", "--cache-dir", "--allow-large")
-    p_c.add_argument("--kind", required=True, choices=["lb4", "lbap", "deletion"])
-    p_c.add_argument("--n", type=int, required=True)
-    p_c.add_argument("--r", type=int, required=True)
-    p_c.add_argument("--a", default=None, help="class sizes for lb4, e.g. 2,2,2")
-    p_c.add_argument("--spec", default=None, help="forbidden blowup for deletion")
-    p_c.add_argument("--p", type=float, default=None,
-                     help="edge probability for deletion (default: balanced)")
-    p_c.add_argument("--base", default=None, help="base witness file for lb4")
-    p_c.add_argument("--apfree-mode", default="exact",
-                     choices=["exact", "greedy", "behrend"])
-    p_c.add_argument("--out-prefix", required=True)
-    p_c.add_argument("--verify", action="store_true",
-                     help="exit nonzero unless the certificate fully passes")
-    p_c.set_defaults(func=cmd_construct)
+    if p := subparser("construct", cmd_construct, help="emit a certified construction",
+                      allow_abbrev=False):
+        common(p, "--seed", "--workers", "--cache-dir", "--allow-large")
+        p.add_argument("--kind", required=True, choices=["lb4", "lbap", "deletion"])
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--a", default=None, help="class sizes for lb4, e.g. 2,2,2")
+        p.add_argument("--spec", default=None, help="forbidden blowup for deletion")
+        p.add_argument("--p", type=float, default=None,
+                       help="edge probability for deletion (default: balanced)")
+        p.add_argument("--base", default=None, help="base witness file for lb4")
+        p.add_argument("--apfree-mode", default="exact",
+                       choices=["exact", "greedy", "behrend"])
+        p.add_argument("--out-prefix", required=True)
+        p.add_argument("--verify", action="store_true",
+                       help="exit nonzero unless the certificate fully passes")
 
-    p_v = sub.add_parser("verify", help="check a claim about a hypergraph file")
-    common(p_v, "--workers", "--cache-dir", "--allow-large")
-    p_v.add_argument("host")
-    p_v.add_argument("--claim", required=True,
-                     help="free:SPEC | cliques:N | edge-disjoint:N | "
-                          "lbap-properties | chain:SPEC")
-    p_v.add_argument("--cert", default=None,
-                     help="certificate JSON for lbap-properties")
-    p_v.add_argument("--trace", default=None, help="write a JSON-lines trace")
-    p_v.set_defaults(func=cmd_verify)
+    if p := subparser("verify", cmd_verify, help="check a claim about a hypergraph file"):
+        common(p, "--workers", "--cache-dir", "--allow-large")
+        p.add_argument("host")
+        p.add_argument("--claim", required=True,
+                       help="free:SPEC | cliques:N | edge-disjoint:N | "
+                            "lbap-properties | chain:SPEC")
+        p.add_argument("--cert", default=None,
+                       help="certificate JSON for lbap-properties")
+        p.add_argument("--trace", default=None, help="write a JSON-lines trace")
 
-    p_b = sub.add_parser("bounds", help="exact rational exponent table")
-    common(p_b, "--format", "--out")
-    p_b.add_argument("--r", type=int, required=True)
-    p_b.add_argument("--a", required=True, help="ascending class sizes, e.g. 2,2,2")
-    p_b.set_defaults(func=cmd_bounds)
+    if p := subparser("bounds", cmd_bounds, help="exact rational exponent table"):
+        common(p, "--format", "--out")
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--a", required=True, help="ascending class sizes, e.g. 2,2,2")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (SpecParseError, HypergraphError, CertificateError, UsageError,

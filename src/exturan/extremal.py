@@ -395,14 +395,14 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
             if e in edges:
                 continue
             steps += 1
-            if e in kept and all(f in edges for f in kept[e]):
+            if e in kept and edges.keys() >= kept[e]:
                 continue
             host.add(e)
             found = ctx.forbidden_copy(e)
             if found is not None:
                 host.remove(e)
                 images = (tuple(sorted(found[v] for v in f)) for f in forbidden_g.edges)
-                kept[e] = [f for f in images if f != e]
+                kept[e] = {f for f in images if f != e}
             else:
                 val += copies_through_edge(host, pattern, e)
         if val > best_val:
@@ -411,8 +411,10 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
         if steps >= budget:
             break
         if edges and rng.random() < 0.85:
+            live = sorted(edges)  # stays sorted(edges) as edges are dropped
             for _ in range(rng.randint(1, max(1, len(edges) // 4))):
-                e = rng.choice(sorted(edges))
+                e = rng.choice(live)
+                live.remove(e)
                 val -= copies_through_edge(host, pattern, e)
                 host.remove(e)
         else:

@@ -62,10 +62,13 @@ def edge_disjoint_greedy(family: CliqueFamily, b: int) -> CliqueFamily:
     """
     if b < 2:
         raise HypergraphError(f"multiplicity bound must be >= 2, got {b}")
-    _, maxmult = edge_multiplicity(family.host, family)
-    if maxmult >= b:
-        raise HypergraphError(
-            f"family has an edge of multiplicity {maxmult}, bound requires < {b}")
+    # an edge lies in at most |family| members, so only a bound that small
+    # can be broken
+    if b <= len(family.members):
+        _, maxmult = edge_multiplicity(family.host, family)
+        if maxmult >= b:
+            raise HypergraphError(
+                f"family has an edge of multiplicity {maxmult}, bound requires < {b}")
     used: set = set()
     out = []
     for t in sorted(family.members):

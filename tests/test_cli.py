@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -175,6 +176,27 @@ class TestConstructCommand:
         assert out.returncode == 2
         assert_one_line(out.stderr, message)
         assert out.stdout == ""
+
+    # each fails its flags or inputs before anything is written
+    @pytest.mark.parametrize("rest", [
+        ("--kind", "lb4", "--n", "9", "--r", "3"),
+        ("--kind", "lb4", "--n", "6", "--r", "3", "--a", "2,2"),
+        ("--kind", "deletion", "--n", "9", "--r", "3", "--spec", "file:{tmp}/missing"),
+    ])
+    def test_usage_error_leaves_no_directory(self, tmp_path, capsys, rest):
+        argv = ["construct", *(w.format(tmp=tmp_path) for w in rest),
+                "--out-prefix", str(tmp_path / "D" / "sub" / "x")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "D").exists()
+
+    def test_outputs_make_their_directory(self, tmp_path, capsys):
+        prefix = tmp_path / "D" / "sub" / "d"
+        assert main(["construct", "--kind", "deletion", "--n", "5", "--r", "3",
+                     "--spec", "K3_2(1,1,2)", "--p", "0", "--out-prefix", str(prefix)]) == 0
+        assert json.loads(capsys.readouterr().out)["files"] == [
+            f"{prefix}.txt", f"{prefix}.cert.json"]
+        assert (tmp_path / "D" / "sub" / "d.txt").read_text() == "2 5 0\n"
 
     def test_deletion_without_p_on_no_vertices_exits_2(self, tmp_path):
         out = run_cli("construct", "--kind", "deletion", "--n", "0", "--r", "3",
@@ -495,3 +517,101 @@ def test_repeated_runs_byte_identical():
 
 def test_main_returns_exit_code():
     assert main(["bounds", "--r", "3", "--a", "2,1,1"]) == 2
+
+
+EX_ARGV = ("ex", "--n", "4", "--T", "K3_2(1,1,1)", "--F", "K3_2(1,1,2)")
+LBAP_ARGV = ("construct", "--kind", "lbap", "--n", "5", "--r", "3")
+VERIFY_ARGV = ("verify", "h.txt", "--claim")
+SUBCOMMANDS = ("ex", "construct", "verify", "bounds")
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _described(parser):
+    """What a parser parses with and prints: every action's settings, its
+    defaults, usage and help."""
+    actions = [(type(a).__name__, a.option_strings, a.dest, a.default, a.choices, a.help,
+                a.required, a.nargs, a.const, a.metavar, getattr(a.type, "__name__", a.type))
+               for a in parser._actions]
+    return actions, parser._defaults, parser.format_usage(), parser.format_help()
+
+
+class TestParserPerSubcommand:
+    """``main`` builds the arguments of the invoked subcommand only; what it
+    prints and returns is what the full parser gives."""
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def assert_same_as_full_parser(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_file(make(4, 2, [[0, 1], [1, 2], [0, 2], [2, 3]]), tmp_path / "h.txt")
+        got = self.outcome(argv, capsys)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == self.outcome(argv, capsys)
+
+    @pytest.mark.parametrize("argv", [
+        (), ("-h",), ("ex", "-h"), ("construct", "-h"), ("verify", "-h"), ("bounds", "-h"),
+        ("frobnicate",), ("--bogus", "ex"),
+        ("ex", "--bogus"), ("construct", "--bogus"), ("verify", "--bogus"),
+        ("bounds", "--bogus"),
+        ("ex",), ("construct",), ("verify",), ("bounds",),
+        (*EX_ARGV, "--workers", "0"),
+        (*LBAP_ARGV, "--out-prefix", "o/x", "--workers", "0"),
+        (*VERIFY_ARGV, "cliques:1", "--workers", "0"),
+        (*EX_ARGV, "construct"),
+        (*LBAP_ARGV, "--out", "o/x"),
+        ("bounds", "--r", "3", "--a", "2,2,2", "--format", "yaml"),
+        ("bounds", "--r", "3", "--a", "2,2,2"),
+        (*EX_ARGV, "--format", "csv"),
+        (*LBAP_ARGV, "--out-prefix", "o/x"),
+        (*VERIFY_ARGV, "edge-disjoint:1"),
+    ], ids=" ".join)
+    def test_same_as_the_full_parser(self, tmp_path, monkeypatch, capsys, argv):
+        self.assert_same_as_full_parser(argv, tmp_path, monkeypatch, capsys)
+
+    def test_top_level_help_at_80_columns(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        self.assert_same_as_full_parser(("-h",), tmp_path, monkeypatch, capsys)
+
+    def test_main_builds_the_invoked_subcommand(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def spy(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        main(["bounds", "--r", "3", "--a", "2,2,2"])
+        monkeypatch.setattr(cli.sys, "argv", ["exturan", "bounds", "--r", "3", "--a", "1,1,2"])
+        main()
+        assert built == ["bounds", "bounds"]
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_subparser_matches_the_full_one(self, command):
+        full, one = cli.build_parser(), cli.build_parser(command)
+        assert one.format_help() == full.format_help()
+        full_subs, subs = _subparsers(full), _subparsers(one)
+        assert list(subs) == list(SUBCOMMANDS)
+        assert _described(subs[command]) == _described(full_subs[command])
+        for other in SUBCOMMANDS:
+            if other != command:
+                assert [a.dest for a in subs[other]._actions] == ["help"]
+                assert subs[other]._defaults == {}
+
+    @pytest.mark.parametrize("command", [None, "nonsense", "-h"])
+    def test_full_parser_unless_a_subcommand_is_named(self, command):
+        subs = _subparsers(cli.build_parser(command))
+        assert list(subs) == list(SUBCOMMANDS)
+        assert all("func" in p._defaults and len(p._actions) > 1 for p in subs.values())

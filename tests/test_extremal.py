@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import random
@@ -520,6 +521,46 @@ class TestHeuristicLower:
     ])
     def test_kept_copy_broken_by_perturbation(self, n, pattern, forbidden, seed):
         assert_replays(n, pattern, forbidden, seed, 40)
+
+    # whole walks at the default budget, pinned so that any change to the
+    # draws shows: value, steps and a sha256 prefix of the witness text; the
+    # last five are the certify workload's `ex --heuristic` jobs
+    @pytest.mark.parametrize("t, f, n, seed, value, steps, digest", [
+        ('K3_2(1,1,1)', 'K3_2(1,1,2)', 9, 0, 4, 4000, '98cd455254b13a30'),
+        ('K3_2(1,1,1)', 'K3_2(1,1,2)', 9, 1, 4, 4000, '0a055b21614a02df'),
+        ('K3_2(1,1,1)', 'K3_2(1,1,2)', 9, 2, 6, 4000, '9e53223ec0706234'),
+        ('K3_2(1,1,1)', 'K3_2(1,1,2)', 9, 3, 6, 4000, '236c29ecfd5e91b8'),
+        ('K2_2(1,1)', 'K2_2(2,2)', 11, 0, 18, 4000, '1b30a53a1ca591eb'),
+        ('K2_2(1,1)', 'K2_2(2,2)', 11, 1, 18, 4000, '084d157300e75ea0'),
+        ('K2_2(1,1)', 'K2_2(2,2)', 11, 2, 18, 4000, 'a0594d5f8616dc37'),
+        ('K2_2(1,1)', 'K2_2(2,2)', 11, 3, 18, 4000, 'f05b9c45fd7d9ebb'),
+        ('K3_2(1,1,1)', 'K4_2(1,1,1,1)', 8, 0, 18, 4000, 'f28a581ab45e12c1'),
+        ('K3_2(1,1,1)', 'K4_2(1,1,1,1)', 8, 1, 18, 4000, '2f7e1ec4249e4476'),
+        ('K3_2(1,1,1)', 'K4_2(1,1,1,1)', 8, 2, 18, 4000, 'dc5cc7e73a4c2d77'),
+        ('K3_2(1,1,1)', 'K4_2(1,1,1,1)', 8, 3, 18, 4000, '381b61895ffd73b7'),
+        ('K3_2(1,1,1)', 'K3_2(2,2,2)', 8, 0, 25, 4000, '0050329d33ef4af5'),
+        ('K3_2(1,1,1)', 'K3_2(2,2,2)', 8, 1, 25, 4000, '480d59256732ec0a'),
+        ('K3_2(1,1,1)', 'K3_2(2,2,2)', 8, 2, 25, 4000, '4e6895534548bb03'),
+        ('K3_2(1,1,1)', 'K3_2(2,2,2)', 8, 3, 25, 4000, 'ae24d06e1f148485'),
+        ('K3_3(1,1,1)', 'K4_3(1,1,1,1)', 7, 0, 23, 4000, '701f793a23fd841e'),
+        ('K3_3(1,1,1)', 'K4_3(1,1,1,1)', 7, 1, 23, 4000, 'fbddc7b90eb4b056'),
+        ('K3_3(1,1,1)', 'K4_3(1,1,1,1)', 7, 2, 23, 4000, 'cdc1f32ff9ed714e'),
+        ('K3_3(1,1,1)', 'K4_3(1,1,1,1)', 7, 3, 23, 4000, '0a3211097987334b'),
+        ('K4_3(1,1,1,1)', 'K4_3(1,1,1,2)', 7, 0, 7, 4000, '6f5a5948f9232408'),
+        ('K4_3(1,1,1,1)', 'K4_3(1,1,1,2)', 7, 1, 7, 4000, '6f5a5948f9232408'),
+        ('K4_3(1,1,1,1)', 'K4_3(1,1,1,2)', 7, 2, 7, 4000, '7820847b0cde8a5a'),
+        ('K4_3(1,1,1,1)', 'K4_3(1,1,1,2)', 7, 3, 7, 4000, '4842717299a3f3a2'),
+        ('K3_2(1,1,1)', 'K3_2(1,1,2)', 10, 7, 6, 4000, 'a5803a66400165c5'),
+        ('K3_2(1,1,1)', 'K3_2(1,1,2)', 11, 7, 7, 4000, '3c1e3be26e4673de'),
+        ('K3_2(1,1,1)', 'K3_2(1,1,2)', 12, 7, 7, 4000, '9e2df6db4ca04a1d'),
+        ('K3_2(1,1,1)', 'K3_2(1,1,2)', 13, 7, 10, 4000, '7055db60ef28ab2c'),
+        ('K3_2(1,1,1)', 'K3_2(1,1,2)', 14, 7, 9, 4000, 'c55b5cd5e591b116'),
+    ])
+    def test_pinned_walks(self, t, f, n, seed, value, steps, digest):
+        rec = heuristic_lower(n, parse_pattern_spec(t), parse_pattern_spec(f), seed=seed)
+        text = rec.witness.to_text().encode()
+        assert (rec.value, rec.nodes, hashlib.sha256(text).hexdigest()[:16]) == (
+            value, steps, digest)
 
 
 def assert_replays(n, pattern, forbidden, seed, budget):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from exturan import pipeline
 from exturan.counting import (
     CliqueFamily,
     HostIndex,
@@ -85,6 +86,23 @@ class TestEdgeDisjointGreedy:
         fam = cliques(complete(5, 2), 3)  # multiplicity 3
         with pytest.raises(HypergraphError):
             edge_disjoint_greedy(fam, 3)
+
+    def test_bound_equal_to_the_family_size_is_checked(self):
+        fam = cliques(make(4, 2, [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3]]), 3)
+        assert len(fam) == 2  # both triangles hold the edge 01
+        with pytest.raises(HypergraphError, match="multiplicity 2"):
+            edge_disjoint_greedy(fam, 2)
+
+    def test_bound_above_the_family_size_skips_the_multiplicity_pass(self, monkeypatch):
+        fam = cliques(complete(6, 2), 3)  # 20 triangles, multiplicity 4
+        checked = edge_disjoint_greedy(fam, 5)
+
+        def fail(*args):
+            raise AssertionError("edge_multiplicity called")
+
+        monkeypatch.setattr(pipeline, "edge_multiplicity", fail)
+        for b in (len(fam) + 1, len(fam) + 2):
+            assert edge_disjoint_greedy(fam, b).members == checked.members
 
     def test_random_instances_meet_bound(self):
         checked = 0
