@@ -20,6 +20,8 @@ arguments of its own subcommand only (``build_parser(command)``).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -30,8 +32,8 @@ from .constructions import (
     build_lbap,
     deletion_construct,
     deletion_probability,
+    lb4_base,
     lb4_construct,
-    lb4_sizes,
     verify_lbap_properties,
     APFreeSet,
 )
@@ -54,7 +56,6 @@ from .hypergraph import (
     PartitionMap,
     UniformHypergraph,
     complete,
-    complete_partite,
     read_file,
     single_edge,
     write_file,
@@ -200,9 +201,9 @@ def _table(fmt: str, header: list[str], rows: list[list], json_payload) -> str:
     if fmt == "json":
         return json.dumps(json_payload, sort_keys=True) + "\n"
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(str(c) for c in row) for row in rows)
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        return buf.getvalue()
     widths = [max(len(h), *(len(str(r[i])) for r in rows)) if rows else len(h)
               for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
@@ -285,19 +286,14 @@ def cmd_construct(args) -> int:
         cert = bundle.certificate
     elif args.kind == "lb4":
         r = args.r
-        sizes = lb4_sizes(args.n, r, _parse_int_list(_needed(args, "a")))
-        nb = args.n - args.n // r
-        base_forbidden = complete_partite(r - 1, sizes[:-1])[0]
+        sizes = _parse_int_list(_needed(args, "a"))
+        nb, base_forbidden = lb4_base(args.n, r, sizes)
         if args.base:
-            witness = read_file(args.base)
-            base = ExtremalRecord(
-                n=witness.n, s=r - 1, pattern=single_edge(r - 1),
-                forbidden=base_forbidden, value=witness.m, witness=witness,
-                mode="heuristic", nodes=0, elapsed=0.0)
+            base = read_file(args.base)
         else:
             base = exact_ex(nb, single_edge(r - 1), base_forbidden,
                             workers=args.workers, allow_large=args.allow_large,
-                            cache=_cache_from(args))
+                            cache=_cache_from(args)).witness
         h, cert = lb4_construct(args.n, r, sizes, base, verify=args.verify)
         outputs = [(".txt", h)]
     elif args.kind == "deletion":

@@ -17,8 +17,8 @@ from math import comb
 
 from .canonical import canonical_key, colex_subsets
 from .counting import HostIndex, complete_subsets, contains, first_embedding, is_blowup_free
-from .extremal import ExtremalRecord
 from .hypergraph import (
+    MAX_VERTICES,
     BlowupSpec,
     HypergraphError,
     PartitionMap,
@@ -29,7 +29,6 @@ from .hypergraph import (
     induced,
     make,
     shadow,
-    single_edge,
 )
 
 EXACT_APFREE_GUARD = 40
@@ -43,15 +42,6 @@ class ConstructionError(RuntimeError):
 # ---------------------------------------------------------------------------
 # progression-free sets
 # ---------------------------------------------------------------------------
-
-
-def _progressions(n: int, r: int):
-    """All r-term arithmetic progressions inside 1..n with difference >= 1."""
-    out = []
-    for d in range(1, (n - 1) // (r - 1) + 1 if r > 1 else 0):
-        for a in range(1, n - (r - 1) * d + 1):
-            out.append(tuple(a + j * d for j in range(r)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -84,34 +74,24 @@ class APFreeSet:
         return len(self.elements)
 
 
-def _aps_through(n: int, r: int) -> dict:
-    """The r-term progressions in 1..n through each element."""
-    aps_through = defaultdict(list)
-    for ap in _progressions(n, r):
-        for x in ap:
-            aps_through[x].append(ap)
-    return aps_through
-
-
-def _extends_apfree(chosen: set, x: int, aps_through) -> bool:
-    for ap in aps_through[x]:
-        if all(y == x or y in chosen for y in ap):
-            return False
-    return True
+def _closes_progression(chosen: set, x: int, r: int) -> bool:
+    """Whether x ends an r-term progression whose other terms are chosen.
+    Both searches add elements in increasing order, so no other progression
+    through x can be completed."""
+    return any(all(x - k * d in chosen for k in range(1, r))
+               for d in range(1, (x - 1) // (r - 1) + 1))
 
 
 def _greedy_apfree(n: int, r: int) -> list[int]:
-    aps_through = _aps_through(n, r)
     chosen: set = set()
     for x in range(1, n + 1):
-        if _extends_apfree(chosen, x, aps_through):
+        if not _closes_progression(chosen, x, r):
             chosen.add(x)
     return sorted(chosen)
 
 
 def _exact_apfree(n: int, r: int) -> list[int]:
     """Maximum progression-free subset by branch and bound over elements."""
-    aps_through = _aps_through(n, r)
     best_set = _greedy_apfree(n, r)
     best = len(best_set)
     chosen: set = set()
@@ -125,7 +105,7 @@ def _exact_apfree(n: int, r: int) -> list[int]:
                 best = len(chosen)
                 best_set = sorted(chosen)
             return
-        if _extends_apfree(chosen, x, aps_through):
+        if not _closes_progression(chosen, x, r):
             chosen.add(x)
             dfs(x + 1)
             chosen.discard(x)
@@ -404,7 +384,10 @@ class LbapBundle:
 def build_lbap(n: int, r: int, mode: str = "exact", *,
                verify: bool = True) -> LbapBundle:
     """Full pipeline: progression-free set, r-partite system, shadow graph,
-    and one certificate covering the structural and shadow claims."""
+    and one certificate covering the structural and shadow claims. A layout
+    beyond ``MAX_VERTICES`` is refused before the progression-free search."""
+    if (total := (r - 1) * r * n) > MAX_VERTICES:
+        raise HypergraphError(f"vertex count {total} outside supported range 0..{MAX_VERTICES}")
     ap = apfree_set(n, r, mode)
     h, parts = lbap_hypergraph(n, r, ap)
     g = lbap_shadow_graph(h)
@@ -423,13 +406,15 @@ def build_lbap(n: int, r: int, mode: str = "exact", *,
 
 
 # ---------------------------------------------------------------------------
-# apex construction on top of an extremal base
+# apex construction on top of a free base
 # ---------------------------------------------------------------------------
 
 
-def lb4_sizes(n: int, r: int, sizes) -> tuple[int, ...]:
-    """The class sizes of an lb4 construction on n vertices, as a tuple,
-    once the shape is checked: r >= 3, r sizes in ascending order, n >= 0."""
+def lb4_base(n: int, r: int, sizes) -> tuple[int, UniformHypergraph]:
+    """The base instance of an lb4 construction on n vertices, once the shape
+    is checked (r >= 3, r sizes in ascending order, n >= 0): the base's
+    vertex count n - floor(n/r) and the (r-1)-uniform complete partite
+    pattern on the first r-1 sizes that the base must avoid."""
     sizes = tuple(int(a) for a in sizes)
     if r < 3 or len(sizes) != r:
         raise HypergraphError(f"need r >= 3 class sizes, got {sizes} for r={r}")
@@ -437,35 +422,30 @@ def lb4_sizes(n: int, r: int, sizes) -> tuple[int, ...]:
         raise HypergraphError("sizes must be sorted ascending")
     if n < 0:
         raise HypergraphError(f"vertex count must be >= 0, got {n}")
-    return sizes
+    return n - n // r, complete_partite(r - 1, sizes[:-1])[0]
 
 
-def lb4_construct(n: int, r: int, sizes, base: ExtremalRecord, *,
+def lb4_construct(n: int, r: int, sizes, base: UniformHypergraph, *,
                   verify: bool = True) -> tuple[UniformHypergraph, ConstructionCertificate]:
     """Apex construction: floor(n/r) vertices whose link is the complete
-    (r-2)-graph on a blowup-free extremal base occupying the other
-    ceil((r-1)n/r) vertices.
+    (r-2)-graph on a blowup-free base occupying the other ceil((r-1)n/r)
+    vertices.
 
-    The base record must hold a complete-partite-free (r-1)-uniform witness
-    maximizing edges; its freeness is re-checked before use. The output
-    avoids the r-class blowup with the given sizes and carries at least
-    floor(n/r) * base.value cliques.
+    The base is any (r-1)-uniform hypergraph on those vertices that avoids
+    the pattern of :func:`lb4_base`; its freeness is re-checked before use.
+    The output avoids the r-class blowup with the given sizes and carries at
+    least floor(n/r) * base.m cliques, so an extremal base gives the best
+    bound.
     """
-    sizes = lb4_sizes(n, r, sizes)
-    na = n // r
-    nb = n - na
-    base_forbidden = complete_partite(r - 1, sizes[:-1])[0]
-    if base.witness.n != nb:
-        raise HypergraphError(
-            f"base witness has {base.witness.n} vertices, expected {nb}")
-    if canonical_key(base.pattern) != canonical_key(single_edge(r - 1)):
-        raise HypergraphError("base record does not count single edges")
-    if canonical_key(base.forbidden) != canonical_key(base_forbidden):
-        raise HypergraphError("base record forbids the wrong pattern")
-    if contains(base.witness, base_forbidden) is not None:
+    sizes = tuple(int(a) for a in sizes)
+    nb, base_forbidden = lb4_base(n, r, sizes)
+    na = n - nb
+    if base.n != nb:
+        raise HypergraphError(f"base witness has {base.n} vertices, expected {nb}")
+    if contains(base, base_forbidden) is not None:
         raise ConstructionError("base witness fails its freeness re-check")
 
-    edges = [tuple(v + na for v in e) for e in base.witness.edges]
+    edges = [tuple(v + na for v in e) for e in base.edges]
     b_vertices = range(na, n)
     for a in range(na):
         for rest in colex_subsets(nb, r - 2):
@@ -474,19 +454,19 @@ def lb4_construct(n: int, r: int, sizes, base: ExtremalRecord, *,
 
     claims = [_free_claim("forbidden-free", h, BlowupSpec(complete(r, r - 1), sizes))]
     clique_count = len(complete_subsets(h.n, h.s, h.edge_set, r))
-    bound = na * base.value
+    bound = na * base.m
     claims.append(ClaimResult(
         "clique-count", "pass" if clique_count >= bound else "fail",
         {"cliques": clique_count, "bound": bound}))
     apex_ok = all(sum(1 for v in e if v < na) <= 1 for e in h.edges)
-    restriction_ok = induced(h, list(b_vertices)) == base.witness
+    restriction_ok = induced(h, list(b_vertices)) == base
     claims.append(ClaimResult(
         "apex-structure", "pass" if apex_ok and restriction_ok else "fail",
         {"single_apex_per_edge": apex_ok, "base_restriction": restriction_ok}))
 
     cert = ConstructionCertificate(
         "lb4",
-        {"n": n, "r": r, "sizes": list(sizes), "base_value": base.value},
+        {"n": n, "r": r, "sizes": list(sizes), "base_value": base.m},
         tuple(claims),
     )
     if verify:

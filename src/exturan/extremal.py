@@ -364,9 +364,9 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
     additions, records its pattern count, then perturbs by dropping a few
     random edges (occasionally restarting). The count is carried: each
     added edge adds the copies through it and each dropped edge takes its
-    copies away before it goes. Worst case the empty host with
-    value 0 is returned; with n < s there is no edge to try and it is
-    returned at once.
+    copies away before it goes. Worst case the empty host is returned,
+    worth 0 unless T is edgeless (then C(n, t) for T on t vertices); with
+    n < s there is no edge to try and it is returned at once.
 
     Each try of an absent edge is one step. A rejected edge keeps the other
     edges of the F-copy that rejected it; while they are all in the host, a

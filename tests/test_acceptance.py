@@ -107,7 +107,7 @@ def test_criterion_4_apex_construction_verified():
     for n in (6, 9, 12):
         nb = n - n // 3
         base = exact_ex(nb, single_edge(2), c4)
-        h, cert = lb4_construct(n, 3, (2, 2, 2), base)
+        h, cert = lb4_construct(n, 3, (2, 2, 2), base.witness)
         free, _ = is_blowup_free(h, k222)
         count = len(complete_subsets(h.n, h.s, h.edge_set, 3))
         if not (cert.passed and free and count >= (n // 3) * base.value):

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 
@@ -6,8 +8,9 @@ import pytest
 
 from exturan import cli
 from exturan.cli import SpecParseError, main, parse_pattern_spec
-from exturan.extremal import RecordError
-from exturan.hypergraph import BlowupSpec, blowup, complete, make, write_file
+from exturan.extremal import RecordError, exact_ex
+from exturan.hypergraph import (
+    BlowupSpec, blowup, complete, complete_partite, make, single_edge, write_file)
 from cli_runner import run_cli
 
 
@@ -154,6 +157,17 @@ class TestConstructCommand:
         assert out.returncode == 0
         cert = json.loads((tmp_path / "l.cert.json").read_text())
         assert cert["passed"] is True
+
+    def test_lb4_base_file_matches_computed_base(self, tmp_path):
+        argv = ("construct", "--kind", "lb4", "--n", "9", "--r", "3", "--a", "2,2,2")
+        computed = run_cli(*argv, "--out-prefix", str(tmp_path / "c" / "l"))
+        base = tmp_path / "base.txt"
+        write_file(exact_ex(6, single_edge(2), complete_partite(2, (2, 2))[0]).witness, base)
+        given = run_cli(*argv, "--base", str(base), "--out-prefix", str(tmp_path / "g" / "l"))
+        assert computed.returncode == given.returncode == 0
+        for suffix in (".txt", ".cert.json"):
+            assert ((tmp_path / "g" / f"l{suffix}").read_bytes()
+                    == (tmp_path / "c" / f"l{suffix}").read_bytes())
 
     @pytest.mark.parametrize("kind, flag, rest", [
         ("lb4", "--a", ()),
@@ -459,6 +473,12 @@ class TestBoundsCommand:
 
     def test_unsorted_rejected(self):
         assert run_cli("bounds", "--r", "3", "--a", "2,1,1").returncode == 2
+
+    def test_csv_quotes_conditions_with_commas(self):
+        out = run_cli("bounds", "--r", "3", "--a", "1,2,2", "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out.stdout)))
+        assert "sizes (1, 2, ..., 2); random host plus deletion" in [r[-1] for r in rows]
+        assert [len(r) for r in rows] == [4] * len(rows)
 
 
 class TestFlagsPerSubcommand:

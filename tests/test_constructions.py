@@ -106,11 +106,8 @@ class TestAPFreeSets:
         with pytest.raises(HypergraphError):
             apfree_set(99, 3)
 
-    def test_check_does_not_scan_the_range(self, monkeypatch):
+    def test_check_does_not_scan_the_range(self):
         # the check reads pairs of elements, not every progression of 1..n
-        def refuse(n, r):
-            raise AssertionError("_progressions called")
-        monkeypatch.setattr(constructions, "_progressions", refuse)
         assert len(APFreeSet(4000, 3, (), exact=False)) == 0
         assert len(APFreeSet(4000, 3, (1, 2, 4, 3998, 4000), exact=False)) == 5
         with pytest.raises(HypergraphError, match=r"\(3996, 3998, 4000\)"):
@@ -240,11 +237,19 @@ class TestLbapShadow:
         assert len(complete_subsets(bundle.graph.n, 2, bundle.graph.edge_set, 3)) == 12
         assert bundle.certificate.passed
 
+    def test_oversized_layout_refused_before_the_search(self, monkeypatch):
+        def refuse(n, r, mode):
+            raise AssertionError("apfree_set called")
+        monkeypatch.setattr(constructions, "apfree_set", refuse)
+        with pytest.raises(HypergraphError,
+                           match=r"^vertex count 240 outside supported range 0\.\.64$"):
+            build_lbap(40, 3)
+
 
 class TestLb4:
     def test_n6_r3_all_twos(self):
         base = exact_ex(4, single_edge(2), complete_partite(2, (2, 2))[0])
-        h, cert = lb4_construct(6, 3, (2, 2, 2), base)
+        h, cert = lb4_construct(6, 3, (2, 2, 2), base.witness)
         assert cert.passed
         detail = {c.name: c.detail for c in cert.claims}["clique-count"]
         assert detail["bound"] == 2 * 4 and detail["cliques"] >= 8
@@ -253,7 +258,7 @@ class TestLb4:
         # base forbids a single edge, so the base witness is empty
         base = exact_ex(4, single_edge(2), complete_partite(2, (1, 1))[0])
         assert base.value == 0
-        h, cert = lb4_construct(6, 3, (1, 1, 2), base)
+        h, cert = lb4_construct(6, 3, (1, 1, 2), base.witness)
         assert cert.passed
         assert len(complete_subsets(h.n, h.s, h.edge_set, 3)) == 0
 
@@ -261,23 +266,27 @@ class TestLb4:
         # forbidding the 2-leaf star leaves a matching: 3 edges on 6 vertices
         base = exact_ex(6, single_edge(2), complete_partite(2, (1, 2))[0])
         assert base.value == 3
-        h, cert = lb4_construct(9, 3, (1, 2, 2), base)
+        h, cert = lb4_construct(9, 3, (1, 2, 2), base.witness)
         assert cert.passed
         assert len(complete_subsets(h.n, h.s, h.edge_set, 3)) >= 9
 
     def test_structure_claims(self):
         base = exact_ex(4, single_edge(2), complete_partite(2, (2, 2))[0])
-        h, cert = lb4_construct(6, 3, (2, 2, 2), base)
+        h, cert = lb4_construct(6, 3, (2, 2, 2), base.witness)
         na = 2
         assert all(sum(1 for v in e if v < na) <= 1 for e in h.edges)
 
     def test_nonfree_base_rejected(self):
-        bad = exact_ex(4, single_edge(2), complete_partite(2, (2, 2))[0])
-        forged = type(bad)(
-            n=4, s=2, pattern=bad.pattern, forbidden=bad.forbidden,
-            value=6, witness=complete(4, 2), mode="heuristic", nodes=0, elapsed=0.0)
         with pytest.raises(ConstructionError, match="freeness"):
-            lb4_construct(6, 3, (2, 2, 2), forged)
+            lb4_construct(6, 3, (2, 2, 2), complete(4, 2))
+
+    def test_any_free_base_gives_its_bound(self):
+        # a matching is C4-free but far from extremal; the bound scales with its edges
+        matching = make(6, 2, [(0, 1), (2, 3), (4, 5)])
+        h, cert = lb4_construct(9, 3, (2, 2, 2), matching)
+        assert cert.passed
+        detail = {c.name: c.detail for c in cert.claims}["clique-count"]
+        assert detail["bound"] == 9 and cert.params["base_value"] == 3
 
 
 class TestDeletion:

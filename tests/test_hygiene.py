@@ -93,16 +93,31 @@ def test_import_loads_no_process_pool_or_pickle():
     assert out.strip() == "[]"
 
 
-def test_value_layer_imports_no_package_module():
-    """``hypergraph`` holds the values every other module searches, and no
-    search itself, so it imports no other ``exturan`` module."""
-    tree = ast.parse((SRC / "hypergraph.py").read_text(encoding="utf-8"))
+def _package_imports(name):
+    """The ``exturan`` modules that the package module ``name`` imports, as
+    written in its import statements."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     found = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
              for alias in node.names if alias.name.partition(".")[0] == "exturan"]
     found += [f"{'.' * node.level}{node.module or ''}" for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom)
               and (node.level or (node.module or "").partition(".")[0] == "exturan")]
+    return found
+
+
+def test_value_layer_imports_no_package_module():
+    """``hypergraph`` holds the values every other module searches, and no
+    search itself, so it imports no other ``exturan`` module."""
+    found = _package_imports("hypergraph.py")
     assert found == [], f"hypergraph.py imports {', '.join(found)}"
+
+
+def test_constructions_import_nothing_from_extremal():
+    """The constructions and the exact search are siblings over ``canonical``
+    and ``counting``: an lb4 base arrives as a hypergraph, not a record."""
+    found = [m for m in _package_imports("constructions.py")
+             if m.rpartition(".")[2] == "extremal"]
+    assert found == [], f"constructions.py imports {', '.join(found)}"
 
 
 def test_generated_code_compiles_only_in_compile_kernel():
