@@ -18,7 +18,9 @@ from integers and fixed names only, compiled once under a file name of its
 own (:func:`exturan.counting.compile_kernel`) and cached.
 The link of each placed (s-1)-set is read into a local once, when its last
 vertex is placed, and every deeper level ANDs that local with its
-candidates; each target-bit test is written out. The target is one int
+candidates; each target-bit test is written out. Links are read from the
+host's dense link table (:meth:`exturan.counting.HostIndex.link_table`), a
+list indexed by vertex mask, so a read is a subscript, not a call. The target is one int
 ``T`` whose bit p is the graph's own bit at colex position p; the orderly
 search carries it from parent to child. With at most
 ``MAX_CANONICAL_VERTICES`` = 12 vertices the function nests at most 11
@@ -56,10 +58,10 @@ def colex_position(n: int, s: int) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=256)
 def _twin_kernel(n: int, s: int):
-    """``twins(get, deg)``, generated as :func:`_relabel_kernel` is: the
+    """``twins(table, deg)``, generated as :func:`_relabel_kernel` is: the
     vertex masks, by least vertex, of the classes of two or more twins (their
     swap leaves the edge set invariant) of the s-uniform graph on n vertices
-    whose index has link lookup ``get`` and degrees ``deg``.
+    whose index has dense link table ``table`` and degrees ``deg``.
 
     The swap of u and v fixes the edges holding both or neither, and maps an
     edge Q | u | w, Q an (s-2)-set avoiding u and v, to Q | v | w. So u and
@@ -72,9 +74,9 @@ def _twin_kernel(n: int, s: int):
     """
     full = (1 << n) - 1
     rank = colex_position(n, s - 1)
-    lines = ["def _twins(get, deg):"]
+    lines = ["def _twins(table, deg):"]
     if s > 1:
-        lines += [f"    l{i:d} = get({sum(1 << v for v in q):d}, 0)"
+        lines += [f"    l{i:d} = table[{sum(1 << v for v in q):d}]"
                   for q, i in rank.items()]
     lines += [f"    [{''.join(f'd{v:d}, ' for v in range(n))}] = deg",
               "    out = []", "    seen = 0"]
@@ -108,6 +110,8 @@ def _relabel_kernel(n: int, s: int):
     reads, once, the link of the image of each (s-1)-set of new vertices
     that ends in j into a local named after the set, ``l{a}_{j}`` for s = 3
     (``l``, the link of the empty set, is read at the start when s = 1).
+    Each read subscripts ``table``, the host's dense link table indexed by
+    vertex mask, so the function makes no call but ``leaves.append``.
     Level j tests, for every (s-1)-subset of the new vertices below j in
     colex order, ``h = l{...} & c{j}`` against the bit ``T & 1 << p`` at the
     colex position p of the subset plus j.
@@ -122,9 +126,9 @@ def _relabel_kernel(n: int, s: int):
     def link(sub):
         return "l" + "_".join(f"{a:d}" for a in sub)
 
-    lines = ["def _search(get, T, twins, leaves):", f"    f0 = {full:d}"]
+    lines = ["def _search(table, T, twins, leaves):", f"    f0 = {full:d}"]
     if s == 1:
-        lines.append("    l = get(0, 0)")
+        lines.append("    l = table[0]")
     pad = "    "
     for j in range(n):
         fail = "continue" if j else "return None"
@@ -152,9 +156,15 @@ def _relabel_kernel(n: int, s: int):
             pad += "    "
             for sub in colex_subsets(j, s - 2) if s > 1 else ():
                 image = " | ".join(f"b{a:d}" for a in sub + (j,))
-                lines.append(f"{pad}{link(sub + (j,))} = get({image}, 0)")
+                lines.append(f"{pad}{link(sub + (j,))} = table[{image}]")
     lines.append("    return None")
     return compile_kernel(lines, "_search", f"n={n:d} s={s:d}")
+
+
+@lru_cache(maxsize=256)
+def _kernels(n: int, s: int):
+    """The twin and relabelling kernels for (n, s), found by one lookup."""
+    return _twin_kernel(n, s), _relabel_kernel(n, s)
 
 
 def _improve_once(host: HostIndex, s, automorphisms=None, target=None):
@@ -193,21 +203,26 @@ def _improve_once(host: HostIndex, s, automorphisms=None, target=None):
         target = 0
         for e in host.edges:
             target |= 1 << pos[e]
-    get = host.links.get
+    table = host.link_table()
+    twin_kernel, relabel_kernel = _kernels(n, s)
     # only the lowest free member of each twin class is a candidate
-    twins = _twin_kernel(n, s)(get, host.deg)
+    twins = twin_kernel(table, host.deg)
     leaves = []
-    found = _relabel_kernel(n, s)(get, target, twins, leaves)
+    found = relabel_kernel(table, target, twins, leaves)
     if found is not None:
         perm = [b.bit_length() - 1 for b in found]
         return perm + [u for u in range(n) if u not in perm]
     if automorphisms is not None:
-        for c in twins:
-            members = [v for v in range(n) if c >> v & 1]
-            for u, v in zip(members, members[1:]):
+        for c in twins:  # each member with the next: adjacent transpositions
+            u = (c & -c).bit_length() - 1
+            c &= c - 1
+            while c:
+                v = (c & -c).bit_length() - 1
                 swap = list(range(n))
                 swap[u], swap[v] = v, u
                 automorphisms.append(swap)
+                u = v
+                c &= c - 1
         identity = _BITS[:n]  # the identity as a leaf: old vertex bit per new one
         automorphisms.extend([b.bit_length() - 1 for b in leaf]
                              for leaf in leaves if leaf != identity)

@@ -432,7 +432,8 @@ def lb4_construct(n: int, r: int, sizes, base: UniformHypergraph, *,
     vertices.
 
     The base is any (r-1)-uniform hypergraph on those vertices that avoids
-    the pattern of :func:`lb4_base`; its freeness is re-checked before use.
+    the pattern of :func:`lb4_base`; its vertex count and uniformity are
+    checked and its freeness is re-checked before use.
     The output avoids the r-class blowup with the given sizes and carries at
     least floor(n/r) * base.m cliques, so an extremal base gives the best
     bound.
@@ -442,6 +443,8 @@ def lb4_construct(n: int, r: int, sizes, base: UniformHypergraph, *,
     na = n - nb
     if base.n != nb:
         raise HypergraphError(f"base witness has {base.n} vertices, expected {nb}")
+    if base.s != r - 1:
+        raise HypergraphError(f"base witness has uniformity {base.s}, expected {r - 1}")
     if contains(base, base_forbidden) is not None:
         raise ConstructionError("base witness fails its freeness re-check")
 

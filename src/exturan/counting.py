@@ -142,32 +142,49 @@ class HostIndex:
     for every edge mask and every bit in it. Adding or removing an edge
     costs O(s); ``add`` takes an edge that is absent and ``remove`` one that
     is present.
+
+    ``table`` is None, or the same links as a dense list of 2^n masks
+    indexed by vertex mask, 0 where ``links`` has no entry: the canonicity
+    test, which runs only on hosts of at most 12 vertices, builds it on its
+    first read (:meth:`link_table`), and from then on ``add`` and ``remove``
+    keep it current. A list subscript is cheaper than ``links.get``.
     """
 
-    __slots__ = ("n", "edges", "deg", "links")
+    __slots__ = ("n", "edges", "deg", "links", "table")
 
     def __init__(self, n: int, edges=()):
         self.n = n
         self.edges: dict[Edge, int] = {}
         self.deg = [0] * n
         self.links: dict[int, int] = {}
+        self.table: list[int] | None = None
         for e in edges:
             self.add(e)
+
+    def link_table(self) -> list[int]:
+        """``table``, built from ``links`` if this is its first read."""
+        if self.table is None:
+            self.table = [0] * (1 << self.n)
+            for mask, link in self.links.items():
+                self.table[mask] = link
+        return self.table
 
     def add(self, edge: Edge) -> None:
         mask = 0
         for v in edge:
             mask |= 1 << v
         self.edges[edge] = mask
-        deg, links = self.deg, self.links
+        deg, links, table = self.deg, self.links, self.table
         for v in edge:
             deg[v] += 1
             bit = 1 << v
             links[mask ^ bit] = links.get(mask ^ bit, 0) | bit
+            if table is not None:
+                table[mask ^ bit] |= bit
 
     def remove(self, edge: Edge) -> None:
         mask = self.edges.pop(edge)
-        deg, links = self.deg, self.links
+        deg, links, table = self.deg, self.links, self.table
         for v in edge:
             deg[v] -= 1
             bit = 1 << v
@@ -176,6 +193,8 @@ class HostIndex:
                 links[mask ^ bit] = rest
             else:
                 del links[mask ^ bit]
+            if table is not None:
+                table[mask ^ bit] ^= bit
 
 
 _MAX_LOOPS = 20  # CPython compiles no function with more nested loops
@@ -445,8 +464,10 @@ def copies_through_edge(host: HostIndex, pattern: UniformHypergraph, edge: Edge)
         return 0
     pinned = [(v,) for v in edge]
     get, deg, everyone = host.links.get, host.deg, (1 << host.n) - 1
-    return sum(count(get, deg, everyone, pinned) // stab
-               for count, stab in _through_edge(pattern))
+    total = 0
+    for count, stab in _through_edge(pattern):
+        total += count(get, deg, everyone, pinned) // stab
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -291,14 +291,23 @@ def _parallel_search(ctx: _Ctx, workers, deadline):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _shared(g: UniformHypergraph) -> UniformHypergraph:
+    """The one instance of each pattern, the first one met that is equal to
+    ``g``: the pattern caches of :mod:`exturan.counting` then find it by
+    identity, with no edge-by-edge equality test per lookup."""
+    return g
+
+
 def _instance(n, pattern, forbidden) -> tuple[UniformHypergraph, UniformHypergraph]:
-    """Materialize T and F and refuse inputs no search can answer: a
-    negative n, differing uniformities, and an edgeless F that fits in n
-    vertices, which every host, the empty one included, contains."""
+    """Materialize T and F, each as its shared instance (:func:`_shared`),
+    and refuse inputs no search can answer: a negative n, differing
+    uniformities, and an edgeless F that fits in n vertices, which every
+    host, the empty one included, contains."""
     if n < 0:
         raise HypergraphError(f"vertex count must be >= 0, got {n}")
-    pattern = materialize(pattern)
-    forbidden_g = materialize(forbidden)
+    pattern = _shared(materialize(pattern))
+    forbidden_g = _shared(materialize(forbidden))
     if pattern.s != forbidden_g.s:
         raise UniformityMismatch(
             f"pattern uniformity {pattern.s} != forbidden uniformity {forbidden_g.s}"

@@ -169,6 +169,15 @@ class TestConstructCommand:
             assert ((tmp_path / "g" / f"l{suffix}").read_bytes()
                     == (tmp_path / "c" / f"l{suffix}").read_bytes())
 
+    def test_lb4_base_of_the_wrong_uniformity_exits_2(self, tmp_path):
+        base = tmp_path / "base.txt"
+        write_file(make(6, 3, [(0, 1, 2)]), base)
+        out = run_cli("construct", "--kind", "lb4", "--n", "9", "--r", "3", "--a", "2,2,2",
+                      "--base", str(base), "--out-prefix", str(tmp_path / "l"))
+        assert out.returncode == 2
+        assert_one_line(out.stderr, "error: base witness has uniformity 3, expected 2")
+        assert out.stdout == ""
+
     @pytest.mark.parametrize("kind, flag, rest", [
         ("lb4", "--a", ()),
         ("deletion", "--spec", ("--p", "0")),

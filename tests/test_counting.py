@@ -182,6 +182,31 @@ class TestHostIndex:
         assert index.links == want_links
 
 
+    @given(st.data())
+    def test_dense_table_matches_the_links(self, data):
+        # the canonicity test's table is built on its first read, at any
+        # point of an update sequence, and kept current from then on
+        n = data.draw(st.integers(1, 12))
+        s = data.draw(st.integers(1, min(4, n)))
+        pot = list(combinations(range(n), s))
+        steps = data.draw(st.lists(st.sampled_from(pot), max_size=40))
+        first_read = data.draw(st.integers(0, len(steps)))
+        index, edges = HostIndex(n), set()
+        for i, e in enumerate(steps):
+            if i == first_read:
+                index.link_table()
+            assert (index.table is None) == (i < first_read)
+            if e in edges:
+                index.remove(e)
+                edges.discard(e)
+            else:
+                index.add(e)
+                edges.add(e)
+        table = index.link_table()
+        assert len(table) == 1 << n
+        assert all(table[m] == index.links.get(m, 0) for m in range(1 << n))
+
+
 def search_order(walk, domains):
     """The order in which the backtracker meets embeddings: step k by its
     position in ``domains[k]`` while there is one, else by host vertex."""

@@ -4,7 +4,9 @@ import json
 import os
 import random
 import re
+import runpy
 import time
+from dataclasses import replace
 from itertools import combinations, count
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from exturan.canonical import (
     is_canonical_raw,
 )
 from exturan.cli import parse_pattern_spec
-from exturan.counting import HostIndex, count_copies
+from exturan.counting import HostIndex, count_copies, materialize
 from exturan.extremal import (
     CacheIntegrityError,
     InfeasibleError,
@@ -122,7 +124,7 @@ class TestCanonicalForm:
             assert callable(_relabel_kernel(n, s))
             for g in (make(n, s, []), complete(n, s)):
                 host = HostIndex(n, g.edges)
-                assert _twin_kernel(n, s)(host.links.get, host.deg) == (
+                assert _twin_kernel(n, s)(host.link_table(), host.deg) == (
                     [(1 << n) - 1] if n > 1 else [])
                 assert is_canonical_raw(host, s)
         with pytest.raises(HypergraphError, match="at most"):
@@ -144,7 +146,7 @@ class TestTwinClasses:
         # term and equal degree decides
         g = make(n, s, [])
         host = HostIndex(n, g.edges)
-        assert _twin_kernel(n, s)(host.links.get, host.deg) == ([(1 << n) - 1] if n > 1 else [])
+        assert _twin_kernel(n, s)(host.link_table(), host.deg) == ([(1 << n) - 1] if n > 1 else [])
         assert is_canonical_raw(host, s)
         assert canonical_key(g) == f"s{s:d};n{n:d};"
         assert canonical_form(g) == g
@@ -158,7 +160,7 @@ class TestTwinClasses:
         host = HostIndex(g.n, g.edges)
         # the kernel lists the classes of two or more vertices by least vertex
         want = sorted((c for c in brute_twin_classes(g) if c & (c - 1)), key=lambda c: c & -c)
-        assert _twin_kernel(g.n, g.s)(host.links.get, host.deg) == want
+        assert _twin_kernel(g.n, g.s)(host.link_table(), host.deg) == want
 
 
 def complement(g):
@@ -448,6 +450,25 @@ class TestExactEx:
             assert exact_ex(n, t, f).value == naive_max_copies(n, t, f)
 
 
+class TestSharedInstances:
+    # the pattern caches of the embedding engine then hit by identity
+    SPECS = [("K3_2(1,1,1)", "K3_2(2,2,2)", 6), ("K2_2(2,2)", "K3_2(1,1,1)", 6),
+             ("K3_3(1,1,1)", "K4_3(1,1,1,1)", 5)]
+
+    @pytest.mark.parametrize("t, f, n", SPECS)
+    def test_equal_patterns_resolve_to_one_instance(self, t, f, n):
+        first = extremal._instance(n, parse_pattern_spec(t), parse_pattern_spec(f))
+        second = extremal._instance(n, materialize(parse_pattern_spec(t)),
+                                    materialize(parse_pattern_spec(f)))
+        assert first[0] is second[0] and first[1] is second[1]
+
+    @pytest.mark.parametrize("t, f, n", SPECS)
+    def test_fresh_equal_patterns_give_equal_records(self, t, f, n):
+        first, second = (exact_ex(n, parse_pattern_spec(t), parse_pattern_spec(f))
+                         for _ in range(2))
+        assert replace(first, elapsed=0.0) == replace(second, elapsed=0.0)
+
+
 class TestHeuristicLower:
     def test_two_triangles_on_six(self):
         for seed in (0, 1, 2):
@@ -585,6 +606,29 @@ def test_node_counts_match_the_benchmark_pins():
         assert rec.nodes == pin["nodes"], job
         checked += 1
     assert checked >= 20
+
+
+JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+
+
+def test_exact_cold_rows_obey_the_averaging_bound():
+    # Katona, Nemetz & Simonovits: each copy of T, on t < n vertices, misses
+    # n - t of the n vertex-deleted hosts, each F-free on n - 1 vertices, so
+    # ex(n) <= floor(n * ex(n - 1) / (n - t)); the search never uses this
+    rows = tight = 0
+    for t_spec, f_spec, lo, hi in runpy.run_path(str(JOBS))["COLD_FAMILIES"]:
+        pattern, forbidden = parse_pattern_spec(t_spec), parse_pattern_spec(f_spec)
+        t = materialize(pattern).n
+        below = None
+        for n in range(max(lo - 1, t), hi + 1):
+            value = exact_ex(n, pattern, forbidden).value
+            if below is not None:  # here t < n and n - 1 is a computed value
+                bound = n * below // (n - t)
+                assert value <= bound, (t_spec, f_spec, n, value, bound)
+                rows += 1
+                tight += value == bound
+            below = value
+    assert (rows, tight) == (27, 12)
 
 
 def test_exact_ten_vertices_c4_free():

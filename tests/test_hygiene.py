@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import exturan
+from exturan import canonical
 
 SRC = Path(exturan.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -134,3 +135,25 @@ def test_generated_code_compiles_only_in_compile_kernel():
                   if isinstance(node, ast.Name) and node.id in {"exec", "eval", "compile"}
                   and id(node) not in inside]
     assert found == [], "code compiled outside compile_kernel: " + ", ".join(found)
+
+
+def test_canonicity_kernels_read_links_without_a_call(monkeypatch):
+    """The twin and relabelling kernels read each link as a subscript of the
+    host's dense link table: the only call in their generated source, for
+    every vertex count and uniformity the canonicity test takes, is
+    ``.append`` on the list they return."""
+    sources = []
+    monkeypatch.setattr(canonical, "compile_kernel",
+                        lambda lines, name, tag: sources.append((f"{name} {tag}", lines)))
+    sizes = [(n, s) for n in range(canonical.MAX_CANONICAL_VERTICES + 1) for s in range(1, 5)]
+    for n, s in sizes:
+        canonical._twin_kernel.__wrapped__(n, s)
+        canonical._relabel_kernel.__wrapped__(n, s)
+    assert len(sources) == 2 * len(sizes)
+    found = Counter()
+    for tag, lines in sources:
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.Call) and not (
+                    isinstance(node.func, ast.Attribute) and node.func.attr == "append"):
+                found[tag] += 1
+    assert not found, f"calls in generated canonicity kernels: {dict(found)}"
