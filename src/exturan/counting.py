@@ -178,9 +178,10 @@ class HostIndex:
         for v in edge:
             deg[v] += 1
             bit = 1 << v
-            links[mask ^ bit] = links.get(mask ^ bit, 0) | bit
+            key = mask ^ bit
+            links[key] = links.get(key, 0) | bit
             if table is not None:
-                table[mask ^ bit] |= bit
+                table[key] |= bit
 
     def remove(self, edge: Edge) -> None:
         mask = self.edges.pop(edge)
@@ -188,13 +189,14 @@ class HostIndex:
         for v in edge:
             deg[v] -= 1
             bit = 1 << v
-            rest = links[mask ^ bit] ^ bit
+            key = mask ^ bit
+            rest = links[key] ^ bit
             if rest:
-                links[mask ^ bit] = rest
+                links[key] = rest
             else:
-                del links[mask ^ bit]
+                del links[key]
             if table is not None:
-                table[mask ^ bit] ^= bit
+                table[key] = rest
 
 
 _MAX_LOOPS = 20  # CPython compiles no function with more nested loops
