@@ -20,9 +20,9 @@ The link of each placed (s-1)-set is read into a local once, when its last
 vertex is placed, and every deeper level ANDs that local with its
 candidates; each target-bit test is written out. Links are read from the
 host's dense link table (:meth:`exturan.counting.HostIndex.link_table`), a
-list indexed by vertex mask, so a read is a subscript, not a call. The target is one int
-``T`` whose bit p is the graph's own bit at colex position p; the orderly
-search carries it from parent to child. With at most
+list indexed by vertex mask, so a read is a subscript, not a call. The
+target is one int ``T`` whose bit p is the graph's own bit at colex
+position p; the orderly search carries it from parent to child. With at most
 ``MAX_CANONICAL_VERTICES`` = 12 vertices the function nests at most 11
 loops, under CPython's limit of 20.
 
