@@ -10,14 +10,16 @@ The canonical form has the property that removing the edge with the largest
 colex position preserves canonicity, which is what the orderly search in
 :mod:`exturan.extremal` relies on.
 
-The relabelling search is generated code, as the embedding search of
-:mod:`exturan.counting` is: for each vertex count n and uniformity s, the
-source of one function with one ``while`` loop per new vertex (its
-candidate mask ``c{j}``, the placed vertices' bits ``b0..b{j-1}``) is built
-from integers and fixed names only, compiled once under a file name of its
-own (:func:`exturan.counting.compile_kernel`) and cached.
-The link of each placed (s-1)-set is read into a local once, when its last
-vertex is placed, and every deeper level ANDs that local with its
+The canonicity test of a graph is one call to generated code, as the
+embedding search of :mod:`exturan.counting` is: for each vertex count n and
+uniformity s, the source of one function (:func:`_kernel`) is built from
+integers and fixed names only, compiled once under a file name of its own
+(:func:`exturan.counting.compile_kernel`) and cached. It first finds the
+classes of transposition twins, testing each pair of vertices of equal
+degree by written-out XORs of their links, and then runs the relabelling
+search, one ``while`` loop per new vertex, trying one vertex per twin
+class. The link of each placed (s-1)-set is read into a local once, when
+its last vertex is placed, and every deeper level ANDs that local with its
 candidates; each target-bit test is written out. Links are read from the
 host's dense link table (:meth:`exturan.counting.HostIndex.link_table`), a
 list indexed by vertex mask, so a read is a subscript, not a call. The
@@ -26,12 +28,9 @@ position p; the orderly search carries it from parent to child. With at most
 ``MAX_CANONICAL_VERTICES`` = 12 vertices the function nests at most 11
 loops, under CPython's limit of 20.
 
-The search tries one vertex per class of transposition twins. A second
-generated function per (n, s), :func:`_twin_kernel`, finds the classes: it
-reads the link of each (s-1)-set once and tests each pair of vertices of
-equal degree by written-out XORs of their links. The verdict comes first:
-the test builds a relabelling only when one improves the graph, and
-automorphisms only for a canonical graph.
+The verdict comes first: only :func:`canonical_positions` turns an
+improving prefix into a relabelling, and :func:`is_canonical_raw` builds
+automorphisms only for a graph it accepts.
 """
 
 from __future__ import annotations
@@ -57,76 +56,76 @@ def colex_position(n: int, s: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=256)
-def _twin_kernel(n: int, s: int):
-    """``twins(table, deg)``, generated as :func:`_relabel_kernel` is: the
-    vertex masks, by least vertex, of the classes of two or more twins (their
-    swap leaves the edge set invariant) of the s-uniform graph on n vertices
-    whose index has dense link table ``table`` and degrees ``deg``.
+def _kernel(n: int, s: int):
+    """``_test(table, deg, T, twins, leaves)``, the canonicity test of an
+    s-uniform graph on n vertices as generated code, with no builtins: the
+    graph's index has dense link table ``table`` and degrees ``deg``, and
+    ``T`` is its own bitstring. It returns the bits of an improving prefix
+    of a relabelling, the improving vertex last, or None if the graph is
+    its own canonical form.
 
-    The swap of u and v fixes the edges holding both or neither, and maps an
-    edge Q | u | w, Q an (s-2)-set avoiding u and v, to Q | v | w. So u and
-    v are twins iff they have equal degree and, for every such Q, the links
-    of Q | u and Q | v agree outside u and v (bit v of one, bit u of the
-    other: Q | u | v, fixed); at s = 1, and with no edge at n < s, equal
+    Twin classes come first. The swap of u and v fixes the edges holding
+    both or neither, and maps an edge Q | u | w, Q an (s-2)-set avoiding u
+    and v, to Q | v | w. So u and v are twins (their swap leaves the edge
+    set invariant) iff they have equal degree and, for every such Q, the
+    links of Q | u and Q | v agree outside u and v (bit v of one, bit u of
+    the other: Q | u | v, fixed); at s = 1, and with no edge at n < s, equal
     degree decides. The link of each (s-1)-set is read once into
-    ``l{rank}``, rank its colex rank, and a pair's test ORs written-out XORs. Being twins is an equivalence,
-    (u w) = (u v)(v w)(u v), so a vertex already in a class opens none.
+    ``w{rank}``, rank its colex rank, and a pair's test ORs written-out
+    XORs. Being twins is an equivalence, (u w) = (u v)(v w)(u v), so a
+    vertex already in a class opens none. The mask of each class of two or
+    more twins is appended to ``twins``, by least vertex.
+
+    Then the relabelling search: new vertex j holds the old vertex whose
+    bit is ``b{j}``. ``f{j}`` is the mask of the old vertices still free
+    before j is placed and ``c{j}`` its candidate mask. Placing ``b{j}``
+    reads, once, the link of the image of each (s-1)-set of new vertices
+    that ends in j into a local named after the set, ``l{a}_{j}`` for s = 3
+    (``l``, the link of the empty set, is read at the start when s = 1).
+    The bits of level j are the colex positions of the s-sets whose largest
+    element is j: for each (s-1)-subset of the new vertices below j, in
+    colex order, ``h = l{...} & c{j}`` holds the candidates that complete
+    the subset's image to an edge, tested against the bit ``T & 1 << p`` at
+    the colex position p of the subset plus j. Scanning a level narrows
+    ``c{j}`` to the candidates still equal to ``T``; one with a 1 where
+    ``T`` has a 0 is an improvement, and any completion of it improves
+    ``T``. Equal branches are explored, as they may diverge later. Only
+    the lowest free member of each twin class is a candidate, which is
+    sound because the twin swap extends any partial assignment to an
+    equal-valued one; one free vertex is its own class, so the last level
+    skips that step and its candidates are a single bit.
+
+    A relabelling tied with ``T`` at every level maps the edge set onto
+    itself, so each such leaf, the identity among them, is an automorphism;
+    the bits of each are appended to ``leaves``. The function makes no call
+    but ``.append``.
     """
-    full = (1 << n) - 1
+    pos = colex_position(n, s)
     rank = colex_position(n, s - 1)
-    lines = ["def _twins(table, deg):"]
+    full = (1 << n) - 1
+    lines = ["def _test(table, deg, T, twins, leaves):"]
     if s > 1:
-        lines += [f"    l{i:d} = table[{sum(1 << v for v in q):d}]"
+        lines += [f"    w{i:d} = table[{sum(1 << v for v in q):d}]"
                   for q, i in rank.items()]
-    lines += [f"    [{''.join(f'd{v:d}, ' for v in range(n))}] = deg",
-              "    out = []", "    seen = 0"]
+    lines += [f"    [{''.join(f'd{v:d}, ' for v in range(n))}] = deg", "    seen = 0"]
     for u in range(n - 1):
         lines += [f"    if not seen & {1 << u:d}:", f"        c = {1 << u:d}"]
         for v in range(u + 1, n):
             test = f"d{u:d} == d{v:d}"
             if 1 < s <= n:  # with n < s no (s-2)-set avoids u and v
                 rest = [w for w in range(n) if w != u and w != v]
-                xors = "|".join(f"l{rank[tuple(sorted(q + (u,)))]:d}^"
-                                f"l{rank[tuple(sorted(q + (v,)))]:d}"
+                xors = "|".join(f"w{rank[tuple(sorted(q + (u,)))]:d}^"
+                                f"w{rank[tuple(sorted(q + (v,)))]:d}"
                                 for q in combinations(rest, s - 2))
                 test += f" and not ({xors}) & {full ^ 1 << u ^ 1 << v:d}"
             lines += [f"        if {test}:", f"            c |= {1 << v:d}"]
-        lines += [f"        if c != {1 << u:d}:", "            out.append(c)",
+        lines += [f"        if c != {1 << u:d}:", "            twins.append(c)",
                   "            seen |= c"]
-    lines.append("    return out")
-    return compile_kernel(lines, "_twins", f"n={n:d} s={s:d}")
-
-
-@lru_cache(maxsize=256)
-def _relabel_kernel(n: int, s: int):
-    """The relabelling search of :func:`_improve_once` for n vertices and
-    uniformity s, as generated code: one ``while`` loop per new vertex but
-    the last, whose candidates are then a single bit. Only integers and
-    fixed names go into the source, which runs with no builtins.
-
-    Names: ``f{j}`` is the mask of the old vertices still free before new
-    vertex j is placed, ``c{j}`` its candidate mask and ``b{j}`` the bit of
-    the old vertex it holds; ``T`` is the target bitstring. Placing ``b{j}``
-    reads, once, the link of the image of each (s-1)-set of new vertices
-    that ends in j into a local named after the set, ``l{a}_{j}`` for s = 3
-    (``l``, the link of the empty set, is read at the start when s = 1).
-    Each read subscripts ``table``, the host's dense link table indexed by
-    vertex mask, so the function makes no call but ``leaves.append``.
-    Level j tests, for every (s-1)-subset of the new vertices below j in
-    colex order, ``h = l{...} & c{j}`` against the bit ``T & 1 << p`` at the
-    colex position p of the subset plus j.
-
-    The function returns the bits of an improving prefix, the improving
-    vertex last, or None; it appends the bits of each tied leaf to
-    ``leaves``.
-    """
-    pos = colex_position(n, s)
-    full = (1 << n) - 1
 
     def link(sub):
         return "l" + "_".join(f"{a:d}" for a in sub)
 
-    lines = ["def _search(table, T, twins, leaves):", f"    f0 = {full:d}"]
+    lines.append(f"    f0 = {full:d}")
     if s == 1:
         lines.append("    l = table[0]")
     pad = "    "
@@ -158,75 +157,17 @@ def _relabel_kernel(n: int, s: int):
                 image = " | ".join(f"b{a:d}" for a in sub + (j,))
                 lines.append(f"{pad}{link(sub + (j,))} = table[{image}]")
     lines.append("    return None")
-    return compile_kernel(lines, "_search", f"n={n:d} s={s:d}")
+    return compile_kernel(lines, "_test", f"n={n:d} s={s:d}")
 
 
-@lru_cache(maxsize=256)
-def _kernels(n: int, s: int):
-    """The twin and relabelling kernels for (n, s), found by one lookup."""
-    return _twin_kernel(n, s), _relabel_kernel(n, s)
-
-
-def _improve_once(host: HostIndex, s, automorphisms=None, target=None):
-    """Search for a relabelling whose bitstring exceeds the graph's own.
-
-    Returns such a relabelling as a list giving the old vertex of each new
-    one, or None if the graph is its own canonical form. ``target``, if
-    given, is the graph's own bitstring, else it is built from the edges.
-
-    New vertex j holds old vertex ``perm[j]``. The bits of level j (the
-    colex positions of the s-sets whose largest element is j) ask, for each
-    (s-1)-subset of the new vertices below j, whether the candidate
-    completes the subset's image to an edge, and the index's link of that
-    image answers it for all candidates at once. Scanning a level narrows
-    the candidate mask ``c{j}`` to those still equal to the graph's own
-    bitstring ``T`` (the target); one with a 1 where the target has a 0 is
-    an improvement, and any completion of it improves the target. Equal
-    branches are explored (they may diverge later); transposition twins are
-    tried once per class, which is sound because the twin swap extends any
-    partial assignment to an equal-valued one. The search runs as the code
-    :func:`_relabel_kernel` generates for (n, s), with the bit of the old
-    vertex placed at level j in ``b{j}``.
-
-    A relabelling tied with the target at every level maps the edge set onto
-    itself, so each such leaf, the identity among them, is an automorphism.
-    If the graph is canonical and ``automorphisms`` is a list, the adjacent
-    transpositions of every twin class and then every non-identity tied leaf
-    are appended to it, each as the list of the image of every vertex; a
-    graph that is not canonical appends nothing.
-    """
-    n = host.n
-    if n == 0:
-        return None  # the empty relabelling is the only one
-    if target is None:
-        pos = colex_position(n, s)
-        target = 0
-        for e in host.edges:
-            target |= 1 << pos[e]
-    table = host.link_table()
-    twin_kernel, relabel_kernel = _kernels(n, s)
-    # only the lowest free member of each twin class is a candidate
-    twins = twin_kernel(table, host.deg)
-    leaves = []
-    found = relabel_kernel(table, target, twins, leaves)
-    if found is not None:
-        perm = [b.bit_length() - 1 for b in found]
-        return perm + [u for u in range(n) if u not in perm]
-    if automorphisms is not None:
-        for c in twins:  # each member with the next: adjacent transpositions
-            u = (c & -c).bit_length() - 1
-            c &= c - 1
-            while c:
-                v = (c & -c).bit_length() - 1
-                swap = list(range(n))
-                swap[u], swap[v] = v, u
-                automorphisms.append(swap)
-                u = v
-                c &= c - 1
-        identity = _BITS[:n]  # the identity as a leaf: old vertex bit per new one
-        automorphisms.extend([b.bit_length() - 1 for b in leaf]
-                             for leaf in leaves if leaf != identity)
-    return None
+def _own_bits(host: HostIndex, s: int) -> int:
+    """The graph's own bitstring: bit p set iff the s-set at colex position
+    p is an edge."""
+    pos = colex_position(host.n, s)
+    target = 0
+    for e in host.edges:
+        target |= 1 << pos[e]
+    return target
 
 
 def _guard(n: int):
@@ -240,27 +181,52 @@ def _guard(n: int):
 def is_canonical_raw(host: HostIndex, s: int, symmetries=None, target=None) -> bool:
     """Is the s-uniform graph held by ``host`` already its own canonical form?
 
-    That is, does no relabelling beat the graph's own bitstring; one search
-    of :func:`_improve_once` answers it. If it is and ``symmetries`` is a
-    list, automorphisms of the graph met by the test are appended to it,
-    each as the list of the image of every vertex: the adjacent
-    transpositions of each twin class and every non-identity relabelling
-    that ties with the graph's own bitstring. They need not generate the
-    whole group. A non-canonical graph appends nothing.
+    That is, does no relabelling beat the graph's own bitstring; one call
+    of :func:`_kernel` answers it. If it is and ``symmetries`` is a list,
+    automorphisms of the graph met by the test are appended to it, each as
+    the list of the image of every vertex: the adjacent transpositions of
+    each twin class, then every non-identity relabelling that ties with the
+    graph's own bitstring. They need not generate the whole group. A
+    non-canonical graph appends nothing.
 
     ``target`` may give the graph's own bitstring, bit p set iff the s-set
     at colex position p is an edge, so that a caller extending a graph one
     edge at a time need not rebuild it.
     """
-    _guard(host.n)
-    return _improve_once(host, s, symmetries, target) is None
+    n = host.n
+    _guard(n)
+    twins, leaves = [], []
+    if _kernel(n, s)(host.link_table(), host.deg,
+                     _own_bits(host, s) if target is None else target,
+                     twins, leaves) is not None:
+        return False
+    if symmetries is not None:
+        for c in twins:  # each member with the next: adjacent transpositions
+            u = (c & -c).bit_length() - 1
+            c &= c - 1
+            while c:
+                v = (c & -c).bit_length() - 1
+                swap = list(range(n))
+                swap[u], swap[v] = v, u
+                symmetries.append(swap)
+                u = v
+                c &= c - 1
+        identity = _BITS[:n]  # the identity as a leaf: old vertex bit per new one
+        symmetries.extend([b.bit_length() - 1 for b in leaf]
+                          for leaf in leaves if leaf != identity)
+    return True
 
 
 def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
-    """Sorted colex positions of the canonical form's edges."""
+    """Sorted colex positions of the canonical form's edges: relabel by each
+    improving prefix, the other vertices after it in order, until none is
+    left."""
     _guard(n)
     host = HostIndex(n, edge_set)
-    while (perm := _improve_once(host, s)) is not None:
+    test = _kernel(n, s)
+    while (found := test(host.link_table(), host.deg, _own_bits(host, s), [], [])) is not None:
+        perm = [b.bit_length() - 1 for b in found]
+        perm += [u for u in range(n) if u not in perm]
         back = {old: new for new, old in enumerate(perm)}
         host = HostIndex(n, [tuple(sorted(back[v] for v in e)) for e in host.edges])
     pos = colex_position(n, s)

@@ -2,8 +2,11 @@
 
 Each generator emits a hypergraph together with a machine-checkable
 certificate of its claimed properties; the claims are re-verified by the
-counting machinery before emission, and a construction that fails its own
-certificate aborts with diagnostics instead of emitting silently.
+counting machinery before emission. With ``verify=True``, the default, a
+construction that fails its own certificate aborts with diagnostics
+(:class:`ConstructionError`); with ``verify=False`` it returns the
+certificate with the failed claims marked, and ``construct`` without
+``--verify`` writes it and exits 0.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .hypergraph import (
     PartitionMap,
     UniformHypergraph,
     blowup,
+    check_vertex_count,
     complete,
     complete_partite,
     induced,
@@ -537,6 +541,7 @@ def deletion_construct(n: int, r: int, spec: BlowupSpec, p: float, seed: int, *,
             f"blowup uniformity {spec.base.s} does not match host uniformity {s}")
     if not 0.0 <= p <= 1.0:
         raise HypergraphError(f"edge probability {p} outside [0, 1]")
+    check_vertex_count(n)
     rng = random.Random(seed)
     sampled = [e for e in colex_subsets(n, s) if rng.random() < p]
     host = HostIndex(n, sampled)

@@ -44,7 +44,14 @@ from .counting import (
     is_blowup_free,
     materialize,
 )
-from .hypergraph import HypergraphError, UniformHypergraph, complete, make, shadow
+from .hypergraph import (
+    HypergraphError,
+    UniformHypergraph,
+    check_vertex_count,
+    complete,
+    make,
+    shadow,
+)
 
 FULL_GUARD = 36   # potential-edge budget for plain exact runs
 LARGE_GUARD = 60  # reachable only with allow_large=True
@@ -104,6 +111,7 @@ class ExtremalRecord:
 
 class _Ctx:
     def __init__(self, n, s, pattern, forbidden):
+        check_vertex_count(n)
         self.n = n
         self.s = s
         self.pot = colex_subsets(n, s)

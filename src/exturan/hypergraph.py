@@ -27,6 +27,13 @@ class HypergraphError(ValueError):
     """A malformed hypergraph, edge, partition or blowup specification."""
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count outside 0..``MAX_VERTICES``; callers that list
+    the C(n, s) potential edges call it first."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise HypergraphError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class UniformHypergraph:
     """An s-uniform edge system on n labelled vertices.
@@ -42,10 +49,7 @@ class UniformHypergraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise HypergraphError(
-                f"vertex count {self.n} outside supported range 0..{MAX_VERTICES}"
-            )
+        check_vertex_count(self.n)
         if self.s < 1:
             raise HypergraphError(f"uniformity must be >= 1, got {self.s}")
         prev = None

@@ -12,6 +12,7 @@ from exturan.constructions import (
     build_lbap,
     deletion_construct,
     deletion_probability,
+    lb4_base,
     lb4_construct,
     lbap_hypergraph,
     lbap_shadow_graph,
@@ -379,3 +380,44 @@ class TestDeletion:
         assert g.to_text() == want.to_text()
         detail = {c.name: c.detail for c in cert.claims}["statistics"]
         assert json.dumps(detail, sort_keys=True) == json.dumps(stats, sort_keys=True)
+
+
+def claim_detail(cert, name):
+    return {c.name: c.detail for c in cert.claims}[name]
+
+
+class TestBelowTheExactValue:
+    # a certified construction on n vertices is free of K_r^(r-1)(a), so its
+    # clique count is at most the exact ex(n, K_r^(r-1), K_r^(r-1)(a))
+
+    @pytest.mark.parametrize("r, sizes, ns, counts, exact", [
+        (3, (2, 2, 2), range(3, 9), [1, 4, 5, 9, 14, 16], [1, 4, 10, 13, 19, 25]),
+        (3, (1, 2, 2), range(3, 9), [1, 1, 2, 4, 4, 6], [1, 4, 5, 8, 10, 16]),
+        # the base avoids K3^(3)(1,1,1), a single edge, so it is edgeless
+        (4, (1, 1, 1, 2), range(4, 7), [0, 0, 0], [1, 1, 3]),
+    ])
+    def test_lb4_over_the_exact_base(self, r, sizes, ns, counts, exact):
+        clique = complete(r, r - 1)
+        got, want = [], []
+        for n in ns:
+            nb, base_forbidden = lb4_base(n, r, sizes)
+            base = exact_ex(nb, single_edge(r - 1), base_forbidden).witness
+            _, cert = lb4_construct(n, r, sizes, base)
+            got.append(claim_detail(cert, "clique-count")["cliques"])
+            want.append(exact_ex(n, clique, BlowupSpec(clique, sizes)).value)
+        assert all(g <= w for g, w in zip(got, want)), (got, want)
+        assert (got, want) == (counts, exact)
+
+    @pytest.mark.parametrize("sizes, reached", [((1, 1, 2), 3), ((1, 2, 2), 1), ((2, 2, 2), 1)])
+    def test_deletion_over_seeds(self, sizes, reached):
+        spec = BlowupSpec(complete(3, 2), sizes)
+        hits = 0
+        for n in range(4, 9):
+            exact = exact_ex(n, complete(3, 2), spec).value
+            p = max(deletion_probability(n, spec)[1], 0.5)
+            for seed in range(5):
+                _, cert = deletion_construct(n, 3, spec, p, seed)
+                cliques = claim_detail(cert, "statistics")["surviving_cliques"]
+                assert cliques <= exact, (n, seed, cliques, exact)
+                hits += cliques == exact
+        assert hits == reached  # the rows whose count is the exact value

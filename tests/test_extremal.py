@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from exturan import extremal
+from exturan import constructions, extremal
 from exturan.canonical import (
     MAX_CANONICAL_VERTICES,
-    _relabel_kernel,
-    _twin_kernel,
+    _kernel,
     canonical_form,
     canonical_key,
     canonical_positions,
@@ -64,6 +63,15 @@ EDGE = single_edge(2)
 
 def relabel(g, perm):
     return make(g.n, g.s, [tuple(perm[v] for v in e) for e in g.edges])
+
+
+def kernel_twins(g):
+    # the twin classes the canonicity kernel of g lists before its search
+    host = HostIndex(g.n, g.edges)
+    twins = []
+    _kernel(g.n, g.s)(host.link_table(), host.deg, sum(1 << p for p in own_positions(g)),
+                      twins, [])
+    return twins
 
 
 class TestCanonicalKey:
@@ -117,26 +125,22 @@ class TestCanonicalForm:
         # the generated search nests one loop per vertex but the last, and
         # CPython compiles at most 20 nested blocks in one function; every
         # placed set reads its link into a local of its own, so each n up to
-        # the cap builds a different function; the twin kernel is built for
-        # the same (n, s), and on the empty and the complete host every two
-        # vertices are twins; below n = s neither host has an edge
+        # the cap builds a different function; on the empty and the complete
+        # host every two vertices are twins; below n = s neither host has an
+        # edge
         for n in range(MAX_CANONICAL_VERTICES + 1):
-            assert callable(_relabel_kernel(n, s))
             for g in (make(n, s, []), complete(n, s)):
-                host = HostIndex(n, g.edges)
-                assert _twin_kernel(n, s)(host.link_table(), host.deg) == (
-                    [(1 << n) - 1] if n > 1 else [])
-                assert is_canonical_raw(host, s)
+                assert kernel_twins(g) == ([(1 << n) - 1] if n > 1 else [])
+                assert is_canonical_raw(HostIndex(n, g.edges), s)
         with pytest.raises(HypergraphError, match="at most"):
             canonical_positions(MAX_CANONICAL_VERTICES + 1, s, ())
 
     def test_kernels_of_different_sizes_compile_under_different_file_names(self):
         # profilers key functions by (file, line, name), and every kernel
         # defines its function at line 1 under one name
-        names = {kernel(n, 2).__code__.co_filename
-                 for kernel in (_relabel_kernel, _twin_kernel) for n in (7, 8)}
-        assert names == {"<exturan:_search n=7 s=2>", "<exturan:_search n=8 s=2>",
-                         "<exturan:_twins n=7 s=2>", "<exturan:_twins n=8 s=2>"}
+        names = {_kernel(n, s).__code__.co_filename for n in (7, 8) for s in (2, 3)}
+        assert names == {"<exturan:_test n=7 s=2>", "<exturan:_test n=8 s=2>",
+                         "<exturan:_test n=7 s=3>", "<exturan:_test n=8 s=3>"}
 
 
 class TestTwinClasses:
@@ -145,9 +149,8 @@ class TestTwinClasses:
         # no (s-2)-set avoids two vertices, so the pair test has no link
         # term and equal degree decides
         g = make(n, s, [])
-        host = HostIndex(n, g.edges)
-        assert _twin_kernel(n, s)(host.link_table(), host.deg) == ([(1 << n) - 1] if n > 1 else [])
-        assert is_canonical_raw(host, s)
+        assert kernel_twins(g) == ([(1 << n) - 1] if n > 1 else [])
+        assert is_canonical_raw(HostIndex(n, g.edges), s)
         assert canonical_key(g) == f"s{s:d};n{n:d};"
         assert canonical_form(g) == g
 
@@ -157,10 +160,9 @@ class TestTwinClasses:
         g = data.draw(hypergraphs(max_n=7, min_s=1, max_s=4))
         # isolated vertices; an edgeless graph may have fewer than s of them
         g = make(data.draw(st.integers(g.n if g.edges else 0, 7)), g.s, g.edges)
-        host = HostIndex(g.n, g.edges)
         # the kernel lists the classes of two or more vertices by least vertex
         want = sorted((c for c in brute_twin_classes(g) if c & (c - 1)), key=lambda c: c & -c)
-        assert _twin_kernel(g.n, g.s)(host.link_table(), host.deg) == want
+        assert kernel_twins(g) == want
 
 
 def complement(g):
@@ -608,33 +610,58 @@ def test_node_counts_match_the_benchmark_pins():
     assert checked >= 20
 
 
-JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+ROOT = Path(__file__).resolve().parents[1]
+JOBS = ROOT / "perfbench" / "jobs.py"
 
 
 def test_exact_cold_rows_obey_the_averaging_bound():
     # Katona, Nemetz & Simonovits: each copy of T, on t < n vertices, misses
     # n - t of the n vertex-deleted hosts, each F-free on n - 1 vertices, so
     # ex(n) <= floor(n * ex(n - 1) / (n - t)); the search never uses this
-    rows = tight = 0
-    for t_spec, f_spec, lo, hi in runpy.run_path(str(JOBS))["COLD_FAMILIES"]:
-        pattern, forbidden = parse_pattern_spec(t_spec), parse_pattern_spec(f_spec)
-        t = materialize(pattern).n
-        below = None
-        for n in range(max(lo - 1, t), hi + 1):
-            value = exact_ex(n, pattern, forbidden).value
-            if below is not None:  # here t < n and n - 1 is a computed value
-                bound = n * below // (n - t)
-                assert value <= bound, (t_spec, f_spec, n, value, bound)
-                rows += 1
-                tight += value == bound
-            below = value
-    assert (rows, tight) == (27, 12)
+    def rows_and_tight(families):
+        rows = tight = 0
+        for pattern, forbidden, lo, hi in families:
+            t = materialize(pattern).n
+            below = None
+            for n in range(max(lo - 1, t), hi + 1):
+                value = exact_ex(n, pattern, forbidden).value
+                if below is not None:  # here t < n and n - 1 is a computed value
+                    bound = n * below // (n - t)
+                    assert value <= bound, (pattern, forbidden, n, value, bound)
+                    rows += 1
+                    tight += value == bound
+                below = value
+        return rows, tight
+
+    cold = [(parse_pattern_spec(t), parse_pattern_spec(f), lo, hi)
+            for t, f, lo, hi in runpy.run_path(str(JOBS))["COLD_FAMILIES"]]
+    # the default tables of the script: n = 4..8 for graphs, 4..6 for 3-uniform hosts
+    script = runpy.run_path(str(ROOT / "scripts" / "ex_tables.py"))
+    tables = ([(t, f, 4, 8) for _, t, f in script["GRAPH_CASES"]]
+              + [(t, f, 4, 6) for _, t, f in script["TRIPLE_CASES"]])
+    assert rows_and_tight(cold) == (27, 12)
+    assert rows_and_tight(tables) == (24, 11)
 
 
 def test_exact_ten_vertices_c4_free():
     # feasible with the raised guard; known value for the 10-vertex case
     rec = exact_ex(10, EDGE, C4, allow_large=True)
     assert rec.value == 16
+
+
+def test_oversized_hosts_refused_before_listing_edges(monkeypatch):
+    # C(n, s) potential edges grow as n^s; past the vertex cap the search and
+    # the deletion sampler must refuse before listing any of them
+    def spy(n, s):
+        assert n <= 64, f"listed the {s}-subsets of {n} vertices"
+        return colex_subsets(n, s)
+
+    monkeypatch.setattr(extremal, "colex_subsets", spy)
+    monkeypatch.setattr(constructions, "colex_subsets", spy)
+    with pytest.raises(HypergraphError, match="vertex count 65 outside"):
+        heuristic_lower(65, EDGE, C4)
+    with pytest.raises(HypergraphError, match="vertex count 65 outside"):
+        constructions.deletion_construct(65, 3, DIAMOND, 0.5, 0)
 
 
 class TestChain:

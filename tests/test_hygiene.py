@@ -138,18 +138,17 @@ def test_generated_code_compiles_only_in_compile_kernel():
 
 
 def test_canonicity_kernels_read_links_without_a_call(monkeypatch):
-    """The twin and relabelling kernels read each link as a subscript of the
-    host's dense link table: the only call in their generated source, for
-    every vertex count and uniformity the canonicity test takes, is
-    ``.append`` on the list they return."""
+    """The canonicity kernel reads each link as a subscript of the host's
+    dense link table: the only call in its generated source, for every
+    vertex count and uniformity the canonicity test takes, is ``.append``
+    on the twin and leaf lists it fills."""
     sources = []
     monkeypatch.setattr(canonical, "compile_kernel",
                         lambda lines, name, tag: sources.append((f"{name} {tag}", lines)))
     sizes = [(n, s) for n in range(canonical.MAX_CANONICAL_VERTICES + 1) for s in range(1, 5)]
     for n, s in sizes:
-        canonical._twin_kernel.__wrapped__(n, s)
-        canonical._relabel_kernel.__wrapped__(n, s)
-    assert len(sources) == 2 * len(sizes)
+        canonical._kernel.__wrapped__(n, s)
+    assert len(sources) == len(sizes)
     found = Counter()
     for tag, lines in sources:
         for node in ast.walk(ast.parse("\n".join(lines))):
