@@ -281,9 +281,13 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
     drops. Property (2) is exact for every input: exhaustive while the class
     product has at most ``LBAP_TUPLE_BUDGET`` tuples, and checked on that
     many tuples sampled uniformly with seed 0 above it, with the sampling
-    recorded in the certificate. The classes must split ``0..h.n-1`` into
-    ``r`` (possibly empty) classes of an r-uniform host; any other shape
-    raises ``HypergraphError``.
+    recorded in the certificate. The exhaustive check walks the heads
+    (every coordinate but the last) in product order and, for each head
+    whose link meets the last class, only the last-class vertices that
+    can be swapped; it finds the first violation of the full product scan
+    and, on a pass, reports the class product size as ``checked``. The
+    classes must split ``0..h.n-1`` into ``r`` (possibly empty) classes of
+    an r-uniform host; any other shape raises ``HypergraphError``.
     """
     if parts.n != h.n or len(parts.classes) != r or h.s != r:
         raise HypergraphError(
@@ -320,27 +324,47 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
             cmask |= 1 << v
         class_masks.append(cmask)
         space *= len(c)
-    exhaustive = space <= LBAP_TUPLE_BUDGET
-    if exhaustive:
-        tuples = product(*parts.classes)
-    else:
-        rng = random.Random(0)
-        tuples = (tuple(rng.choice(c) for c in parts.classes)
-                  for _ in range(LBAP_TUPLE_BUDGET))
-    violation = None
-    checked = 0
-    for x in tuples:
-        checked += 1
-        mask = 0
-        for v in x:
-            mask |= 1 << v
+
+    def swappable(x, mask):  # every coordinate of x, one vertex per class
         for v, cmask in zip(x, class_masks):
             bit = 1 << v
             if not links.get(mask ^ bit, 0) & (cmask ^ bit):
+                return False
+        return True
+
+    exhaustive = space <= LBAP_TUPLE_BUDGET
+    violation = None
+    if exhaustive:
+        # the last coordinate of x = head + (v,) swaps exactly when the link
+        # of the head meets the last class outside v, so only heads whose
+        # link meets it lead anywhere; the walk keeps product order
+        checked = space
+        *heads, last = parts.classes
+        for head in product(*heads) if space else ():
+            mask = 0
+            for v in head:
+                mask |= 1 << v
+            fit = links.get(mask, 0) & class_masks[-1]
+            if not fit:
+                continue
+            for v in last:
+                bit = 1 << v
+                if fit & ~bit and swappable(head, mask | bit):
+                    violation = {"tuple": [*head, v]}
+                    break
+            if violation:
                 break
-        else:
-            violation = {"tuple": list(x)}
-            break
+    else:
+        rng = random.Random(0)
+        checked = LBAP_TUPLE_BUDGET
+        for _ in range(LBAP_TUPLE_BUDGET):
+            x = tuple(rng.choice(c) for c in parts.classes)
+            mask = 0
+            for v in x:
+                mask |= 1 << v
+            if swappable(x, mask):
+                violation = {"tuple": list(x)}
+                break
     status = "fail" if violation else ("pass" if exhaustive else "pass-sampled")
     claims.append(ClaimResult(
         "no-local-swap", status,

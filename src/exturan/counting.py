@@ -77,6 +77,11 @@ class PatternPlan(NamedTuple):
     ``by_degree`` visits vertices by descending degree with index
     tie-breaks and ``by_index`` in index order. The walks that begin with
     a pattern edge are built apart, on first use; see :func:`_edge_starts`.
+    Either walk can meet a step that completes no edge, a vertex with no
+    neighbour placed before it: vertex 1 of C4 or of the octahedron, whose
+    classes put 0 and 1 together. In a graph, such a step that shares a
+    later neighbour with an earlier one reads a second neighbourhood
+    (:func:`_kernel`).
     """
 
     by_degree: tuple
@@ -212,6 +217,13 @@ def compile_kernel(lines, name: str, tag: str):
     return namespace[name]
 
 
+def _second(i: int, pad: str) -> list:
+    """Generated lines setting ``n{i}`` to the second neighbourhood of step
+    i's vertex in a graph: the OR of the links of its neighbours."""
+    return [f"{pad}n{i:d} = 0", f"{pad}x = get(b{i:d}, 0)", f"{pad}while x:",
+            f"{pad}    y = x & -x", f"{pad}    x ^= y", f"{pad}    n{i:d} |= get(y, 0)"]
+
+
 @lru_cache(maxsize=256)
 def _kernel(walk, ndom: int, mode: str):
     """The search along ``walk`` whose first ``ndom`` steps read domains, in
@@ -221,12 +233,29 @@ def _kernel(walk, ndom: int, mode: str):
     mask and the vertices placed so far. Only integers from the walk and
     fixed names go into the source, which runs with no builtins.
 
+    A step of a graph walk that completes no edge, but whose vertex and
+    that of an earlier step i have a common neighbour placed later, can
+    only take a vertex of N(N(v_i)): its candidates are that mask less the
+    used ones, not every free vertex. The mask is computed once per
+    placement of step i, or once per call of a later chunk that reads it.
+    Every vertex dropped this way completes no embedding, so each mode
+    returns what the plain scan returns, in the same order.
+
     Names: ``c{k}`` is step k's candidate mask, ``v{k}`` its host vertex,
-    ``b{k}`` that vertex's bit and ``u{k}`` the mask used after step k.
+    ``b{k}`` that vertex's bit, ``u{k}`` the mask used after step k and
+    ``n{k}`` the second neighbourhood of ``v{k}``.
     """
     order, needs, checks = walk
     size = len(order)
     at = {u: k for k, u in enumerate(order)}
+    # ahead[k] = i: step k draws from n{i}, i the first step that qualifies
+    ahead = {}
+    if all(len(others) == 1 for step in checks for others in step):
+        before = [{at[w] for (w,) in step} for step in checks]
+        for k in range(size):
+            shared = [i for nb in before[k + 1:] if k in nb for i in nb if i < k]
+            if shared and not checks[k]:
+                ahead[k] = min(shared)
     image = "(" + "".join(f"v{at[u]:d}, " for u in range(size)) + ")"
     tail = {"first": "return None", "count": "return count", "all": "return out"}[mode]
     lines = []
@@ -240,8 +269,10 @@ def _kernel(walk, ndom: int, mode: str):
             lines.append("    count = 0")
         elif mode == "all" and not a:
             lines.append("    out = []")
-        read = {at[w] for k in range(a, b) for others in checks[k] for w in others}
+        twice = {ahead[k] for k in range(a, b) if k in ahead}
+        read = {at[w] for k in range(a, b) for others in checks[k] for w in others} | twice
         lines += [f"    b{k:d} = 1 << v{k:d}" for k in sorted(read) if k < a]
+        lines += [line for i in sorted(twice) if i < a for line in _second(i, "    ")]
         used = "used" if a else ""
         pad = "    "
         for k in range(a, b):
@@ -249,11 +280,13 @@ def _kernel(walk, ndom: int, mode: str):
                     for others in checks[k]]
             if gets:
                 cand = " & ".join(gets + ([f"~{used}"] if used else []))
+            elif k in ahead:
+                cand = f"n{ahead[k]:d} & ~{used}"
             else:
                 cand = f"everyone ^ {used}" if used else "everyone"
             lines.append(f"{pad}c{k:d} = {cand}")
             # a vertex in a link mask lies on an edge, so degree 1 holds
-            need = needs[k] if needs[k] > (1 if gets else 0) else 0
+            need = needs[k] if needs[k] > (1 if gets or k in ahead else 0) else 0
             if mode == "count" and k == size - 1 and k >= ndom and not need:
                 lines.append(f"{pad}count += c{k:d}.bit_count()")
                 break
@@ -274,6 +307,8 @@ def _kernel(walk, ndom: int, mode: str):
                     lines.append(f"{pad}b{k:d} = 1 << v{k:d}")
                 lines.append(f"{pad}u{k:d} = {used} | b{k:d}" if used else f"{pad}u{k:d} = b{k:d}")
                 used = f"u{k:d}"
+                if k in twice:
+                    lines += _second(k, pad)
         else:  # the innermost loop: a full mapping, or the next chunk
             if b == size:
                 lines.append(pad + {"first": f"return {image}", "count": "count += 1",
@@ -301,6 +336,10 @@ def _backtrack(host: HostIndex, walk, domains=(), *, mode):
     every such edge form the AND of ``host.links`` over the masks of the
     edges' already placed vertices, and only the free ones among them are
     tried, in ascending bit order or, with a domain, in the domain's order.
+    A step of a graph walk that completes no edge takes the second
+    neighbourhood of an earlier step's vertex instead, when the two
+    steps' vertices have a common neighbour placed later (see
+    :class:`PatternPlan` for the walks that have such a step).
     A vertex below the step's pattern degree is skipped. ``mode`` "first"
     returns the first mapping found (or None), "count" the number of
     mappings, "all" the list of them in search order.

@@ -28,7 +28,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -114,8 +114,7 @@ class _Ctx:
         check_vertex_count(n)
         self.n = n
         self.s = s
-        self.pot = colex_subsets(n, s)
-        self.M = len(self.pot)
+        self.M = comb(n, s)
         self.pattern = pattern
         # the copies in the empty host, the root of every search; counted
         # here, so that a pattern too large to count fails before any search
@@ -125,6 +124,14 @@ class _Ctx:
         # a host with fewer edges than F, or fewer vertices, holds no copy of it
         self.fb_min = forbidden.m if forbidden.n <= n else self.M + 1
         self.host = HostIndex(n)  # the edges of the node being searched
+
+    @cached_property
+    def pot(self):
+        """The potential edges in colex order, built on the first read: the
+        exact search reads them by position, the local search never. The
+        class attribute makes each later read slower than a plain
+        attribute's, so the search loop reads it into a local once."""
+        return colex_subsets(self.n, self.s)
 
     def forbidden_copy(self, edge):
         """A copy of the forbidden pattern through ``edge``, just added to
@@ -223,12 +230,12 @@ def _children(ctx: _Ctx, positions, syms, target, deadline):
     position where the child has a 0, and the child is not canonical.
     Raises _Timeout before any candidate tried after ``deadline``.
     """
-    host, moved = ctx.host, ctx.moved
+    host, moved, pot = ctx.host, ctx.moved, ctx.pot
     start = positions[-1] + 1 if positions else 0
     for p in range(start, ctx.M):
         if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
-        e = ctx.pot[p]
+        e = pot[p]
         if moved(syms, e):
             continue
         host.add(e)

@@ -73,6 +73,29 @@ def lbap_inputs(draw):
     return make(n, r, edges), classes
 
 
+@st.composite
+def swap_inputs(draw):
+    """An r-partite r-uniform host (r = 3, 4) with classes of 0 to 4 vertices,
+    as runs or interleaved, and transversal edges drawn at a random density;
+    now and then a planted choice of one vertex per class whose every
+    coordinate can be swapped."""
+    r = draw(st.sampled_from((3, 4)))
+    sizes = draw(st.lists(st.integers(0, 4), min_size=r, max_size=r))
+    n = sum(sizes)
+    labels = draw(st.permutations(range(n))) if draw(st.booleans()) else list(range(n))
+    cuts = [sum(sizes[:i]) for i in range(r + 1)]
+    classes = tuple(tuple(sorted(labels[cuts[i]:cuts[i + 1]])) for i in range(r))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from((0.1, 0.3, 0.6, 0.9)))
+    edges = {tuple(sorted(x)) for x in product(*classes) if rnd.random() < density}
+    if min(sizes) >= 2 and draw(st.booleans()):
+        x = [rnd.choice(c) for c in classes]
+        for i, c in enumerate(classes):
+            y = rnd.choice([v for v in c if v != x[i]])
+            edges.add(tuple(sorted(x[:i] + [y] + x[i + 1:])))
+    return make(n, r, sorted(edges)), classes
+
+
 class TestAPFreeSets:
     def test_exact_n4(self):
         s = apfree_set(4, 3)
@@ -199,6 +222,20 @@ class TestVerifyLbapProperties:
         want = ("fail", {"tuple": list(bad)}) if bad else \
             ("pass", {"checked": prod(map(len, classes)), "exhaustive": True})
         assert (claims["no-local-swap"].status, claims["no-local-swap"].detail) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(swap_inputs())
+    def test_swap_walk_matches_the_full_scan(self, case):
+        # the walk over swappable tails finds the full scan's first violation
+        # and, on a pass, still reports the whole class product as checked
+        h, classes = case
+        cert = verify_lbap_properties(h, PartitionMap(classes), 1, h.s,
+                                      APFreeSet(1, h.s, (), exact=False))
+        claim = {c.name: c for c in cert.claims}["no-local-swap"]
+        bad = brute_swap_violation(h, classes)
+        want = ("fail", {"tuple": list(bad)}) if bad else \
+            ("pass", {"checked": prod(map(len, classes)), "exhaustive": True})
+        assert (claim.status, claim.detail) == want
 
     def test_empty_system(self):
         ap = APFreeSet(3, 3, (), exact=False)

@@ -25,6 +25,7 @@ from exturan.counting import (
     copies_through_edge,
     count_copies,
     count_embeddings,
+    count_embeddings_raw,
     edge_multiplicity,
     embeds_using_edge,
     exponents,
@@ -46,6 +47,7 @@ from oracles import (
     brute_contains,
     brute_count_copies,
     brute_embeddings,
+    brute_first_copy,
 )
 from strategies import hypergraphs
 
@@ -316,6 +318,35 @@ class TestContains:
     def test_random_small_patterns(self, host):
         for pattern in (complete(3, 2), cycle(4), make(3, 2, [[0, 1]])):
             assert (contains(host, pattern) is not None) == brute_contains(host, pattern)
+
+
+# graph patterns whose index or degree walk has a step that completes no
+# edge: C4, K_{2,3}, the octahedron, and a path 0-2-1-3
+LINKLESS = (complete_partite(2, (2, 2))[0], complete_partite(2, (2, 3))[0],
+            complete_partite(2, (2, 2, 2))[0], make(4, 2, [(0, 2), (1, 2), (1, 3)]))
+
+
+class TestLinklessSteps:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_second_neighbourhood_steps_match_bruteforce(self, data):
+        pattern = data.draw(st.sampled_from(LINKLESS))
+        n = data.draw(st.integers(pattern.n - 1, 8 if pattern.n == 6 else 9))
+        rnd = data.draw(st.randoms(use_true_random=False))
+        density = data.draw(st.sampled_from((0.2, 0.5, 0.8, 1.0)))
+        host = make(n, 2, [e for e in combinations(range(n), 2) if rnd.random() < density])
+        index = data.draw(updated_index(host))
+        every = brute_embeddings(host, pattern)  # in lexicographic order
+        assert first_embedding(index, pattern) == brute_first_copy(host, pattern)
+        assert (contains(host, pattern) is not None) == brute_contains(host, pattern)
+        assert count_embeddings_raw(index, pattern) == len(every)
+        assert all_embeddings(host, pattern) == every
+        domains = data.draw(st.lists(st.lists(st.integers(0, n - 1), unique=True),
+                                     max_size=pattern.n))
+        within = [phi for phi in every if all(phi[i] in dom for i, dom in enumerate(domains))]
+        want = sorted(within, key=search_order(_compile(pattern).by_index, domains))
+        assert first_embedding(index, pattern, domains) == (want[0] if want else None)
+        assert all_embeddings(host, pattern, domains) == want
 
 
 class TestEmbedsUsingEdge:

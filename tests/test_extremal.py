@@ -500,6 +500,15 @@ class TestHeuristicLower:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["0", "0", "0"]
 
+    def test_lists_no_colex_order(self, monkeypatch):
+        # the local search draws edges from its own list; the colex list is
+        # the exact search's, so building it here would be waste
+        def spy(n, s):
+            raise AssertionError(f"colex_subsets({n}, {s}) called by the local search")
+        monkeypatch.setattr(extremal, "colex_subsets", spy)
+        assert_replays(9, TRI, C4, seed=2, budget=300)
+        assert_replays(7, complete(4, 3), complete(5, 3), seed=0, budget=200)
+
     def test_c4_free_ten_vertices(self):
         rec = heuristic_lower(10, EDGE, C4, seed=0, budget=4000)
         assert rec.value >= 15

@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import exturan
-from exturan import canonical
+from exturan import canonical, counting
+from exturan.hypergraph import complete_partite
 
 SRC = Path(exturan.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -156,3 +157,18 @@ def test_canonicity_kernels_read_links_without_a_call(monkeypatch):
                     isinstance(node.func, ast.Attribute) and node.func.attr == "append"):
                 found[tag] += 1
     assert not found, f"calls in generated canonicity kernels: {dict(found)}"
+
+
+def test_linkless_graph_step_reads_a_second_neighbourhood(monkeypatch):
+    """In the index walk of C4, step 1 completes no edge; its candidate mask
+    is the second neighbourhood of step 0's vertex, not every free vertex."""
+    sources = []
+    monkeypatch.setattr(counting, "compile_kernel",
+                        lambda lines, name, tag: sources.append(lines))
+    walk = counting._compile(complete_partite(2, (2, 2))[0]).by_index
+    for ndom in (0, 1, 2):
+        for mode in ("first", "count", "all"):
+            counting._kernel.__wrapped__(walk, ndom, mode)
+    for lines in sources:
+        (step1,) = [line.strip() for line in lines if line.strip().startswith("c1 = ")]
+        assert "everyone" not in step1 and step1.startswith("c1 = n0 & "), step1
