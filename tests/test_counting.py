@@ -258,6 +258,13 @@ class TestBacktrack:
         assert contains(complete_partite(2, (7, 7, 8))[0], complete_partite(2, (7, 7, 7))[0])
         k777 = BlowupSpec(complete(3, 2), (7, 7, 7))
         assert is_blowup_free(complete_partite(2, (1, 10, 10))[0], k777) == (True, None)
+        # the path 20-21-0-1-...-19: step 20 completes no edge and reads the
+        # second neighbourhood of step 0, placed in the chunk before
+        seq = [20, 21, *range(20)]
+        bent = make(22, 2, list(zip(seq, seq[1:])))
+        flip = dict(zip(seq, reversed(seq)))
+        assert all_embeddings(bent, bent) == [tuple(range(22)),
+                                              tuple(flip[u] for u in range(22))]
 
     def test_only_embeds_using_edge_builds_edge_starts(self, monkeypatch):
         built = []
