@@ -21,7 +21,6 @@ from .counting import (
     ExponentReport,
     UniformityMismatch,
     cliques,
-    co_neighborhood,
     contains,
     count_copies,
     count_embeddings,
@@ -30,7 +29,7 @@ from .counting import (
     is_blowup_free,
     materialize,
 )
-from .canonical import canonical_form, canonical_key
+from .canonical import canonical_key
 from .extremal import (
     CacheIntegrityError,
     ExtremalRecord,
@@ -50,7 +49,6 @@ from .constructions import (
     deletion_probability,
     lb4_construct,
     lbap_hypergraph,
-    lbap_shadow_graph,
     verify_lbap_properties,
 )
 from .pipeline import (
@@ -58,11 +56,9 @@ from .pipeline import (
     SharedEdgeFamily,
     ThinningPlan,
     aligned_copies,
-    auxiliary_hypergraph,
     conditional_partition,
     edge_disjoint_greedy,
     find_blowup,
-    lift_shadow,
     shared_edge_groups,
     thin_cliques,
 )

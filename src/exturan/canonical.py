@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .counting import HostIndex, compile_kernel
-from .hypergraph import HypergraphError, UniformHypergraph, make
+from .hypergraph import HypergraphError, UniformHypergraph
 
 MAX_CANONICAL_VERTICES = 12  # permutation search envelope
 _BITS = tuple(1 << v for v in range(MAX_CANONICAL_VERTICES))
@@ -231,12 +231,6 @@ def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
         host = HostIndex(n, [tuple(sorted(back[v] for v in e)) for e in host.edges])
     pos = colex_position(n, s)
     return tuple(sorted(pos[e] for e in host.edges))
-
-
-def canonical_form(g: UniformHypergraph) -> UniformHypergraph:
-    """The canonical representative of g's isomorphism class."""
-    subs = colex_subsets(g.n, g.s)
-    return make(g.n, g.s, [subs[p] for p in canonical_positions(g.n, g.s, g.edge_set)])
 
 
 def canonical_key(g: UniformHypergraph) -> str:

@@ -387,13 +387,6 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
     )
 
 
-def lbap_shadow_graph(h: UniformHypergraph) -> UniformHypergraph:
-    """The (r-1)-uniform shadow of a progression system."""
-    if h.s < 3:
-        raise HypergraphError(f"need uniformity >= 3, got {h.s}")
-    return shadow(h, h.s - 1)
-
-
 def locally_linear_spec(r: int) -> BlowupSpec:
     """Forbidding this blowup (two cliques sharing an edge) makes every edge
     of an (r-1)-uniform host lie in at most one r-clique."""
@@ -418,7 +411,7 @@ def build_lbap(n: int, r: int, mode: str = "exact", *,
         raise HypergraphError(f"vertex count {total} outside supported range 0..{MAX_VERTICES}")
     ap = apfree_set(n, r, mode)
     h, parts = lbap_hypergraph(n, r, ap)
-    g = lbap_shadow_graph(h)
+    g = shadow(h, r - 1)
     cert = verify_lbap_properties(h, parts, n, r, ap)
     clique_count = len(complete_subsets(g.n, g.s, g.edge_set, r))
     claims = cert.claims + (

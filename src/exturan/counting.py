@@ -1,4 +1,4 @@
-"""Cliques, co-neighborhoods, subgraph containment, copy counting and exponent tables.
+"""Cliques, subgraph containment, copy counting and exponent tables.
 
 Copies are counted unlabelled: the number of embeddings divided by the
 automorphism count of the pattern, which is the number of embeddings of the
@@ -8,9 +8,8 @@ holds a link table: for every s-1 vertices of an edge, the mask of the
 vertices that complete them to an edge. A step that completes pattern edges
 therefore takes its candidates from the AND of the links of those edges'
 placed parts (the common-link step) instead of scanning every host vertex.
-Cliques and co-neighborhoods take the same step without a backtracker: a
-sorted clique grows by the vertices above its last one in the AND of the
-links of its (s-1)-subsets.
+Cliques take the same step without a backtracker: a sorted clique grows by
+the vertices above its last one in the AND of the links of its (s-1)-subsets.
 The backtracker is generated code: for each compiled walk, number of domain
 steps and search mode, the source of one function with one nested loop per
 step (its link AND and degree test written out) is built from the walk's
@@ -29,7 +28,6 @@ ascending order, so certificates are reproducible.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -383,9 +381,6 @@ class Embedding:
             "mapping": list(self.mapping),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def first_embedding(host: HostIndex, pattern: UniformHypergraph,
                     domains=()) -> tuple[int, ...] | None:
@@ -585,29 +580,6 @@ def cliques(g: UniformHypergraph, r: int) -> CliqueFamily:
         raise UniformityMismatch(f"host uniformity {g.s}, expected {r - 1}")
     members = complete_subsets(g.n, g.s, g.edge_set, r)
     return CliqueFamily(g, r, tuple(members), check=False)  # sorted cliques, once each
-
-
-def co_neighborhood(g: UniformHypergraph, vs) -> UniformHypergraph:
-    """Common co-neighborhood of the vertices ``vs`` in an s-uniform host.
-
-    With r = s+1, the result keeps the host's labelling (the vertices of
-    ``vs`` become isolated) and contains an edge {w_1,..,w_s} avoiding ``vs``
-    exactly when, for every v in ``vs``, the r-set {v, w_1,..,w_s} spans a
-    complete r-clique in g, i.e. all of its s-subsets are edges: the mask
-    of ``vs`` lies inside the link of every (s-1)-subset of the edge.
-    """
-    vs = [int(v) for v in vs]
-    if not vs:
-        raise HypergraphError("co-neighborhood needs a nonempty vertex set")
-    if len(set(vs)) != len(vs):
-        raise HypergraphError("co-neighborhood vertices must be distinct")
-    if any(v < 0 or v >= g.n for v in vs):
-        raise HypergraphError(f"vertex outside 0..{g.n - 1}")
-    want = sum(1 << v for v in vs)
-    host = HostIndex(g.n, g.edges)
-    return UniformHypergraph(g.n, g.s, tuple(
-        e for e, mask in host.edges.items()
-        if not mask & want and all(host.links[mask ^ 1 << w] & want == want for w in e)))
 
 
 def edge_multiplicity(g: UniformHypergraph,

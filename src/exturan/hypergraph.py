@@ -2,12 +2,12 @@
 
 Vertices are dense integers ``0..n-1``. Partite structure travels separately
 in :class:`PartitionMap`, so a single carrier type serves hosts, forbidden
-patterns, shadows and auxiliary hypergraphs alike. Edges are stored as sorted
-tuples and the edge list is kept in lexicographic order, which gives every
-value a deterministic serialization (used for cache keys). All values are
-immutable and safe to share between concurrent tasks; every operator here is
-a pure function. None of them searches: cliques, co-neighborhoods and
-embeddings are found in :mod:`exturan.counting`, on a host index.
+patterns and shadows alike. Edges are stored as sorted tuples and the edge
+list is kept in lexicographic order, which gives every value a deterministic
+serialization (used for cache keys). All values are immutable and safe to
+share between concurrent tasks; every operator here is a pure function. None
+of them searches: cliques and embeddings are found in
+:mod:`exturan.counting`, on a host index.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Clique-family surgery and the partite blowup-discovery pipeline.
 
 The operations here are the constructive counterparts of the counting
-bounds: lifting a host one uniformity up while preserving clique selection,
-extracting edge-disjoint clique subfamilies by greedy selection, thinning a
-family until no host edge is shared by too many members, and hunting for a
-blowup of a pattern through aligned copies and an auxiliary hypergraph.
+bounds: extracting edge-disjoint clique subfamilies by greedy selection,
+thinning a family until no host edge is shared by too many members, and
+hunting for a blowup of a pattern through aligned copies and the index of
+their auxiliary hypergraph.
 Everything is deterministic given its seed.
 """
 
@@ -21,36 +21,13 @@ from .counting import (
     HostIndex,
     UniformityMismatch,
     all_embeddings,
-    complete_subsets,
     edge_multiplicity,
 )
 from .hypergraph import (
     HypergraphError,
     PartitionMap,
     UniformHypergraph,
-    make,
 )
-
-
-def lift_shadow(g: UniformHypergraph, target: int | None = None) -> UniformHypergraph:
-    """Lift a host one uniformity step (or iterated up to ``target``).
-
-    One step replaces an s-uniform host by the (s+1)-uniform hypergraph whose
-    edges are exactly the (s+1)-sets spanning a complete clique; an r-set
-    spans a clique in the lift iff it does in the original, so clique
-    selection is preserved.
-    """
-    if g.s < 2:
-        raise HypergraphError(f"need uniformity >= 2, got {g.s}")
-    if target is None:
-        target = g.s + 1
-    if target < g.s:
-        raise HypergraphError(f"cannot lift down to {target} from {g.s}")
-    cur = g
-    while cur.s < target:
-        edges = complete_subsets(cur.n, cur.s, cur.edge_set, cur.s + 1)
-        cur = UniformHypergraph(cur.n, cur.s + 1, tuple(edges))
-    return cur
 
 
 def edge_disjoint_greedy(family: CliqueFamily, b: int) -> CliqueFamily:
@@ -220,16 +197,6 @@ def _aux_index(aligned, ell: int, n: int) -> HostIndex:
             if edge not in index.edges:
                 index.add(edge)
     return index
-
-
-def auxiliary_hypergraph(g: UniformHypergraph, f: UniformHypergraph,
-                         partition: PartitionMap) -> UniformHypergraph:
-    """(l-1)-uniform l-partite hypergraph of crossing tuples extending to an
-    aligned copy; every aligned copy spans a complete clique in it."""
-    if f.n < 3:
-        raise HypergraphError(f"pattern needs >= 3 vertices, got {f.n}")
-    index = _aux_index(aligned_copies(g, f, partition), f.n, g.n)
-    return make(g.n, f.n - 1, index.edges)
 
 
 def conditional_partition(g: UniformHypergraph, f: UniformHypergraph,

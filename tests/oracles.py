@@ -2,7 +2,9 @@
 
 Everything here enumerates raw search spaces (permutations, edge subsets,
 bit masks) without reusing the library's search machinery, so oracle
-agreement is meaningful.
+agreement is meaningful. The one exception is :func:`canonical_form`, which
+only materialises the library's canonical positions as a hypergraph, for
+tests that compare canonical representatives.
 """
 
 import random
@@ -10,6 +12,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
+from exturan.canonical import canonical_positions, colex_subsets
 from exturan.hypergraph import BlowupSpec, UniformHypergraph, blowup, make
 
 
@@ -321,3 +324,10 @@ def brute_subset_clash(host: UniformHypergraph):
                 if set(sub) <= set(f):
                     return {"subset": list(sub), "edges": [list(f), list(e)]}
     return None
+
+
+def canonical_form(g: UniformHypergraph) -> UniformHypergraph:
+    """The canonical representative of g's isomorphism class: the edges at
+    the library's canonical colex positions."""
+    subs = colex_subsets(g.n, g.s)
+    return make(g.n, g.s, [subs[p] for p in canonical_positions(g.n, g.s, g.edge_set)])

@@ -15,7 +15,6 @@ from exturan.constructions import (
     lb4_base,
     lb4_construct,
     lbap_hypergraph,
-    lbap_shadow_graph,
     locally_linear_spec,
     verify_lbap_properties,
 )
@@ -28,6 +27,7 @@ from exturan.hypergraph import (
     complete,
     complete_partite,
     make,
+    shadow,
     single_edge,
 )
 from oracles import (
@@ -259,14 +259,14 @@ class TestLbapShadow:
     def test_two_progressions(self):
         ap = APFreeSet(2, 3, (1,), exact=False)
         h, _ = lbap_hypergraph(2, 3, ap)
-        g = lbap_shadow_graph(h)
+        g = shadow(h, h.s - 1)
         assert len(complete_subsets(g.n, 2, g.edge_set, 3)) == 2
         free, _ = is_blowup_free(g, locally_linear_spec(3))
         assert free
 
     def test_empty(self):
         h, _ = lbap_hypergraph(3, 3, APFreeSet(3, 3, (), exact=False))
-        g = lbap_shadow_graph(h)
+        g = shadow(h, h.s - 1)
         assert g.m == 0
 
     def test_exact_n4_full_bundle(self):

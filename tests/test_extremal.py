@@ -18,7 +18,6 @@ from exturan import constructions, extremal
 from exturan.canonical import (
     MAX_CANONICAL_VERTICES,
     _kernel,
-    canonical_form,
     canonical_key,
     canonical_positions,
     colex_subsets,
@@ -48,6 +47,7 @@ from oracles import (
     brute_canonical_positions,
     brute_isomorphic,
     brute_twin_classes,
+    canonical_form,
     first_fit_heuristic,
     naive_max_copies,
     own_positions,

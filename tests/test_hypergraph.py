@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from exturan.counting import co_neighborhood
 from exturan.hypergraph import (
     BlowupSpec,
     HypergraphError,
@@ -20,7 +19,6 @@ from exturan.hypergraph import (
 )
 from strategies import hypergraphs
 
-from itertools import combinations
 from math import comb, prod
 
 
@@ -153,44 +151,6 @@ class TestShadow:
         for t in range(2, f.s + 1):
             for s in range(2, t + 1):
                 assert shadow(shadow(f, t), s) == shadow(f, s)
-
-
-class TestCoNeighborhood:
-    def test_complete_3_graph(self):
-        g = complete(5, 3)
-        out = co_neighborhood(g, [0])
-        assert set(out.edges) == {e for e in g.edges if 0 not in e}
-
-    def test_triangle_single_vertex(self):
-        out = co_neighborhood(complete(3, 2), [0])
-        assert out.edges == ((1, 2),)
-
-    def test_missing_edge_case_matches_bruteforce(self):
-        g = make(5, 3, [e for e in complete(5, 3).edges if e != (1, 2, 3)])
-        out = co_neighborhood(g, [0])
-        expected = []
-        for e in combinations(range(1, 5), 3):
-            full = tuple(sorted((0,) + e))
-            if all(sub in g.edge_set for sub in combinations(full, 3)):
-                expected.append(e)
-        assert list(out.edges) == expected
-
-    def test_errors(self):
-        g = complete(4, 2)
-        with pytest.raises(HypergraphError):
-            co_neighborhood(g, [])
-        with pytest.raises(HypergraphError):
-            co_neighborhood(g, [0, 0])
-        with pytest.raises(HypergraphError):
-            co_neighborhood(g, [7])
-
-    @given(hypergraphs(max_n=7, min_s=2, max_s=3, min_n=3))
-    def test_monotone_in_vertex_set(self, g):
-        if g.n < 3:
-            return
-        small = co_neighborhood(g, [0])
-        big = co_neighborhood(g, [0, 1])
-        assert set(big.edges) <= {e for e in small.edges if 1 not in e}
 
 
 class TestInduced:

@@ -28,15 +28,13 @@ from exturan.pipeline import (
     _threshold,
     ThinningPlan,
     aligned_copies,
-    auxiliary_hypergraph,
     conditional_partition,
     edge_disjoint_greedy,
     find_blowup,
-    lift_shadow,
     shared_edge_groups,
     thin_cliques,
 )
-from oracles import brute_cliques, brute_embeddings, exhaustive_blowup_classes
+from oracles import brute_embeddings, exhaustive_blowup_classes
 from strategies import hypergraphs
 
 TRI = complete(3, 2)
@@ -50,23 +48,6 @@ def random_host(seed, n=8, s=2, density=0.5):
 def natural_blowup(base, sizes):
     g, parts = blowup(BlowupSpec(base, sizes))
     return g, parts
-
-
-class TestLiftShadow:
-    def test_k4_lifts_to_complete_3_graph(self):
-        assert lift_shadow(complete(4, 2)) == complete(4, 3)
-
-    def test_triangle_free_lifts_empty(self):
-        g = make(5, 2, [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])
-        assert lift_shadow(g).m == 0
-
-    def test_iterated_to_target(self):
-        assert lift_shadow(complete(5, 2), 4) == complete(5, 4)
-
-    @given(hypergraphs(max_n=8, min_s=2, max_s=2, min_n=3), st.integers(3, 4))
-    def test_clique_selection_preserved(self, g, r):
-        h = lift_shadow(g)
-        assert brute_cliques(g, r) == brute_cliques(h, r)
 
 
 class TestEdgeDisjointGreedy:
@@ -228,29 +209,36 @@ class TestAligned:
 
 
 class TestAuxiliary:
+    """The auxiliary hypergraph as ``find_blowup`` builds it: the index of
+    the aligned copies' (l-1)-projections."""
+
+    @staticmethod
+    def aux(g, parts):
+        return pipeline._aux_index(aligned_copies(g, TRI, parts), 3, g.n)
+
     def test_triangle_blowup(self):
         g, parts = natural_blowup(TRI, (2, 2, 2))
-        aux = auxiliary_hypergraph(g, TRI, parts)
-        assert aux.s == 2 and aux.m == 12  # 3 class pairs, 4 crossing pairs each
+        aux = self.aux(g, parts)
+        assert all(len(e) == 2 for e in aux.edges)
+        assert len(aux.edges) == 12  # 3 class pairs, 4 crossing pairs each
 
     def test_empty_when_no_aligned(self):
         g = make(6, 2, [[0, 3]])
         parts = PartitionMap(((0, 1), (2, 3), (4, 5)))
-        assert auxiliary_hypergraph(g, TRI, parts).m == 0
+        assert len(self.aux(g, parts).edges) == 0
 
     def test_single_copy_gives_one_clique(self):
         g = make(3, 2, [[0, 1], [0, 2], [1, 2]])
         parts = PartitionMap(((0,), (1,), (2,)))
-        aux = auxiliary_hypergraph(g, TRI, parts)
-        assert aux.m == 3  # the three projections of the one aligned copy
+        assert len(self.aux(g, parts).edges) == 3  # the one copy's three projections
 
     def test_every_aligned_copy_spans_clique(self):
         g, parts = natural_blowup(TRI, (2, 2, 2))
-        aux = auxiliary_hypergraph(g, TRI, parts)
+        aux = self.aux(g, parts)
         for copy in aligned_copies(g, TRI, parts):
             for i in range(3):
                 proj = tuple(sorted(copy[:i] + copy[i + 1:]))
-                assert proj in aux.edge_set
+                assert proj in aux.edges
 
 
 class TestClassSearch:

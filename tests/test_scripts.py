@@ -1,10 +1,13 @@
-"""The experiment scripts run end to end on small flags and print their tables."""
+"""The experiment scripts and the README's library tour run end to end on
+small flags and print their tables."""
 
+import re
 from pathlib import Path
 
 from cli_runner import run_python
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def run_script(name, *args):
@@ -38,3 +41,12 @@ def test_ex_tables():
         "n= 4  value=   3",                      # 3-edges, no complete 4-set
     ]
     assert "== edges, no 4-cycle ==" in lines
+
+
+def test_readme_library_tour():
+    """The README's ``python`` block runs as written: every name it imports
+    is still exported, and it prints the diamond-free triangle record."""
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["2 2 6 6", "0 1", "0 2", "0 3", "0 4", "1 2", "3 4", ""]
