@@ -113,6 +113,100 @@ class TestCompleteSubsets:
             complete_subsets(4, 2, complete(4, 2).edge_set, 1)
 
 
+def lift(g, r=None):
+    """The host lifted to uniformity r (default s+1): its complete r-sets."""
+    r = g.s + 1 if r is None else r
+    return make(g.n, r, complete_subsets(g.n, g.s, g.edge_set, r))
+
+
+class TestLift:
+    """An r-set spans a clique in the one-step lift iff it does in the host."""
+
+    def test_k4_lifts_to_complete_3_graph(self):
+        assert lift(complete(4, 2)) == complete(4, 3)
+
+    def test_triangle_free_lifts_empty(self):
+        assert lift(cycle(5)).m == 0
+
+    def test_iterated_to_target(self):
+        assert lift(complete(5, 2), 4) == complete(5, 4)
+        assert lift(lift(cycle(5))) == lift(cycle(5), 4)
+
+    @given(hypergraphs(max_n=8, min_s=2, max_s=2, min_n=3), st.integers(3, 4))
+    def test_clique_selection_preserved(self, g, r):
+        assert brute_cliques(g, r) == brute_cliques(lift(g), r)
+
+
+def co_neighborhood(g, vs):
+    """The s-sets e avoiding ``vs`` with e + v a clique for every v in
+    ``vs``, read from the (s+1)-cliques through each vertex of ``vs``."""
+    through = [{tuple(u for u in c if u != v) for c in cliques(g, g.s + 1).members if v in c}
+               for v in vs]
+    return set.intersection(*through)
+
+
+class TestCoNeighborhood:
+    def test_complete_3_graph(self):
+        g = complete(5, 3)
+        assert co_neighborhood(g, [0]) == {e for e in g.edges if 0 not in e}
+
+    def test_triangle_single_vertex(self):
+        assert co_neighborhood(complete(3, 2), [0]) == {(1, 2)}
+
+    def test_missing_edge_case_matches_bruteforce(self):
+        g = make(5, 3, [e for e in complete(5, 3).edges if e != (1, 2, 3)])
+        expected = {e for e in combinations(range(1, 5), 3)
+                    if all(sub in g.edge_set for sub in combinations((0,) + e, 3))}
+        assert co_neighborhood(g, [0]) == expected == {(1, 2, 4), (1, 3, 4), (2, 3, 4)}
+
+    @given(hypergraphs(max_n=7, min_s=2, max_s=3, min_n=3))
+    def test_monotone_in_vertex_set(self, g):
+        small = co_neighborhood(g, [0])
+        big = co_neighborhood(g, [0, 1])
+        assert big <= {e for e in small if 1 not in e}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_definition(self, data):
+        s = data.draw(st.integers(2, 3), label="s")
+        g = data.draw(hypergraphs(max_n=7, min_s=s, max_s=s, min_n=s + 1), label="host")
+        vs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3,
+                                unique=True), label="vs")
+        es = g.edge_set
+        want = {e for e in g.edges if not set(vs) & set(e) and all(
+            sub in es for v in vs for sub in combinations(sorted(e + (v,)), s))}
+        assert co_neighborhood(g, vs) == want
+
+
+class TestCommonLink:
+    """The step clique growth takes: for s >= 2, the AND of the links of an
+    edge's (s-1)-subsets holds exactly the vertices that complete it to a
+    clique."""
+
+    @staticmethod
+    def common_link(index, e):
+        mask = -1
+        for sub in combinations(e, len(e) - 1):
+            mask &= index.links.get(vertex_mask(sub), 0)
+        return mask
+
+    @settings(max_examples=200, deadline=None)
+    @given(hypergraphs(max_n=8, min_s=2, max_s=3, min_n=2))
+    def test_matches_definition(self, g):
+        index, es = HostIndex(g.n, g.edges), g.edge_set
+        for e in g.edges:
+            want = vertex_mask(v for v in range(g.n) if v not in e and all(
+                sub in es for sub in combinations(sorted(e + (v,)), g.s)))
+            assert self.common_link(index, e) == want
+
+    def test_edge_completed_by_its_triangles(self):
+        # the links of 1 and 2 are {0, 2, 4} and {0, 1, 4}; the triangles
+        # through the edge (1, 2) are the ones closed by 0 and by 4
+        g = make(5, 2, [[0, 1], [0, 2], [0, 3], [1, 2], [1, 4], [2, 4], [3, 4]])
+        assert self.common_link(HostIndex(g.n, g.edges), (1, 2)) == vertex_mask([0, 4])
+        assert [c for c in cliques(g, 3).members if {1, 2} <= set(c)] == [(0, 1, 2), (1, 2, 4)]
+
+
 def index_state(host):
     return host.n, host.edges, host.deg, host.links
 
