@@ -2,8 +2,8 @@
 
 Builds the uniform blowup of a complete pattern, then runs the partition ->
 aligned copies -> auxiliary hypergraph -> partite search pipeline and prints
-the per-retry trace as JSON lines (the same format the CLI verify --trace
-mode writes).
+the per-retry trace as JSON lines, one object per partition attempt with
+the keys retry, aligned, threshold, aux_edges and found.
 
 Usage:
     python3 scripts/blowup_pipeline_demo.py [--ell 3] [--s 2] [--host-size 3] [--a 2]

@@ -474,9 +474,7 @@ def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph,
     as a mapping tuple, or None if there is none.
 
     The incremental forbidden-pattern check: when ``edge`` has just been
-    added to the index of a pattern-free host, any new copy must use it. The
-    mapping names that copy, so a caller can tell later whether all of its
-    edges are still in the host.
+    added to the index of a pattern-free host, any new copy must use it.
     """
     if pattern.n > host.n:
         return None

@@ -392,11 +392,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
     worth 0 unless T is edgeless (then C(n, t) for T on t vertices); with
     n < s there is no edge to try and it is returned at once.
 
-    Each try of an absent edge is one step. A rejected edge keeps the other
-    edges of the F-copy that rejected it; while they are all in the host, a
-    later try of the edge is rejected without a search, since that copy
-    would come back with it. Hosts, steps, values and witnesses are those
-    of searching every time.
+    Each try of an absent edge is one step.
     """
     pattern, forbidden_g = _instance(n, pattern, forbidden)
     t0 = time.perf_counter()
@@ -408,7 +404,6 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
     edges = host.edges
     best_val = val = empty = ctx.empty_count
     best_edges: tuple = ()
-    kept: dict = {}  # rejected edge -> the other edges of the copy that rejected it
     steps = 0
     while pot and steps < budget:
         order = pot[:]
@@ -419,14 +414,9 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
             if e in edges:
                 continue
             steps += 1
-            if e in kept and edges.keys() >= kept[e]:
-                continue
             host.add(e)
-            found = ctx.forbidden_copy(e)
-            if found is not None:
+            if ctx.forbidden_copy(e) is not None:
                 host.remove(e)
-                images = (tuple(sorted(found[v] for v in f)) for f in forbidden_g.edges)
-                kept[e] = {f for f in images if f != e}
             else:
                 val += copies_through_edge(host, pattern, e)
         if val > best_val:

@@ -4,7 +4,9 @@ The operations here are the constructive counterparts of the counting
 bounds: extracting edge-disjoint clique subfamilies by greedy selection,
 thinning a family until no host edge is shared by too many members, and
 hunting for a blowup of a pattern through aligned copies and the index of
-their auxiliary hypergraph.
+their auxiliary hypergraph. The blowup classes are found by the embedding
+search every other module uses (:func:`counting.first_embedding`), not by
+a search of their own.
 Everything is deterministic given its seed.
 """
 
@@ -22,11 +24,15 @@ from .counting import (
     UniformityMismatch,
     all_embeddings,
     edge_multiplicity,
+    first_embedding,
 )
 from .hypergraph import (
+    BlowupSpec,
     HypergraphError,
     PartitionMap,
     UniformHypergraph,
+    blowup,
+    complete,
 )
 
 
@@ -75,10 +81,6 @@ class SharedEdgeFamily:
     a: int
     groups: tuple[tuple[int, ...], ...]
 
-    @property
-    def count(self) -> int:
-        return len(self.groups)
-
 
 def shared_edge_groups(family: CliqueFamily, a: int) -> SharedEdgeFamily:
     if a < 2:
@@ -125,11 +127,6 @@ class ThinningPlan:
     @property
     def probability_valid(self) -> bool:
         return self.retention_power <= 1
-
-    def balance(self) -> tuple[Fraction, Fraction]:
-        """Both sides of p^a A = p N / 2, divided by p: equal by construction."""
-        return (self.retention_power * self.group_count,
-                Fraction(self.clique_count, 2))
 
 
 def thin_cliques(family: CliqueFamily, a: int, seed: int = 0) -> CliqueFamily:
@@ -292,38 +289,21 @@ class BlowupEmbedding:
 
 
 def _partite_blowup_classes(aux: HostIndex, partition: PartitionMap, a: int):
-    """Classes U_i inside partition class i, |U_i| = a, with every crossing
-    (l-1)-class tuple an edge of the auxiliary hypergraph indexed by ``aux``.
-
-    The first such choice in the order of trying every a-subset of class j
-    after U_0..U_{j-1}. Every new crossing tuple holds exactly one vertex of
-    U_j, so an a-subset passes exactly when each of its members passes alone.
-    A vertex passes when it completes every crossing (l-2)-tuple of the
-    chosen classes to an edge, so the passing vertices form the AND of those
-    tuples' link masks (see :class:`HostIndex`). Each level therefore filters
-    its class once through that mask and walks the a-subsets of what is
-    left: these are the passing a-subsets, in the same order, so the first
-    result is the same.
+    """Classes U_i of a vertices inside partition class i, every crossing
+    (l-1)-tuple an edge of the auxiliary hypergraph indexed by ``aux``: the
+    first embedding of the blowup of K_l^(l-1) with classes of size a whose
+    class i takes its vertices from partition class i. The vertices of a
+    class are twins sharing one domain, so that embedding lists each U_i in
+    ascending order, and the choice is the first in ``combinations`` order.
     """
     ell = len(partition.classes)
-    get = aux.links.get
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(j):
-        if j == ell:
-            return True
-        fit = -1  # every vertex, until a crossing tuple narrows it
-        for head in combinations(range(j), ell - 2):
-            for pick in product(*(chosen[i] for i in head)):
-                fit &= get(sum(1 << v for v in pick), 0)
-        for u in combinations([x for x in partition.classes[j] if fit >> x & 1], a):
-            chosen.append(u)
-            if rec(j + 1):
-                return True
-            chosen.pop()
-        return False
-
-    return tuple(chosen) if rec(0) else None
+    if ell * a > aux.n:  # no room, and past 64 vertices no pattern to build
+        return None
+    pattern = blowup(BlowupSpec(complete(ell, ell - 1), (a,) * ell))[0]
+    found = first_embedding(aux, pattern, [partition.classes[v // a] for v in range(ell * a)])
+    if found is None:
+        return None
+    return tuple(found[i:i + a] for i in range(0, ell * a, a))
 
 
 def find_blowup(g: UniformHypergraph, f: UniformHypergraph, a: int, seed: int = 0,
@@ -333,7 +313,9 @@ def find_blowup(g: UniformHypergraph, f: UniformHypergraph, a: int, seed: int = 
     Seeded partition attempts (conditional-expectation greedy over shuffled
     vertex orders; attempt 0 uses the natural order) are run until one whose
     aligned-copy count meets the averaging threshold also yields the blowup
-    through the auxiliary hypergraph; the pulled-back classes are then
+    through the auxiliary hypergraph, as the first embedding of the
+    complete (l-1)-uniform blowup with classes of size ``a`` whose class i
+    lies in partition class i; the pulled-back classes are then
     re-validated against the host before being returned. A none-found result
     after the retry budget is a value, not an error.
 

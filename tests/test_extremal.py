@@ -541,9 +541,9 @@ class TestHeuristicLower:
     def test_long_walk_matches_replay_oracle(self, n, pattern, forbidden, seed):
         assert_replays(n, pattern, forbidden, seed, 200)
 
-    # walks in which a rejected edge's kept F-copy loses an edge to a
-    # perturbation and the edge is accepted on a later try; rejecting it by
-    # the kept copy without checking that copy's edges changes the witness
+    # walks in which an edge rejected for an F-copy is accepted on a later
+    # try, once a perturbation has dropped an edge of that copy; a walk that
+    # rejected it again by remembering the copy would change the witness
     @pytest.mark.parametrize("n, pattern, forbidden, seed", [
         (6, TRI, blowup(DIAMOND)[0], 1),
         (7, TRI, blowup(DIAMOND)[0], 11),

@@ -25,8 +25,8 @@ from exturan.hypergraph import complete_partite
 
 SRC = Path(exturan.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
-    TESTS.glob("*.py"))
+PACKAGE = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = PACKAGE + sorted(TESTS.glob("*.py"))
 
 
 def imported_names(tree):
@@ -67,8 +67,12 @@ def _referenced(node):
 
 
 # Reached only from tests, but kept: acceptance criterion 6
-# (tests/test_acceptance.py) states the thinning contract on it.
-UNCALLED_BY_CONTRACT = {"thin_cliques"}
+# (tests/test_acceptance.py) states the thinning contract on them.
+UNCALLED_BY_CONTRACT = {"thin_cliques", "probability_valid"}
+
+
+def _parsed(paths):
+    return {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
 
 
 def test_every_module_level_definition_has_a_caller():
@@ -76,11 +80,9 @@ def test_every_module_level_definition_has_a_caller():
     its own body by another package module or a script in ``scripts/``, or is
     wrapped by the benchmark's tracer; anything else only tests reach. The
     re-exports of ``exturan/__init__.py`` are not callers."""
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-             for p in SRC.glob("*.py")}
+    trees = {p.name: tree for p, tree in _parsed(SRC.glob("*.py")).items()}
     callers = [tree for name, tree in trees.items() if name != "__init__.py"]
-    callers += [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-                for p in (TESTS.parent / "scripts").glob("*.py")]
+    callers += _parsed((TESTS.parent / "scripts").glob("*.py")).values()
     uses = Counter(name for tree in callers for name in _referenced(tree))
     kept = _trace_targets() | UNCALLED_BY_CONTRACT
     orphans = []
@@ -90,6 +92,32 @@ def test_every_module_level_definition_has_a_caller():
                 own = Counter(_referenced(node))
                 if node.name not in kept and uses[node.name] - own[node.name] < 1:
                     orphans.append(f"{module}:{node.name} (line {node.lineno})")
+    assert orphans == [], "defined but reached only by tests: " + ", ".join(orphans)
+
+
+def test_every_method_has_a_caller():
+    """A method or property of a package class, other than a dunder, is
+    referenced by attribute name outside its own body by a package module,
+    a script in ``scripts/`` or the benchmark in ``perfbench/``; anything
+    else only tests reach. ``exturan/__init__.py`` is not a caller."""
+    trees = _parsed(PACKAGE)
+    callers = list(trees.values())
+    callers += _parsed([*(TESTS.parent / "scripts").glob("*.py"),
+                        *(TESTS.parent / "perfbench").glob("*.py")]).values()
+    uses = Counter(sub.attr for tree in callers for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Attribute))
+    orphans = []
+    for path, tree in sorted(trees.items()):
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+                        and node.name not in UNCALLED_BY_CONTRACT):
+                    own = Counter(sub.attr for sub in ast.walk(node)
+                                  if isinstance(sub, ast.Attribute))
+                    if uses[node.name] - own[node.name] < 1:
+                        orphans.append(f"{path.name}:{cls.name}.{node.name} (line {node.lineno})")
     assert orphans == [], "defined but reached only by tests: " + ", ".join(orphans)
 
 

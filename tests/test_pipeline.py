@@ -115,7 +115,7 @@ class TestSharedEdges:
     def test_groups_sharing_two_edges_counted_once(self):
         g = complete(4, 3)
         fam = cliques(g, 4)
-        assert shared_edge_groups(fam, 2).count == 0  # only one clique exists
+        assert shared_edge_groups(fam, 2).groups == ()  # only one clique exists
 
 
 class TestThinningPlan:
@@ -127,11 +127,6 @@ class TestThinningPlan:
             a = rng.randint(2, 6)
             plan = ThinningPlan(n_cliques, groups, a)
             assert plan.probability_valid == (n_cliques <= 2 * groups)
-
-    def test_balance_identity_exact(self):
-        plan = ThinningPlan(7, 13, 3)
-        lhs, rhs = plan.balance()
-        assert lhs == rhs == Fraction(7, 2)
 
     def test_a2_probability(self):
         plan = ThinningPlan(4, 6, 2)
@@ -166,7 +161,7 @@ class TestThinCliques:
         # locally dense instance: mean output size over 100 seeds >= 0.4 p N
         host = complete(8, 2)
         fam = cliques(host, 3)
-        groups = shared_edge_groups(fam, 2).count
+        groups = len(shared_edge_groups(fam, 2).groups)
         plan = ThinningPlan(len(fam), groups, 2)
         p = plan.retention_probability
         sizes = [len(thin_cliques(fam, 2, seed=s)) for s in range(100)]
@@ -280,6 +275,16 @@ class TestClassSearch:
             outcomes.add(got is None)
         assert outcomes == {True, False}
 
+    def test_classes_too_large_for_the_host(self):
+        # l * a = 66 vertices: past the host, and past the cap on a pattern
+        # the class search could build
+        assign = [v % 3 for v in range(64)]
+        part = PartitionMap.from_assignment(assign, 3)
+        aux = make(64, 2, [t for t in combinations(range(64), 2)
+                           if assign[t[0]] != assign[t[1]]])
+        assert _partite_blowup_classes(HostIndex(64, aux.edges), part, 22) is None
+        assert exhaustive_blowup_classes(aux, part.classes, 22) is None
+
 
 class TestFindBlowup:
     def test_recovers_triangle_blowup(self):
@@ -300,6 +305,13 @@ class TestFindBlowup:
         g, _ = natural_blowup(TRI, (3, 3, 3))
         emb = find_blowup(g, TRI, 2, seed=0)
         BlowupEmbedding(emb.host, emb.pattern, emb.classes)  # must not raise
+
+    def test_class_size_past_the_host_is_none(self):
+        g, _ = natural_blowup(TRI, (3, 3, 3))
+        trace = []
+        assert find_blowup(g, TRI, 22, retries=3, trace=trace) is None
+        assert trace == [{"retry": k, "aligned": 27, "threshold": 6, "aux_edges": 27,
+                          "found": False} for k in range(3)]
 
     def test_trace_is_recorded(self):
         g, _ = natural_blowup(TRI, (2, 2, 2))
