@@ -20,7 +20,8 @@ degree by written-out XORs of their links, and then runs the relabelling
 search, one ``while`` loop per new vertex, trying one vertex per twin
 class. The link of each placed (s-1)-set is read into a local once, when
 its last vertex is placed, and every deeper level ANDs that local with its
-candidates; each target-bit test is written out. Links are read from the
+candidates; the target's bits are read into locals once per call, and each
+target-bit test, written out, reads one. Links are read from the
 host's dense link table (:meth:`exturan.counting.HostIndex.link_table`), a
 list indexed by vertex mask, so a read is a subscript, not a call. The
 target is one int ``T`` whose bit p is the graph's own bit at colex
@@ -29,8 +30,9 @@ position p; the orderly search carries it from parent to child. With at most
 loops, under CPython's limit of 20.
 
 The verdict comes first: only :func:`canonical_positions` turns an
-improving prefix into a relabelling, and :func:`is_canonical_raw` builds
-automorphisms only for a graph it accepts.
+improving prefix into a relabelling, and :func:`is_canonical_raw` hands on
+automorphisms only for a graph it accepts, each twin class as one vertex
+mask and each other tied relabelling as a list of vertex images.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ def _kernel(n: int, s: int):
     vertex already in a class opens none. The mask of each class of two or
     more twins is appended to ``twins``, by least vertex.
 
+    Then bit p of ``T`` is read into the local ``t{p}`` for every colex
+    position p, once per call.
+
     Then the relabelling search: new vertex j holds the old vertex whose
     bit is ``b{j}``. ``f{j}`` is the mask of the old vertices still free
     before j is placed and ``c{j}`` its candidate mask. Placing ``b{j}``
@@ -85,15 +90,16 @@ def _kernel(n: int, s: int):
     The bits of level j are the colex positions of the s-sets whose largest
     element is j: for each (s-1)-subset of the new vertices below j, in
     colex order, ``h = l{...} & c{j}`` holds the candidates that complete
-    the subset's image to an edge, tested against the bit ``T & 1 << p`` at
-    the colex position p of the subset plus j. Scanning a level narrows
+    the subset's image to an edge, tested against ``t{p}``, the bit of ``T``
+    at the colex position p of the subset plus j. Scanning a level narrows
     ``c{j}`` to the candidates still equal to ``T``; one with a 1 where
     ``T`` has a 0 is an improvement, and any completion of it improves
     ``T``. Equal branches are explored, as they may diverge later. Only
     the lowest free member of each twin class is a candidate, which is
     sound because the twin swap extends any partial assignment to an
-    equal-valued one; one free vertex is its own class, so the last level
-    skips that step and its candidates are a single bit.
+    equal-valued one; a graph with no twin class skips that step at every
+    level, and one free vertex is its own class, so the last level skips it
+    and its candidates are a single bit.
 
     A relabelling tied with ``T`` at every level maps the edge set onto
     itself, so each such leaf, the identity among them, is an automorphism;
@@ -125,6 +131,7 @@ def _kernel(n: int, s: int):
     def link(sub):
         return "l" + "_".join(f"{a:d}" for a in sub)
 
+    lines += [f"    t{p:d} = T & {1 << p:d}" for p in range(len(pos))]
     lines.append(f"    f0 = {full:d}")
     if s == 1:
         lines.append("    l = table[0]")
@@ -134,12 +141,13 @@ def _kernel(n: int, s: int):
         placed = "".join(f"b{a:d}, " for a in range(j))
         lines.append(f"{pad}c{j:d} = f{j:d}")
         if j < n - 1:  # one free vertex is its own twin class
-            lines += [f"{pad}for t in twins:",
-                      f"{pad}    t &= f{j:d}",
-                      f"{pad}    c{j:d} ^= t & (t - 1)"]
+            lines += [f"{pad}if twins:",
+                      f"{pad}    for t in twins:",
+                      f"{pad}        t &= f{j:d}",
+                      f"{pad}        c{j:d} ^= t & (t - 1)"]
         for sub in colex_subsets(j, s - 1):
             lines += [f"{pad}h = {link(sub)} & c{j:d}",
-                      f"{pad}if T & {1 << pos[sub + (j,)]:d}:",
+                      f"{pad}if t{pos[sub + (j,)]:d}:",
                       f"{pad}    if not h:",
                       f"{pad}        {fail}",
                       f"{pad}    c{j:d} = h",
@@ -178,16 +186,18 @@ def _guard(n: int):
         )
 
 
-def is_canonical_raw(host: HostIndex, s: int, symmetries=None, target=None) -> bool:
+def is_canonical_raw(host: HostIndex, s: int, twins=None, leaves=None,
+                     target=None) -> bool:
     """Is the s-uniform graph held by ``host`` already its own canonical form?
 
     That is, does no relabelling beat the graph's own bitstring; one call
-    of :func:`_kernel` answers it. If it is and ``symmetries`` is a list,
-    automorphisms of the graph met by the test are appended to it, each as
-    the list of the image of every vertex: the adjacent transpositions of
-    each twin class, then every non-identity relabelling that ties with the
-    graph's own bitstring. They need not generate the whole group. A
-    non-canonical graph appends nothing.
+    of :func:`_kernel` answers it. If it is, automorphisms of the graph met
+    by the test are appended to the lists given: to ``twins`` the mask of
+    each class of two or more transposition twins, by least vertex, any
+    permutation inside a class being an automorphism; to ``leaves`` every
+    non-identity relabelling that ties with the graph's own bitstring, as
+    the list of the image of every vertex. They need not generate the whole
+    group. A non-canonical graph appends nothing.
 
     ``target`` may give the graph's own bitstring, bit p set iff the s-set
     at colex position p is an edge, so that a caller extending a graph one
@@ -195,25 +205,16 @@ def is_canonical_raw(host: HostIndex, s: int, symmetries=None, target=None) -> b
     """
     n = host.n
     _guard(n)
-    twins, leaves = [], []
+    found, tied = [], []
     if _kernel(n, s)(host.link_table(), host.deg,
                      _own_bits(host, s) if target is None else target,
-                     twins, leaves) is not None:
+                     found, tied) is not None:
         return False
-    if symmetries is not None:
-        for c in twins:  # each member with the next: adjacent transpositions
-            u = (c & -c).bit_length() - 1
-            c &= c - 1
-            while c:
-                v = (c & -c).bit_length() - 1
-                swap = list(range(n))
-                swap[u], swap[v] = v, u
-                symmetries.append(swap)
-                u = v
-                c &= c - 1
+    if twins is not None:
+        twins += found
+    if leaves is not None and len(tied) > 1:  # the identity is always a leaf
         identity = _BITS[:n]  # the identity as a leaf: old vertex bit per new one
-        symmetries.extend([b.bit_length() - 1 for b in leaf]
-                          for leaf in leaves if leaf != identity)
+        leaves += [[b.bit_length() - 1 for b in leaf] for leaf in tied if leaf != identity]
     return True
 
 

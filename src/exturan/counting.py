@@ -144,7 +144,8 @@ class HostIndex:
     the vertices that complete them to an edge: ``links[mask ^ bit] |= bit``
     for every edge mask and every bit in it. Adding or removing an edge
     costs O(s); ``add`` takes an edge that is absent and ``remove`` one that
-    is present.
+    is present. Either may be given the edge's :meth:`parts`, built once by
+    a caller that adds and removes the same edges many times.
 
     ``table`` is None, or the same links as a dense list of 2^n masks
     indexed by vertex mask, 0 where ``links`` has no entry: the canonicity
@@ -172,27 +173,32 @@ class HostIndex:
                 self.table[mask] = link
         return self.table
 
-    def add(self, edge: Edge) -> None:
+    @staticmethod
+    def parts(edge: Edge) -> tuple:
+        """What adding or removing ``edge`` updates: its vertex mask, and
+        for each of its vertices the vertex, its bit and its link key, the
+        mask of the edge's other vertices."""
         mask = 0
         for v in edge:
             mask |= 1 << v
+        return mask, [(v, 1 << v, mask ^ 1 << v) for v in edge]
+
+    def add(self, edge: Edge, parts=None) -> None:
+        mask, steps = self.parts(edge) if parts is None else parts
         self.edges[edge] = mask
         deg, links, table = self.deg, self.links, self.table
-        for v in edge:
+        for v, bit, key in steps:
             deg[v] += 1
-            bit = 1 << v
-            key = mask ^ bit
             links[key] = links.get(key, 0) | bit
             if table is not None:
                 table[key] |= bit
 
-    def remove(self, edge: Edge) -> None:
-        mask = self.edges.pop(edge)
+    def remove(self, edge: Edge, parts=None) -> None:
+        _, steps = self.parts(edge) if parts is None else parts
+        del self.edges[edge]
         deg, links, table = self.deg, self.links, self.table
-        for v in edge:
+        for v, bit, key in steps:
             deg[v] -= 1
-            bit = 1 << v
-            key = mask ^ bit
             rest = links[key] ^ bit
             if rest:
                 links[key] = rest
@@ -215,10 +221,21 @@ def compile_kernel(lines, name: str, tag: str):
     return namespace[name]
 
 
+def _link(key) -> str:
+    """The local holding the link of the vertices of the steps in ``key``."""
+    return "l" + "_".join(f"{i:d}" for i in key)
+
+
+def _read(key, pad: str) -> str:
+    """The generated line reading the link of ``key`` into its local."""
+    return f"{pad}{_link(key)} = get({' | '.join(f'b{i:d}' for i in key) or '0'}, 0)"
+
+
 def _second(i: int, pad: str) -> list:
     """Generated lines setting ``n{i}`` to the second neighbourhood of step
-    i's vertex in a graph: the OR of the links of its neighbours."""
-    return [f"{pad}n{i:d} = 0", f"{pad}x = get(b{i:d}, 0)", f"{pad}while x:",
+    i's vertex in a graph: the OR of the links of its neighbours, the first
+    of them read from the step's own link local."""
+    return [f"{pad}n{i:d} = 0", f"{pad}x = l{i:d}", f"{pad}while x:",
             f"{pad}    y = x & -x", f"{pad}    x ^= y", f"{pad}    n{i:d} |= get(y, 0)"]
 
 
@@ -239,13 +256,24 @@ def _kernel(walk, ndom: int, mode: str):
     Every vertex dropped this way completes no embedding, so each mode
     returns what the plain scan returns, in the same order.
 
+    Each link a chunk reads is read once, into a local, at the step that
+    places the last of its vertices, or on entry to the chunk if that step
+    lies in an earlier one; a step that completes edges ANDs the locals. A
+    step whose links are those of an earlier step of its chunk reuses that
+    step's AND: in the index walk of C4, step 3's candidates are step 2's
+    AND less the used vertices.
+
     Names: ``c{k}`` is step k's candidate mask, ``v{k}`` its host vertex,
-    ``b{k}`` that vertex's bit, ``u{k}`` the mask used after step k and
-    ``n{k}`` the second neighbourhood of ``v{k}``.
+    ``b{k}`` that vertex's bit, ``u{k}`` the mask used after step k,
+    ``n{k}`` the second neighbourhood of ``v{k}``, ``l{i}_{j}`` the link
+    of the vertices of steps i and j (``l`` that of none) and ``a{k}`` the
+    AND of step k's links, when a later step reuses it.
     """
     order, needs, checks = walk
     size = len(order)
     at = {u: k for k, u in enumerate(order)}
+    # the links step k ANDs, each as the sorted steps of its vertices
+    keys = [[tuple(sorted(at[w] for w in others)) for others in step] for step in checks]
     # ahead[k] = i: step k draws from n{i}, i the first step that qualifies
     ahead = {}
     if all(len(others) == 1 for step in checks for others in step):
@@ -268,16 +296,33 @@ def _kernel(walk, ndom: int, mode: str):
         elif mode == "all" and not a:
             lines.append("    out = []")
         twice = {ahead[k] for k in range(a, b) if k in ahead}
-        read = {at[w] for k in range(a, b) for others in checks[k] for w in others} | twice
+        links = {key for k in range(a, b) for key in keys[k]} | {(i,) for i in twice}
+        read = {i for key in links for i in key}
         lines += [f"    b{k:d} = 1 << v{k:d}" for k in sorted(read) if k < a]
+        lines += [_read(key, "    ") for key in sorted(links) if not key or key[-1] < a]
         lines += [line for i in sorted(twice) if i < a for line in _second(i, "    ")]
+        # the first step of the chunk with each set of two or more links,
+        # and those of them whose AND a later step reuses
+        first, shared = {}, set()
+        for k in range(a, b):
+            if len(keys[k]) > 1:
+                j = first.setdefault(frozenset(keys[k]), k)
+                if j < k:
+                    shared.add(j)
         used = "used" if a else ""
         pad = "    "
         for k in range(a, b):
-            gets = [f"get({' | '.join(f'b{at[w]:d}' for w in others) or '0'}, 0)"
-                    for others in checks[k]]
+            gets = keys[k]
             if gets:
-                cand = " & ".join(gets + ([f"~{used}"] if used else []))
+                j = first.get(frozenset(gets), k)
+                if j < k:
+                    both = f"a{j:d}"
+                elif k in shared:
+                    lines.append(f"{pad}a{k:d} = {' & '.join(map(_link, gets))}")
+                    both = f"a{k:d}"
+                else:
+                    both = " & ".join(map(_link, gets))
+                cand = f"{both} & ~{used}" if used else both
             elif k in ahead:
                 cand = f"n{ahead[k]:d} & ~{used}"
             else:
@@ -305,6 +350,7 @@ def _kernel(walk, ndom: int, mode: str):
                     lines.append(f"{pad}b{k:d} = 1 << v{k:d}")
                 lines.append(f"{pad}u{k:d} = {used} | b{k:d}" if used else f"{pad}u{k:d} = b{k:d}")
                 used = f"u{k:d}"
+                lines += [_read(key, pad) for key in sorted(links) if key and key[-1] == k]
                 if k in twice:
                     lines += _second(k, pad)
         else:  # the innermost loop: a full mapping, or the next chunk

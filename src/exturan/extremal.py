@@ -5,9 +5,10 @@ s-uniform hypergraphs on n vertices. The search enumerates hypergraphs up to
 isomorphism by orderly generation: a canonical graph is extended only by
 edges beyond its last colex position, the extension is kept only if it is
 itself canonical, and any branch containing the forbidden pattern is pruned.
-Each node keeps the automorphisms its own canonicity test met; a candidate
-edge that one of them maps to an earlier colex position is skipped before
-any test, since that relabelling of the child beats the child's bitstring.
+Each node keeps the automorphisms its own canonicity test met, its twin
+classes as vertex masks; a candidate edge that one of them maps to an
+earlier colex position is skipped before any test, since that relabelling
+of the child beats the child's bitstring.
 Each isomorphism class is visited exactly once, so the value is independent
 of vertex labelling. A child's copy count is its parent's plus the copies
 through its new edge; only the root counts in full.
@@ -133,6 +134,12 @@ class _Ctx:
         attribute's, so the search loop reads it into a local once."""
         return colex_subsets(self.n, self.s)
 
+    @cached_property
+    def parts(self):
+        """Per position, the :meth:`HostIndex.parts` of its edge: the search
+        adds and removes each potential edge many times, and builds them once."""
+        return [HostIndex.parts(e) for e in self.pot]
+
     def forbidden_copy(self, edge):
         """A copy of the forbidden pattern through ``edge``, just added to
         ``self.host``, as a mapping tuple, or None: the host was F-free
@@ -161,13 +168,14 @@ def _explore(ctx: _Ctx, deadline, claim=None, top=True):
     for each node on the path. Returns (best value, best positions, nodes,
     timed_out), ties in value broken by :func:`_merge`.
     """
-    syms: list = []
-    is_canonical_raw(ctx.host, ctx.s, syms)
+    twins: list = []
+    leaves: list = []
+    is_canonical_raw(ctx.host, ctx.s, twins, leaves)
     best = (ctx.empty_count, ())
     nodes = 1 if top else 0
     unit = held = -1  # the last unit met at depth _SPLIT, the last one claimed
     timed = False
-    stack = [(best[0], _children(ctx, (), syms, 0, deadline))]
+    stack = [(best[0], _children(ctx, (), twins, leaves, 0, deadline))]
     try:
         while stack:
             value, kids = stack[-1]
@@ -201,53 +209,69 @@ def _merge(a, b):
 
 @lru_cache(maxsize=None)
 def _moved_below(s: int):
-    """``moved(syms, e)``: does an automorphism in ``syms``, a list of vertex
-    images, map the s-set ``e`` to a smaller vertex mask? Generated per s as
-    the kernels of :mod:`exturan.canonical` are, with ``e`` unpacked."""
+    """``moved(twins, leaves, m, e)``: does an automorphism of the node, met
+    by its canonicity test (:func:`exturan.canonical.is_canonical_raw`), map
+    the s-set ``e``, of vertex mask ``m``, to a smaller vertex mask? Generated
+    per s as the kernels of :mod:`exturan.canonical` are, with ``e`` unpacked.
+
+    A twin class t, a mask, moves ``e`` lower iff some adjacent transposition
+    of its members does: iff ``e`` holds a member and misses a lower one. So
+    with ``x = m & t`` and ``y = t ^ x``, the test is ``x and y and y & -y < x``:
+    x is not the lowest members of t. Each of ``leaves`` is tested as the
+    list of the image of every vertex."""
     names = [f"a{i:d}" for i in range(s)]
-    lines = ["def _moved(syms, e):",
+    lines = ["def _moved(twins, leaves, m, e):",
+             "    for t in twins:",
+             "        x = m & t",
+             "        y = t ^ x",
+             "        if x and y and y & -y < x:",
+             "            return True",
              f"    {', '.join(names)}, = e",
-             f"    m = {' | '.join(f'1 << {a}' for a in names)}",
-             "    for g in syms:",
+             "    for g in leaves:",
              f"        if {' | '.join(f'1 << g[{a}]' for a in names)} < m:",
              "            return True",
              "    return False"]
     return compile_kernel(lines, "_moved", f"s={s:d}")
 
 
-def _children(ctx: _Ctx, positions, syms, target, deadline):
+def _children(ctx: _Ctx, positions, twins, leaves, target, deadline):
     """The canonical F-free one-edge extensions of the node ``ctx.host``
     holds, whose bitstring is ``target``, in position order, each as a
-    node: positions, the automorphisms its canonicity test met, bitstring.
+    node: positions, the twin classes and leaves its canonicity test met
+    (:func:`exturan.canonical.is_canonical_raw`), bitstring.
 
-    Each candidate edge is added to ``ctx.host`` for its tests and stays
+    Each candidate edge is added to ``ctx.host`` for its tests, with the
+    index-update parts built once per search (``ctx.parts``), and stays
     there while its child is yielded; it is removed before the next
     candidate, and when the generator closes.
 
-    A candidate edge that an automorphism in ``syms`` maps to a smaller
-    vertex mask is skipped untested: colex order on s-sets is the order of
-    their masks, so relabelling the child by it puts a 1 at an earlier
-    position where the child has a 0, and the child is not canonical.
-    Raises _Timeout before any candidate tried after ``deadline``.
+    A candidate edge that an automorphism of the node maps to a smaller
+    vertex mask is skipped untested (:func:`_moved_below`): colex order on
+    s-sets is the order of their masks, so relabelling the child by it puts
+    a 1 at an earlier position where the child has a 0, and the child is
+    not canonical. A node with neither twin classes nor leaves makes no
+    such test. Raises _Timeout before any candidate tried after ``deadline``.
     """
-    host, moved, pot = ctx.host, ctx.moved, ctx.pot
+    host, moved, pot, parts = ctx.host, ctx.moved, ctx.pot, ctx.parts
+    check = twins or leaves
     start = positions[-1] + 1 if positions else 0
     for p in range(start, ctx.M):
         if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
-        e = pot[p]
-        if moved(syms, e):
+        e, part = pot[p], parts[p]
+        if check and moved(twins, leaves, part[0], e):
             continue
-        host.add(e)
+        host.add(e, part)
         try:
             if ctx.forbidden_copy(e) is not None:
                 continue
-            syms2: list = []
+            twins2: list = []
+            leaves2: list = []
             target2 = target | 1 << p
-            if is_canonical_raw(host, ctx.s, syms2, target2):
-                yield positions + (p,), syms2, target2
+            if is_canonical_raw(host, ctx.s, twins2, leaves2, target2):
+                yield positions + (p,), twins2, leaves2, target2
         finally:
-            host.remove(e)
+            host.remove(e, part)
 
 
 def _parallel_search(ctx: _Ctx, workers, deadline):
@@ -398,6 +422,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
     t0 = time.perf_counter()
     ctx = _Ctx(n, pattern.s, pattern, forbidden_g)
     pot = list(combinations(range(n), ctx.s))
+    parts = {e: HostIndex.parts(e) for e in pot}
     rng = random.Random(seed)
 
     host = ctx.host
@@ -414,9 +439,9 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
             if e in edges:
                 continue
             steps += 1
-            host.add(e)
+            host.add(e, parts[e])
             if ctx.forbidden_copy(e) is not None:
-                host.remove(e)
+                host.remove(e, parts[e])
             else:
                 val += copies_through_edge(host, pattern, e)
         if val > best_val:
@@ -430,10 +455,10 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
                 e = rng.choice(live)
                 live.remove(e)
                 val -= copies_through_edge(host, pattern, e)
-                host.remove(e)
+                host.remove(e, parts[e])
         else:
             for e in list(edges):
-                host.remove(e)
+                host.remove(e, parts[e])
             val = empty
 
     return _record(ctx, best_edges, best_val, "heuristic", steps, t0)

@@ -16,6 +16,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from .counting import (
@@ -288,6 +289,14 @@ class BlowupEmbedding:
         return tuple(len(c) for c in self.classes)
 
 
+@lru_cache(maxsize=64)
+def _partite_blowup(ell: int, a: int) -> UniformHypergraph:
+    """The blowup of K_l^(l-1) with classes of size a, built once per (l, a):
+    every attempt of a :func:`find_blowup` call, and every call with the
+    same l and a, embeds the same pattern."""
+    return blowup(BlowupSpec(complete(ell, ell - 1), (a,) * ell))[0]
+
+
 def _partite_blowup_classes(aux: HostIndex, partition: PartitionMap, a: int):
     """Classes U_i of a vertices inside partition class i, every crossing
     (l-1)-tuple an edge of the auxiliary hypergraph indexed by ``aux``: the
@@ -299,8 +308,7 @@ def _partite_blowup_classes(aux: HostIndex, partition: PartitionMap, a: int):
     ell = len(partition.classes)
     if ell * a > aux.n:  # no room, and past 64 vertices no pattern to build
         return None
-    pattern = blowup(BlowupSpec(complete(ell, ell - 1), (a,) * ell))[0]
-    found = first_embedding(aux, pattern, [partition.classes[v // a] for v in range(ell * a)])
+    found = first_embedding(aux, _partite_blowup(ell, a), [partition.classes[v // a] for v in range(ell * a)])
     if found is None:
         return None
     return tuple(found[i:i + a] for i in range(0, ell * a, a))

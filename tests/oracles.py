@@ -103,6 +103,22 @@ def brute_canonical_positions(g: UniformHypergraph) -> tuple[int, ...]:
     return tuple(i for i, b in enumerate(best) if b)
 
 
+def adjacent_transposition_moves(n: int, twins, leaves, edge) -> bool:
+    """The skip rule of the orderly search, as automorphisms listed one by
+    one: does an adjacent transposition of a twin class (each member, in
+    ascending order, with the next) or a leaf, the list of the image of
+    every vertex, map ``edge`` to a smaller vertex mask?"""
+    perms = []
+    for c in twins:
+        members = [v for v in range(n) if c >> v & 1]
+        for u, v in zip(members, members[1:]):
+            swap = list(range(n))
+            swap[u], swap[v] = v, u
+            perms.append(swap)
+    mask = sum(1 << v for v in edge)
+    return any(sum(1 << g[v] for v in edge) < mask for g in perms + list(leaves))
+
+
 def own_positions(g: UniformHypergraph) -> tuple[int, ...]:
     """Colex positions of g's own edges, with no relabelling."""
     return tuple(i for i, b in enumerate(_colex_bits(g.n, g.s, g.edges)) if b)

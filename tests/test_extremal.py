@@ -30,6 +30,7 @@ from exturan.extremal import (
     InfeasibleError,
     RecordCache,
     RecordError,
+    _moved_below,
     chain_check,
     exact_ex,
     heuristic_lower,
@@ -44,6 +45,7 @@ from exturan.hypergraph import (
     single_edge,
 )
 from oracles import (
+    adjacent_transposition_moves,
     brute_canonical_positions,
     brute_isomorphic,
     brute_twin_classes,
@@ -173,31 +175,61 @@ def image_mask(perm, edge):
     return sum(1 << perm[v] for v in edge)
 
 
+def image_edges(perm, g):
+    return {tuple(sorted(perm[v] for v in e)) for e in g.edges}
+
+
 class TestSymmetries:
     # the orderly search skips a child whose new edge a parent symmetry moves
-    # to an earlier colex position, so every returned symmetry must be one
+    # to an earlier colex position, so every symmetry handed on must be one
     @given(hypergraphs(max_n=7, min_s=1, max_s=3))
     def test_symmetries_map_the_edge_set_onto_itself(self, g):
-        syms = []
-        canonical = is_canonical_raw(HostIndex(g.n, g.edges), g.s, syms)
+        twins, leaves = [], []
+        canonical = is_canonical_raw(HostIndex(g.n, g.edges), g.s, twins, leaves)
         assert canonical == is_canonical_raw(HostIndex(g.n, g.edges), g.s)
         if not canonical:
-            assert syms == []
-        for perm in syms:
+            assert twins == [] and leaves == []
+        for t in twins:  # every transposition inside a class
+            members = [v for v in range(g.n) if t >> v & 1]
+            assert len(members) >= 2
+            for u, v in combinations(members, 2):
+                swap = list(range(g.n))
+                swap[u], swap[v] = v, u
+                assert image_edges(swap, g) == g.edge_set
+        for perm in leaves:
             assert sorted(perm) == list(range(g.n))
             assert perm != list(range(g.n))
-            assert {tuple(sorted(perm[v] for v in e)) for e in g.edges} == g.edge_set
+            assert image_edges(perm, g) == g.edge_set
 
     @settings(max_examples=150)
     @given(hypergraphs(max_n=7, min_s=1, max_s=3))
     def test_moved_children_are_not_canonical(self, g):
         parent = canonical_form(g)
-        syms = []
-        assert is_canonical_raw(HostIndex(parent.n, parent.edges), parent.s, syms)
+        twins, leaves = [], []
+        assert is_canonical_raw(HostIndex(parent.n, parent.edges), parent.s, twins, leaves)
+        moved = _moved_below(parent.s)
         last = max(own_positions(parent), default=-1)
         for e in colex_subsets(parent.n, parent.s)[last + 1:]:
-            if any(image_mask(perm, e) < image_mask(range(parent.n), e) for perm in syms):
+            if moved(twins, leaves, image_mask(range(parent.n), e), e):
                 assert not is_canonical_raw(HostIndex(parent.n, parent.edges + (e,)), parent.s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hypergraphs(max_n=7, min_s=1, max_s=3))
+    def test_mask_rule_skips_what_adjacent_transpositions_skip(self, g):
+        # a twin class goes on as one mask; the rule it is tested by must
+        # skip the candidates that its adjacent transpositions, each member
+        # with the next, move lower, and only those
+        parent = canonical_form(g)
+        twins, leaves = [], []
+        assert is_canonical_raw(HostIndex(parent.n, parent.edges), parent.s, twins, leaves)
+        moved = _moved_below(parent.s)
+        last = max(own_positions(parent), default=-1)
+        for e in colex_subsets(parent.n, parent.s)[last + 1:]:
+            skipped = moved(twins, leaves, image_mask(range(parent.n), e), e)
+            assert skipped == adjacent_transposition_moves(parent.n, twins, leaves, e)
+            if skipped:
+                child = make(parent.n, parent.s, parent.edges + (e,))
+                assert brute_canonical_positions(child) != own_positions(child)
 
 
 class TestCarriedTarget:
@@ -215,9 +247,9 @@ class TestCarriedTarget:
             kids = []
             for p in range(last + 1, len(pot)):
                 host.add(pot[p])
-                carried, rebuilt = [], []
-                verdict = is_canonical_raw(host, s, carried, target | 1 << p)
-                assert verdict == is_canonical_raw(host, s, rebuilt)
+                carried, rebuilt = ([], []), ([], [])
+                verdict = is_canonical_raw(host, s, *carried, target | 1 << p)
+                assert verdict == is_canonical_raw(host, s, *rebuilt)
                 assert carried == rebuilt
                 if verdict:
                     kids.append(p)

@@ -21,7 +21,7 @@ import pytest
 
 import exturan
 from exturan import canonical, counting
-from exturan.hypergraph import complete_partite
+from exturan.hypergraph import BlowupSpec, blowup, complete, complete_partite
 
 SRC = Path(exturan.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -209,3 +209,41 @@ def test_linkless_graph_step_reads_a_second_neighbourhood(monkeypatch):
     for lines in sources:
         (step1,) = [line.strip() for line in lines if line.strip().startswith("c1 = ")]
         assert "everyone" not in step1 and step1.startswith("c1 = n0 & "), step1
+
+
+def _link_reads(node):
+    """The link keys that the ``get`` calls inside ``node`` read, as source,
+    each as often as it is read: keys made of placed vertices' bits only,
+    not the running neighbour of a second-neighbourhood loop."""
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                and sub.func.id == "get"
+                and all(name.id.startswith("b") for name in ast.walk(sub.args[0])
+                        if isinstance(name, ast.Name))):
+            yield ast.unparse(sub.args[0])
+
+
+def test_embedding_kernels_read_each_link_once(monkeypatch):
+    """In the index walk of C4 and in the edge-start walks of the diamond,
+    no loop body of a generated embedding kernel reads one link twice: each
+    is read into a local at the step that places its last vertex. C4's
+    step 3 completes the edges of step 2 and reuses step 2's AND."""
+    c4 = complete_partite(2, (2, 2))[0]
+    diamond = blowup(BlowupSpec(complete(3, 2), (1, 1, 2)))[0]
+    starts = counting._edge_starts(diamond)  # runs kernels, so built first
+    sources = []
+    monkeypatch.setattr(counting, "compile_kernel",
+                        lambda lines, name, tag: sources.append(lines))
+    counting._kernel.__wrapped__(counting._compile(c4).by_index, 1, "first")
+    for walk, _ in starts:
+        for mode in ("first", "count"):
+            counting._kernel.__wrapped__(walk, diamond.s, mode)
+    assert len(sources) > 2
+    for lines in sources:
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.For, ast.While)):
+                twice = [k for k, n in Counter(_link_reads(node)).items() if n > 1]
+                assert twice == [], f"links read twice in one loop: {twice}\n" + "\n".join(lines)
+    c4_lines = [line.strip() for line in sources[0]]
+    assert "a2 = l0 & l1" in c4_lines and "c2 = a2 & ~u1" in c4_lines
+    assert "c3 = a2 & ~u2" in c4_lines
