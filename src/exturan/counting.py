@@ -144,8 +144,8 @@ class HostIndex:
     the vertices that complete them to an edge: ``links[mask ^ bit] |= bit``
     for every edge mask and every bit in it. Adding or removing an edge
     costs O(s); ``add`` takes an edge that is absent and ``remove`` one that
-    is present. Either may be given the edge's :meth:`parts`, built once by
-    a caller that adds and removes the same edges many times.
+    is present. ``add`` may be given the edge's vertex mask, which a caller
+    that adds the same edges many times builds once.
 
     ``table`` is None, or the same links as a dense list of 2^n masks
     indexed by vertex mask, 0 where ``links`` has no entry: the canonicity
@@ -173,32 +173,28 @@ class HostIndex:
                 self.table[mask] = link
         return self.table
 
-    @staticmethod
-    def parts(edge: Edge) -> tuple:
-        """What adding or removing ``edge`` updates: its vertex mask, and
-        for each of its vertices the vertex, its bit and its link key, the
-        mask of the edge's other vertices."""
-        mask = 0
-        for v in edge:
-            mask |= 1 << v
-        return mask, [(v, 1 << v, mask ^ 1 << v) for v in edge]
-
-    def add(self, edge: Edge, parts=None) -> None:
-        mask, steps = self.parts(edge) if parts is None else parts
+    def add(self, edge: Edge, mask: int | None = None) -> None:
+        if mask is None:
+            mask = 0
+            for v in edge:
+                mask |= 1 << v
         self.edges[edge] = mask
         deg, links, table = self.deg, self.links, self.table
-        for v, bit, key in steps:
+        for v in edge:
             deg[v] += 1
+            bit = 1 << v
+            key = mask ^ bit
             links[key] = links.get(key, 0) | bit
             if table is not None:
                 table[key] |= bit
 
-    def remove(self, edge: Edge, parts=None) -> None:
-        _, steps = self.parts(edge) if parts is None else parts
-        del self.edges[edge]
+    def remove(self, edge: Edge) -> None:
+        mask = self.edges.pop(edge)
         deg, links, table = self.deg, self.links, self.table
-        for v, bit, key in steps:
+        for v in edge:
             deg[v] -= 1
+            bit = 1 << v
+            key = mask ^ bit
             rest = links[key] ^ bit
             if rest:
                 links[key] = rest

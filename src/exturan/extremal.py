@@ -135,10 +135,11 @@ class _Ctx:
         return colex_subsets(self.n, self.s)
 
     @cached_property
-    def parts(self):
-        """Per position, the :meth:`HostIndex.parts` of its edge: the search
-        adds and removes each potential edge many times, and builds them once."""
-        return [HostIndex.parts(e) for e in self.pot]
+    def masks(self):
+        """The vertex mask of each potential edge, by position: the exact
+        search adds each potential edge many times, and its skip test reads
+        the mask of every candidate."""
+        return [sum(1 << v for v in e) for e in self.pot]
 
     def forbidden_copy(self, edge):
         """A copy of the forbidden pattern through ``edge``, just added to
@@ -240,10 +241,10 @@ def _children(ctx: _Ctx, positions, twins, leaves, target, deadline):
     node: positions, the twin classes and leaves its canonicity test met
     (:func:`exturan.canonical.is_canonical_raw`), bitstring.
 
-    Each candidate edge is added to ``ctx.host`` for its tests, with the
-    index-update parts built once per search (``ctx.parts``), and stays
-    there while its child is yielded; it is removed before the next
-    candidate, and when the generator closes.
+    Each candidate edge is added to ``ctx.host`` for its tests, with its
+    vertex mask built once per search (``ctx.masks``), and stays there while
+    its child is yielded; it is removed before the next candidate, and when
+    the generator closes.
 
     A candidate edge that an automorphism of the node maps to a smaller
     vertex mask is skipped untested (:func:`_moved_below`): colex order on
@@ -252,16 +253,16 @@ def _children(ctx: _Ctx, positions, twins, leaves, target, deadline):
     not canonical. A node with neither twin classes nor leaves makes no
     such test. Raises _Timeout before any candidate tried after ``deadline``.
     """
-    host, moved, pot, parts = ctx.host, ctx.moved, ctx.pot, ctx.parts
+    host, moved, pot, masks = ctx.host, ctx.moved, ctx.pot, ctx.masks
     check = twins or leaves
     start = positions[-1] + 1 if positions else 0
     for p in range(start, ctx.M):
         if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
-        e, part = pot[p], parts[p]
-        if check and moved(twins, leaves, part[0], e):
+        e, m = pot[p], masks[p]
+        if check and moved(twins, leaves, m, e):
             continue
-        host.add(e, part)
+        host.add(e, m)
         try:
             if ctx.forbidden_copy(e) is not None:
                 continue
@@ -271,7 +272,7 @@ def _children(ctx: _Ctx, positions, twins, leaves, target, deadline):
             if is_canonical_raw(host, ctx.s, twins2, leaves2, target2):
                 yield positions + (p,), twins2, leaves2, target2
         finally:
-            host.remove(e, part)
+            host.remove(e)
 
 
 def _parallel_search(ctx: _Ctx, workers, deadline):
@@ -422,7 +423,6 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
     t0 = time.perf_counter()
     ctx = _Ctx(n, pattern.s, pattern, forbidden_g)
     pot = list(combinations(range(n), ctx.s))
-    parts = {e: HostIndex.parts(e) for e in pot}
     rng = random.Random(seed)
 
     host = ctx.host
@@ -439,9 +439,9 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
             if e in edges:
                 continue
             steps += 1
-            host.add(e, parts[e])
+            host.add(e)
             if ctx.forbidden_copy(e) is not None:
-                host.remove(e, parts[e])
+                host.remove(e)
             else:
                 val += copies_through_edge(host, pattern, e)
         if val > best_val:
@@ -455,10 +455,10 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
                 e = rng.choice(live)
                 live.remove(e)
                 val -= copies_through_edge(host, pattern, e)
-                host.remove(e, parts[e])
+                host.remove(e)
         else:
             for e in list(edges):
-                host.remove(e, parts[e])
+                host.remove(e)
             val = empty
 
     return _record(ctx, best_edges, best_val, "heuristic", steps, t0)
