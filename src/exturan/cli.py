@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -69,6 +70,10 @@ CACHE_ENV = "EXTURAN_CACHE"
 _UNREADABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError)
 
 
+# the tokens of the pattern shorthand; digits are ASCII only
+_K, _NUMBER, _UNDERSCORE, _OPEN, _SEP = map(re.compile, ("K", "[0-9]+", "_", "[(]", "[,)]"))
+
+
 class SpecParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
@@ -87,46 +92,24 @@ def parse_pattern_spec(text: str):
             raise SpecParseError("empty path after 'file:'", 5)
         return read_file(path)
 
-    def digits(i):
-        j = i
-        while j < len(text) and text[j].isdigit():
-            j += 1
-        return j
-
     i = 0
-    if not text.startswith("K"):
-        raise SpecParseError("expected 'K'", 0)
-    i = 1
-    j = digits(i)
-    if j == i:
-        raise SpecParseError("expected a class count after 'K'", i)
-    ell = int(text[i:j])
-    i = j
-    if i >= len(text) or text[i] != "_":
-        raise SpecParseError("expected '_'", i)
-    i += 1
-    j = digits(i)
-    if j == i:
-        raise SpecParseError("expected a uniformity after '_'", i)
-    s = int(text[i:j])
-    i = j
-    if i >= len(text) or text[i] != "(":
-        raise SpecParseError("expected '('", i)
-    i += 1
-    sizes = []
-    while True:
-        j = digits(i)
-        if j == i:
-            raise SpecParseError("expected a class size", i)
-        sizes.append(int(text[i:j]))
-        i = j
-        if i < len(text) and text[i] == ",":
-            i += 1
-            continue
-        if i < len(text) and text[i] == ")":
-            i += 1
-            break
-        raise SpecParseError("expected ',' or ')'", i)
+
+    def take(token, what):
+        nonlocal i
+        match = token.match(text, i)
+        if not match:
+            raise SpecParseError(f"expected {what}", i)
+        i = match.end()
+        return match.group()
+
+    take(_K, "'K'")
+    ell = int(take(_NUMBER, "a class count after 'K'"))
+    take(_UNDERSCORE, "'_'")
+    s = int(take(_NUMBER, "a uniformity after '_'"))
+    take(_OPEN, "'('")
+    sizes = [int(take(_NUMBER, "a class size"))]
+    while take(_SEP, "',' or ')'") == ",":
+        sizes.append(int(take(_NUMBER, "a class size")))
     if i != len(text):
         raise SpecParseError("unexpected trailing text", i)
     if len(sizes) != ell:

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 from .canonical import canonical_key, colex_subsets
 from .counting import HostIndex, complete_subsets, contains, first_embedding, is_blowup_free
@@ -36,7 +36,6 @@ from .hypergraph import (
 )
 
 EXACT_APFREE_GUARD = 40
-LBAP_TUPLE_BUDGET = 500_000  # see verify_lbap_properties
 
 
 class ConstructionError(RuntimeError):
@@ -181,11 +180,11 @@ def apfree_set(n: int, r: int, mode: str = "exact") -> APFreeSet:
 @dataclass(frozen=True)
 class ClaimResult:
     name: str
-    status: str  # "pass" | "pass-sampled" | "fail"
+    status: str  # "pass" | "fail"
     detail: dict
 
     def ok(self) -> bool:
-        return self.status in ("pass", "pass-sampled")
+        return self.status == "pass"
 
 
 @dataclass(frozen=True)
@@ -278,16 +277,13 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
     other r-1 vertices of x meets class i outside x_i, and an edge, visited
     in lexicographic order, shares an (r-1)-subset with an earlier edge
     exactly when the link of that subset holds a vertex below the one it
-    drops. Property (2) is exact for every input: exhaustive while the class
-    product has at most ``LBAP_TUPLE_BUDGET`` tuples, and checked on that
-    many tuples sampled uniformly with seed 0 above it, with the sampling
-    recorded in the certificate. The exhaustive check walks the heads
-    (every coordinate but the last) in product order and, for each head
-    whose link meets the last class, only the last-class vertices that
-    can be swapped; it finds the first violation of the full product scan
-    and, on a pass, reports the class product size as ``checked``. The
-    classes must split ``0..h.n-1`` into ``r`` (possibly empty) classes of
-    an r-uniform host; any other shape raises ``HypergraphError``.
+    drops. Property (2) is checked exactly for every input. It walks, in
+    product order, the heads (every coordinate but the last) drawn from the
+    transversal edges, and under each head the last class; it finds the
+    first violation of the full product scan and, on a pass, reports the
+    class product size as ``checked``. The classes must split ``0..h.n-1``
+    into ``r`` (possibly empty) classes of an r-uniform host; any other
+    shape raises ``HypergraphError``.
     """
     if parts.n != h.n or len(parts.classes) != r or h.s != r:
         raise HypergraphError(
@@ -315,15 +311,15 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
     claims.append(ClaimResult(
         "one-edge-per-subset", "fail" if clash else "pass", clash or {}))
 
-    # property 2: no choice of one vertex per class with every coordinate swappable
-    class_masks = []
-    space = 1
-    for c in parts.classes:
-        cmask = 0
-        for v in c:
-            cmask |= 1 << v
-        class_masks.append(cmask)
-        space *= len(c)
+    # property 2: no choice of one vertex per class with every coordinate
+    # swappable. The last coordinate of x = head + (v,) swaps only if head
+    # plus another last-class vertex is an edge, so every head that can lead
+    # to a violation is a transversal edge less its last-class vertex; sorted,
+    # the heads come in product order, since every class is sorted
+    class_masks = [sum(1 << v for v in c) for c in parts.classes]
+    class_of = parts.class_of()
+    heads = {tuple(sorted(e, key=class_of.__getitem__))[:-1]
+             for e in h.edges if len({class_of[v] for v in e}) == r}
 
     def swappable(x, mask):  # every coordinate of x, one vertex per class
         for v, cmask in zip(x, class_masks):
@@ -332,43 +328,20 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
                 return False
         return True
 
-    exhaustive = space <= LBAP_TUPLE_BUDGET
-    violation = None
-    if exhaustive:
-        # the last coordinate of x = head + (v,) swaps exactly when the link
-        # of the head meets the last class outside v, so only heads whose
-        # link meets it lead anywhere; the walk keeps product order
-        checked = space
-        *heads, last = parts.classes
-        for head in product(*heads) if space else ():
-            mask = 0
-            for v in head:
-                mask |= 1 << v
-            fit = links.get(mask, 0) & class_masks[-1]
-            if not fit:
-                continue
-            for v in last:
+    def first_violation():
+        for head in sorted(heads):
+            mask = sum(1 << v for v in head)
+            fit = links[mask] & class_masks[-1]
+            for v in parts.classes[-1]:
                 bit = 1 << v
                 if fit & ~bit and swappable(head, mask | bit):
-                    violation = {"tuple": [*head, v]}
-                    break
-            if violation:
-                break
-    else:
-        rng = random.Random(0)
-        checked = LBAP_TUPLE_BUDGET
-        for _ in range(LBAP_TUPLE_BUDGET):
-            x = tuple(rng.choice(c) for c in parts.classes)
-            mask = 0
-            for v in x:
-                mask |= 1 << v
-            if swappable(x, mask):
-                violation = {"tuple": list(x)}
-                break
-    status = "fail" if violation else ("pass" if exhaustive else "pass-sampled")
+                    return {"tuple": [*head, v]}
+        return None
+
+    violation = first_violation()
     claims.append(ClaimResult(
-        "no-local-swap", status,
-        violation or {"checked": checked, "exhaustive": exhaustive}))
+        "no-local-swap", "fail" if violation else "pass",
+        violation or {"checked": prod(map(len, parts.classes)), "exhaustive": True}))
 
     # property 3: vertex and edge budgets
     want_vertices = (r - 1) * r * n

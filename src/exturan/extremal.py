@@ -79,7 +79,8 @@ class ExtremalRecord:
     """A (possibly cached) value of ex(n, T, F) together with its witness.
 
     mode "exact" promises that no F-free n-vertex host exceeds ``value``;
-    mode "heuristic" promises only that the witness attains it.
+    mode "heuristic" promises only that the witness attains it. A record
+    holds no timing, so two runs of one search give equal records.
     """
 
     n: int
@@ -90,7 +91,6 @@ class ExtremalRecord:
     witness: UniformHypergraph
     mode: str
     nodes: int
-    elapsed: float
 
     def verify(self) -> None:
         """Re-check the self-certifying part: freeness and the count."""
@@ -360,12 +360,11 @@ def _instance(n, pattern, forbidden) -> tuple[UniformHypergraph, UniformHypergra
     return pattern, forbidden_g
 
 
-def _record(ctx: _Ctx, edges, value, mode, nodes, t0) -> ExtremalRecord:
+def _record(ctx: _Ctx, edges, value, mode, nodes) -> ExtremalRecord:
     """The verified record of a finished search."""
     record = ExtremalRecord(
         n=ctx.n, s=ctx.s, pattern=ctx.pattern, forbidden=ctx.forbidden, value=value,
         witness=make(ctx.n, ctx.s, edges), mode=mode, nodes=nodes,
-        elapsed=time.perf_counter() - t0,
     )
     record.verify()
     return record
@@ -391,7 +390,6 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
         if hit is not None:
             return hit
 
-    t0 = time.perf_counter()
     ctx = _Ctx(n, s, pattern, forbidden_g)
     deadline = time.monotonic() + timeout if timeout is not None else None
     if workers > 1:
@@ -399,7 +397,7 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
     else:
         val, pos, nodes, timed = _explore(ctx, deadline)
     record = _record(ctx, [ctx.pot[p] for p in pos], val,
-                     "heuristic" if timed else "exact", nodes, t0)
+                     "heuristic" if timed else "exact", nodes)
     if cache is not None and not timed:
         cache.put(record)
     return record
@@ -420,7 +418,6 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
     Each try of an absent edge is one step.
     """
     pattern, forbidden_g = _instance(n, pattern, forbidden)
-    t0 = time.perf_counter()
     ctx = _Ctx(n, pattern.s, pattern, forbidden_g)
     pot = list(combinations(range(n), ctx.s))
     rng = random.Random(seed)
@@ -461,7 +458,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
                 host.remove(e)
             val = empty
 
-    return _record(ctx, best_edges, best_val, "heuristic", steps, t0)
+    return _record(ctx, best_edges, best_val, "heuristic", steps)
 
 
 def chain_check(n, forbidden, **kwargs) -> list[tuple[int, ExtremalRecord]]:
@@ -524,7 +521,6 @@ class RecordCache:
             "value": record.value,
             "mode": record.mode,
             "nodes": record.nodes,
-            "elapsed": record.elapsed,
             "pattern": record.pattern.to_text(),
             "forbidden": record.forbidden.to_text(),
         }
@@ -552,7 +548,7 @@ class RecordCache:
             record = ExtremalRecord(
                 n=header["n"], s=header["s"], pattern=pattern, forbidden=forbidden,
                 value=header["value"], witness=witness, mode=header["mode"],
-                nodes=header["nodes"], elapsed=header["elapsed"],
+                nodes=header["nodes"],
             )
             record.verify()
         except KeyError as exc:

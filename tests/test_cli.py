@@ -35,6 +35,8 @@ class TestSpecGrammar:
         ("K3_2(1,1)", 9),
         ("K3_2(1,1,1)x", 11),
         ("K3_2(1,,1)", 7),
+        ("K3_2(1,1,\u00b9)", 9),     # superscript one: a digit to str.isdigit
+        ("K\u0663_2(1,1,1)", 1),     # Arabic-Indic three
     ])
     def test_parse_errors_carry_position(self, bad, pos):
         with pytest.raises(SpecParseError) as err:
@@ -65,10 +67,22 @@ class TestExCommand:
         payload = json.loads(out.stdout)
         assert payload["records"][0]["value"] == 0
 
+    def test_identical_runs_write_identical_cache_files(self, tmp_path):
+        args = ("ex", "--n", "6", "--T", "K3_2(1,1,1)", "--F", "K3_2(1,1,2)")
+        files = []
+        for name in ("a", "b"):
+            assert run_cli(*args, "--cache-dir", str(tmp_path / name)).returncode == 0
+            files.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert len(files[0]) == 1
+        assert files[0] == files[1]
+
     def test_malformed_spec_exits_2(self):
-        out = run_cli("ex", "--n", "4", "--T", "K3_2(1,1", "--F", "K3_2(1,1,2)")
-        assert out.returncode == 2
-        assert "position" in out.stderr
+        # the second spec ends in a superscript one, a digit to str.isdigit
+        for spec in ("K3_2(1,1", "K3_2(1,1,\u00b9)"):
+            out = run_cli("ex", "--n", "4", "--T", spec, "--F", "K3_2(1,1,2)")
+            assert out.returncode == 2
+            assert_one_line(out.stderr, "error: ")
+            assert "position" in out.stderr
 
     @pytest.mark.parametrize("extra", [(), ("--heuristic",)])
     def test_edgeless_forbidden_exits_2(self, tmp_path, extra):
@@ -307,10 +321,10 @@ class TestLbapPropertiesInput:
     """``verify --claim lbap-properties`` on hand-written hosts and certificates."""
 
     @staticmethod
-    def verify(tmp_path, host_text, r, parts):
+    def verify(tmp_path, host_text, r, parts, n=1, elements=()):
         host, cert = tmp_path / "h.txt", tmp_path / "h.cert.json"
         host.write_text(host_text)
-        cert.write_text(json.dumps({"params": {"n": 1, "r": r, "elements": [],
+        cert.write_text(json.dumps({"params": {"n": n, "r": r, "elements": list(elements),
                                                "exact": False, "parts": parts}}))
         return run_cli("verify", str(host), "--claim", "lbap-properties",
                        "--cert", str(cert))
@@ -342,7 +356,8 @@ class TestLbapPropertiesInput:
             "detail": {"checked": 3, "exhaustive": True}}
 
     def test_empty_class_above_the_tuple_budget(self, tmp_path):
-        # the nonempty classes alone span more than LBAP_TUPLE_BUDGET tuples
+        # the nonempty classes alone span over 500,000 tuples, yet with a
+        # class empty there is no choice of one vertex per class to check
         sizes, parts = [0, 11, 11, 11, 11, 10, 10], []
         for size in sizes:
             start = sum(map(len, parts))
@@ -353,6 +368,25 @@ class TestLbapPropertiesInput:
         assert self.claim(out, "no-local-swap") == {
             "name": "no-local-swap", "status": "pass",
             "detail": {"checked": 0, "exhaustive": True}}
+
+    def test_planted_violation_in_a_large_product_fails(self, tmp_path):
+        # six classes of ten: a product of 10^6 choices, one of them, x, with
+        # every coordinate swappable; the other claims all hold
+        x = [10 * i + 3 for i in range(6)]
+        edges = [x[:i] + [10 * i + 7] + x[i + 1:] for i in range(6)]
+        fill = [(k,) * 6 for k in (0, 1, 2, 4, 5, 6, 8, 9)] + [(0, 1) * 3, (1, 0) * 3]
+        edges += [[10 * i + a for i, a in enumerate(row)] for row in fill]
+        text = f"6 60 {len(edges)}\n" + "".join(
+            " ".join(map(str, sorted(e))) + "\n" for e in edges)
+        parts = [list(range(10 * i, 10 * i + 10)) for i in range(6)]
+        out = self.verify(tmp_path, text, 6, parts, n=2, elements=[1])
+        assert out.returncode == 1
+        assert out.stderr == ""
+        claims = json.loads(out.stdout)["certificate"]["claims"]
+        assert {c["name"]: c["status"] for c in claims} == {
+            "one-edge-per-subset": "pass", "no-local-swap": "fail",
+            "vertex-count": "pass", "edge-count": "pass"}
+        assert self.claim(out, "no-local-swap")["detail"] == {"tuple": x}
 
 
 def assert_one_line(stderr, prefix, path=None):

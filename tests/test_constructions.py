@@ -96,6 +96,29 @@ def swap_inputs(draw):
     return make(n, r, sorted(edges)), classes
 
 
+@st.composite
+def large_swap_inputs(draw):
+    """An r-partite r-uniform host (r = 5, 6) with classes of 9 to 11
+    vertices, as runs or interleaved, so that the class product has 10^5 to
+    10^6 choices (above 500,000 at r = 6); a few random transversal edges and
+    a planted choice x whose every coordinate can be swapped."""
+    r = draw(st.sampled_from((5, 6)))
+    sizes = draw(st.lists(st.integers(9, 11), min_size=r, max_size=r)
+                 .filter(lambda sizes: sum(sizes) <= 64))
+    n = sum(sizes)
+    labels = draw(st.permutations(range(n))) if draw(st.booleans()) else list(range(n))
+    cuts = [sum(sizes[:i]) for i in range(r + 1)]
+    classes = tuple(tuple(sorted(labels[cuts[i]:cuts[i + 1]])) for i in range(r))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = {tuple(sorted(rnd.choice(c) for c in classes))
+             for _ in range(draw(st.integers(0, 40)))}
+    x = [rnd.choice(c) for c in classes]
+    for i, c in enumerate(classes):
+        y = rnd.choice([v for v in c if v != x[i]])
+        edges.add(tuple(sorted(x[:i] + [y] + x[i + 1:])))
+    return make(n, r, sorted(edges)), classes, tuple(x)
+
+
 class TestAPFreeSets:
     def test_exact_n4(self):
         s = apfree_set(4, 3)
@@ -236,6 +259,27 @@ class TestVerifyLbapProperties:
         want = ("fail", {"tuple": list(bad)}) if bad else \
             ("pass", {"checked": prod(map(len, classes)), "exhaustive": True})
         assert (claim.status, claim.detail) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(large_swap_inputs())
+    def test_planted_violation_found_in_a_large_product(self, case):
+        # too large a product for the full scan: the reported choice must be
+        # a violation by the definition and come no later than the planted one
+        h, classes, x = case
+        cert = verify_lbap_properties(h, PartitionMap(classes), 1, h.s,
+                                      APFreeSet(1, h.s, (), exact=False))
+        claim = {c.name: c for c in cert.claims}["no-local-swap"]
+        assert claim.status == "fail"
+        bad = tuple(claim.detail["tuple"])
+        es = h.edge_set
+        assert all(any(tuple(sorted(bad[:i] + (y,) + bad[i + 1:])) in es
+                       for y in c if y != bad[i])
+                   for i, c in enumerate(classes))
+
+        def position(t):
+            return [c.index(v) for v, c in zip(t, classes)]
+
+        assert position(bad) <= position(x)
 
     def test_empty_system(self):
         ap = APFreeSet(3, 3, (), exact=False)
