@@ -21,11 +21,11 @@ search, one ``while`` loop per new vertex, trying one vertex per twin
 class. The link of each placed (s-1)-set is read into a local once, when
 its last vertex is placed, and every deeper level ANDs that local with its
 candidates; the target's bits are read into locals once per call, and each
-target-bit test, written out, reads one. Links are read from the
-host's dense link table (:meth:`exturan.counting.HostIndex.link_table`), a
-list indexed by vertex mask, so a read is a subscript, not a call. The
-target is one int ``T`` whose bit p is the graph's own bit at colex
-position p; the orderly search carries it from parent to child. With at most
+target-bit test, written out, reads one. Every link is a subscript of
+the host's one link store (:class:`exturan.counting.HostIndex`), on these
+sizes a list indexed by vertex mask. The target is one int ``T`` whose
+bit p is the graph's own bit at colex position p; the orderly search
+carries it from parent to child. With at most
 ``MAX_CANONICAL_VERTICES`` = 12 vertices the function nests at most 11
 loops, under CPython's limit of 20.
 
@@ -59,9 +59,9 @@ def colex_position(n: int, s: int) -> dict[tuple[int, ...], int]:
 
 @lru_cache(maxsize=256)
 def _kernel(n: int, s: int):
-    """``_test(table, deg, T, twins, leaves)``, the canonicity test of an
+    """``_test(links, deg, T, twins, leaves)``, the canonicity test of an
     s-uniform graph on n vertices as generated code, with no builtins: the
-    graph's index has dense link table ``table`` and degrees ``deg``, and
+    graph's index has link store ``links`` and degrees ``deg``, and
     ``T`` is its own bitstring. It returns the bits of an improving prefix
     of a relabelling, the improving vertex last, or None if the graph is
     its own canonical form.
@@ -109,9 +109,9 @@ def _kernel(n: int, s: int):
     pos = colex_position(n, s)
     rank = colex_position(n, s - 1)
     full = (1 << n) - 1
-    lines = ["def _test(table, deg, T, twins, leaves):"]
+    lines = ["def _test(links, deg, T, twins, leaves):"]
     if s > 1:
-        lines += [f"    w{i:d} = table[{sum(1 << v for v in q):d}]"
+        lines += [f"    w{i:d} = links[{sum(1 << v for v in q):d}]"
                   for q, i in rank.items()]
     lines += [f"    [{''.join(f'd{v:d}, ' for v in range(n))}] = deg", "    seen = 0"]
     for u in range(n - 1):
@@ -134,7 +134,7 @@ def _kernel(n: int, s: int):
     lines += [f"    t{p:d} = T & {1 << p:d}" for p in range(len(pos))]
     lines.append(f"    f0 = {full:d}")
     if s == 1:
-        lines.append("    l = table[0]")
+        lines.append("    l = links[0]")
     pad = "    "
     for j in range(n):
         fail = "continue" if j else "return None"
@@ -163,7 +163,7 @@ def _kernel(n: int, s: int):
             pad += "    "
             for sub in colex_subsets(j, s - 2) if s > 1 else ():
                 image = " | ".join(f"b{a:d}" for a in sub + (j,))
-                lines.append(f"{pad}{link(sub + (j,))} = table[{image}]")
+                lines.append(f"{pad}{link(sub + (j,))} = links[{image}]")
     lines.append("    return None")
     return compile_kernel(lines, "_test", f"n={n:d} s={s:d}")
 
@@ -206,7 +206,7 @@ def is_canonical_raw(host: HostIndex, s: int, twins=None, leaves=None,
     n = host.n
     _guard(n)
     found, tied = [], []
-    if _kernel(n, s)(host.link_table(), host.deg,
+    if _kernel(n, s)(host.links, host.deg,
                      _own_bits(host, s) if target is None else target,
                      found, tied) is not None:
         return False
@@ -225,7 +225,7 @@ def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
     _guard(n)
     host = HostIndex(n, edge_set)
     test = _kernel(n, s)
-    while (found := test(host.link_table(), host.deg, _own_bits(host, s), [], [])) is not None:
+    while (found := test(host.links, host.deg, _own_bits(host, s), [], [])) is not None:
         perm = [b.bit_length() - 1 for b in found]
         perm += [u for u in range(n) if u not in perm]
         back = {old: new for new, old in enumerate(perm)}

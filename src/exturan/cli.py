@@ -102,14 +102,21 @@ def parse_pattern_spec(text: str):
         i = match.end()
         return match.group()
 
+    def number(what):
+        digits = take(_NUMBER, what)
+        try:  # CPython converts no string of more than 4,300 digits
+            return int(digits)
+        except ValueError:
+            raise SpecParseError(f"{what} has too many digits", i - len(digits)) from None
+
     take(_K, "'K'")
-    ell = int(take(_NUMBER, "a class count after 'K'"))
+    ell = number("a class count after 'K'")
     take(_UNDERSCORE, "'_'")
-    s = int(take(_NUMBER, "a uniformity after '_'"))
+    s = number("a uniformity after '_'")
     take(_OPEN, "'('")
-    sizes = [int(take(_NUMBER, "a class size"))]
+    sizes = [number("a class size")]
     while take(_SEP, "',' or ')'") == ",":
-        sizes.append(int(take(_NUMBER, "a class size")))
+        sizes.append(number("a class size"))
     if i != len(text):
         raise SpecParseError("unexpected trailing text", i)
     if len(sizes) != ell:

@@ -324,7 +324,7 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
     def swappable(x, mask):  # every coordinate of x, one vertex per class
         for v, cmask in zip(x, class_masks):
             bit = 1 << v
-            if not links.get(mask ^ bit, 0) & (cmask ^ bit):
+            if not links[mask ^ bit] & (cmask ^ bit):
                 return False
         return True
 

@@ -4,10 +4,11 @@ Copies are counted unlabelled: the number of embeddings divided by the
 automorphism count of the pattern, which is the number of embeddings of the
 pattern into itself. Every embedding search runs on one backtracker over per-step
 candidate domains, reading the host from a :class:`HostIndex`. The index
-holds a link table: for every s-1 vertices of an edge, the mask of the
-vertices that complete them to an edge. A step that completes pattern edges
-therefore takes its candidates from the AND of the links of those edges'
-placed parts (the common-link step) instead of scanning every host vertex.
+holds one link store, read by subscript: for every s-1 vertices, the mask
+of the vertices that complete them to an edge. A step that completes
+pattern edges therefore takes its candidates from the AND of the links of
+those edges' placed parts (the common-link step) instead of scanning every
+host vertex.
 Cliques take the same step without a backtracker: a sorted clique grows by
 the vertices above its last one in the AND of the links of its (s-1)-subsets.
 The backtracker is generated code: for each compiled walk, number of domain
@@ -28,6 +29,7 @@ ascending order, so certificates are reproducible.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +46,7 @@ from .hypergraph import (
 )
 
 MAX_PATTERN_VERTICES = 8  # input guard on the patterns whose copies are counted
+DENSE_LINK_VERTICES = 12  # hosts up to this size keep their links in a list
 
 
 class UniformityMismatch(HypergraphError):
@@ -140,38 +143,27 @@ class HostIndex:
 
     ``n`` is the vertex count, ``edges`` maps each edge (a sorted tuple) to
     its vertex bitmask, ``deg`` holds the degree of every vertex, and
-    ``links`` maps the mask of each s-1 vertices of some edge to the mask of
-    the vertices that complete them to an edge: ``links[mask ^ bit] |= bit``
-    for every edge mask and every bit in it. Adding or removing an edge
-    costs O(s); ``add`` takes an edge that is absent and ``remove`` one that
-    is present. ``add`` may be given the edge's vertex mask, which a caller
-    that adds the same edges many times builds once.
-
-    ``table`` is None, or the same links as a dense list of 2^n masks
-    indexed by vertex mask, 0 where ``links`` has no entry: the canonicity
-    test, which runs only on hosts of at most 12 vertices, builds it on its
-    first read (:meth:`link_table`), and from then on ``add`` and ``remove``
-    keep it current. A list subscript is cheaper than ``links.get``.
+    ``links`` maps the mask of any s-1 vertices to the mask of the vertices
+    that complete them to an edge: ``links[mask ^ bit] |= bit`` for every
+    edge mask and every bit in it, and 0 for a mask on no edge. Every
+    reader subscripts it. On at most ``DENSE_LINK_VERTICES`` vertices, which
+    covers every host the canonicity test takes, it is a list of 2^n masks
+    indexed by vertex mask, since a list subscript is cheaper than a dict's;
+    on more, a ``defaultdict(int)``. Adding or removing an edge costs O(s);
+    ``add`` takes an edge that is absent and ``remove`` one that is present.
+    ``add`` may be given the edge's vertex mask, which a caller that adds
+    the same edges many times builds once.
     """
 
-    __slots__ = ("n", "edges", "deg", "links", "table")
+    __slots__ = ("n", "edges", "deg", "links")
 
     def __init__(self, n: int, edges=()):
         self.n = n
         self.edges: dict[Edge, int] = {}
         self.deg = [0] * n
-        self.links: dict[int, int] = {}
-        self.table: list[int] | None = None
+        self.links = [0] * (1 << n) if n <= DENSE_LINK_VERTICES else defaultdict(int)
         for e in edges:
             self.add(e)
-
-    def link_table(self) -> list[int]:
-        """``table``, built from ``links`` if this is its first read."""
-        if self.table is None:
-            self.table = [0] * (1 << self.n)
-            for mask, link in self.links.items():
-                self.table[mask] = link
-        return self.table
 
     def add(self, edge: Edge, mask: int | None = None) -> None:
         if mask is None:
@@ -179,29 +171,19 @@ class HostIndex:
             for v in edge:
                 mask |= 1 << v
         self.edges[edge] = mask
-        deg, links, table = self.deg, self.links, self.table
+        deg, links = self.deg, self.links
         for v in edge:
             deg[v] += 1
             bit = 1 << v
-            key = mask ^ bit
-            links[key] = links.get(key, 0) | bit
-            if table is not None:
-                table[key] |= bit
+            links[mask ^ bit] |= bit
 
     def remove(self, edge: Edge) -> None:
         mask = self.edges.pop(edge)
-        deg, links, table = self.deg, self.links, self.table
+        deg, links = self.deg, self.links
         for v in edge:
             deg[v] -= 1
             bit = 1 << v
-            key = mask ^ bit
-            rest = links[key] ^ bit
-            if rest:
-                links[key] = rest
-            else:
-                del links[key]
-            if table is not None:
-                table[key] = rest
+            links[mask ^ bit] ^= bit
 
 
 _MAX_LOOPS = 20  # CPython compiles no function with more nested loops
@@ -224,7 +206,7 @@ def _link(key) -> str:
 
 def _read(key, pad: str) -> str:
     """The generated line reading the link of ``key`` into its local."""
-    return f"{pad}{_link(key)} = get({' | '.join(f'b{i:d}' for i in key) or '0'}, 0)"
+    return f"{pad}{_link(key)} = links[{' | '.join(f'b{i:d}' for i in key) or '0'}]"
 
 
 def _second(i: int, pad: str) -> list:
@@ -232,7 +214,7 @@ def _second(i: int, pad: str) -> list:
     i's vertex in a graph: the OR of the links of its neighbours, the first
     of them read from the step's own link local."""
     return [f"{pad}n{i:d} = 0", f"{pad}x = l{i:d}", f"{pad}while x:",
-            f"{pad}    y = x & -x", f"{pad}    x ^= y", f"{pad}    n{i:d} |= get(y, 0)"]
+            f"{pad}    y = x & -x", f"{pad}    x ^= y", f"{pad}    n{i:d} |= links[y]"]
 
 
 @lru_cache(maxsize=256)
@@ -286,7 +268,7 @@ def _kernel(walk, ndom: int, mode: str):
         carried = "".join(f", v{k:d}" for k in range(a))
         if a:
             carried = (", out" if mode == "all" else "") + ", used" + carried
-        lines.append(f"def _k{a:d}(get, deg, everyone, domains{carried}):")
+        lines.append(f"def _k{a:d}(links, deg, everyone, domains{carried}):")
         if mode == "count":
             lines.append("    count = 0")
         elif mode == "all" and not a:
@@ -354,7 +336,7 @@ def _kernel(walk, ndom: int, mode: str):
                 lines.append(pad + {"first": f"return {image}", "count": "count += 1",
                                     "all": f"out.append({image})"}[mode])
             else:
-                call = (f"_k{b:d}(get, deg, everyone, domains"
+                call = (f"_k{b:d}(links, deg, everyone, domains"
                         + (", out" if mode == "all" else "") + f", {used}"
                         + "".join(f", v{k:d}" for k in range(b)) + ")")
                 lines += ({"first": [f"{pad}found = {call}", f"{pad}if found is not None:",
@@ -392,7 +374,7 @@ def _backtrack(host: HostIndex, walk, domains=(), *, mode):
     such functions, each called from the innermost loop of the one before.
     """
     search = _kernel(walk, min(len(domains), len(walk[0])), mode)
-    return search(host.links.get, host.deg, (1 << host.n) - 1, domains)
+    return search(host.links, host.deg, (1 << host.n) - 1, domains)
 
 
 @dataclass(frozen=True)
@@ -521,9 +503,9 @@ def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph,
     if pattern.n > host.n:
         return None
     pinned = [(v,) for v in edge]
-    get, deg, everyone = host.links.get, host.deg, (1 << host.n) - 1
+    links, deg, everyone = host.links, host.deg, (1 << host.n) - 1
     for _, search in _edge_starts(pattern):
-        found = search(get, deg, everyone, pinned)
+        found = search(links, deg, everyone, pinned)
         if found is not None:
             return found
     return None
@@ -539,10 +521,10 @@ def copies_through_edge(host: HostIndex, pattern: UniformHypergraph, edge: Edge)
     if pattern.n > host.n:
         return 0
     pinned = [(v,) for v in edge]
-    get, deg, everyone = host.links.get, host.deg, (1 << host.n) - 1
+    links, deg, everyone = host.links, host.deg, (1 << host.n) - 1
     total = 0
     for count, stab in _through_edge(pattern):
-        total += count(get, deg, everyone, pinned) // stab
+        total += count(links, deg, everyone, pinned) // stab
     return total
 
 
@@ -560,13 +542,13 @@ def complete_subsets(n: int, s: int, edge_set, r: int) -> list[tuple[int, ...]]:
     cur = sorted(edge_set)
     if r == s:
         return cur
-    get = HostIndex(n, cur).links.get
+    links = HostIndex(n, cur).links
     for _ in range(r - s):
         nxt = []
         for t in cur:
             cand = -1 << t[-1] + 1
             for sub in combinations([1 << v for v in t], s - 1):
-                cand &= get(sum(sub), 0)
+                cand &= links[sum(sub)]
             while cand:
                 bit = cand & -cand
                 cand ^= bit

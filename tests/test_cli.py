@@ -37,6 +37,9 @@ class TestSpecGrammar:
         ("K3_2(1,,1)", 7),
         ("K3_2(1,1,\u00b9)", 9),     # superscript one: a digit to str.isdigit
         ("K\u0663_2(1,1,1)", 1),     # Arabic-Indic three
+        # more digits than int() takes
+        pytest.param("K" + "1" * 5000 + "_2(1,1,1)", 1, id="5000-digit-class-count"),
+        pytest.param("K3_2(1,1," + "1" * 5000 + ")", 9, id="5000-digit-class-size"),
     ])
     def test_parse_errors_carry_position(self, bad, pos):
         with pytest.raises(SpecParseError) as err:
@@ -77,8 +80,9 @@ class TestExCommand:
         assert files[0] == files[1]
 
     def test_malformed_spec_exits_2(self):
-        # the second spec ends in a superscript one, a digit to str.isdigit
-        for spec in ("K3_2(1,1", "K3_2(1,1,\u00b9)"):
+        # the second spec ends in a superscript one, a digit to str.isdigit,
+        # and the third in a class size of more digits than int() takes
+        for spec in ("K3_2(1,1", "K3_2(1,1,\u00b9)", "K3_2(1,1," + "1" * 5000 + ")"):
             out = run_cli("ex", "--n", "4", "--T", spec, "--F", "K3_2(1,1,2)")
             assert out.returncode == 2
             assert_one_line(out.stderr, "error: ")

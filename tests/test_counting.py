@@ -187,7 +187,7 @@ class TestCommonLink:
     def common_link(index, e):
         mask = -1
         for sub in combinations(e, len(e) - 1):
-            mask &= index.links.get(vertex_mask(sub), 0)
+            mask &= index.links[vertex_mask(sub)]
         return mask
 
     @settings(max_examples=200, deadline=None)
@@ -207,8 +207,14 @@ class TestCommonLink:
         assert [c for c in cliques(g, 3).members if {1, 2} <= set(c)] == [(0, 1, 2), (1, 2, 4)]
 
 
+def nonzero_links(host):
+    links = host.links
+    pairs = links.items() if isinstance(links, dict) else enumerate(links)
+    return {m: link for m, link in pairs if link}
+
+
 def index_state(host):
-    return host.n, host.edges, host.deg, host.links
+    return host.n, host.edges, host.deg, nonzero_links(host)
 
 
 def vertex_mask(vertices):
@@ -233,7 +239,8 @@ def updated_index(draw, host):
 class TestHostIndex:
     @given(st.data())
     def test_updates_match_a_fresh_build(self, data):
-        n = data.draw(st.integers(1, 12))
+        # n up to 16 draws both link stores: a list up to 12 vertices, a dict above
+        n = data.draw(st.integers(1, 16))
         s = data.draw(st.integers(1, min(3, n)))
         pot = list(combinations(range(n), s))
         index, edges = HostIndex(n), set()
@@ -250,36 +257,11 @@ class TestHostIndex:
         assert index.deg == make(n, s, edges).degrees()
         want_links = {}
         for t in combinations(range(n), s - 1):
-            fill = vertex_mask(v for v in range(n)
-                               if v not in t and tuple(sorted(t + (v,))) in edges)
-            if fill:
-                want_links[vertex_mask(t)] = fill
-        assert index.links == want_links
-
-
-    @given(st.data())
-    def test_dense_table_matches_the_links(self, data):
-        # the canonicity test's table is built on its first read, at any
-        # point of an update sequence, and kept current from then on
-        n = data.draw(st.integers(1, 12))
-        s = data.draw(st.integers(1, min(4, n)))
-        pot = list(combinations(range(n), s))
-        steps = data.draw(st.lists(st.sampled_from(pot), max_size=40))
-        first_read = data.draw(st.integers(0, len(steps)))
-        index, edges = HostIndex(n), set()
-        for i, e in enumerate(steps):
-            if i == first_read:
-                index.link_table()
-            assert (index.table is None) == (i < first_read)
-            if e in edges:
-                index.remove(e)
-                edges.discard(e)
-            else:
-                index.add(e)
-                edges.add(e)
-        table = index.link_table()
-        assert len(table) == 1 << n
-        assert all(table[m] == index.links.get(m, 0) for m in range(1 << n))
+            want_links[vertex_mask(t)] = vertex_mask(
+                v for v in range(n) if v not in t and tuple(sorted(t + (v,))) in edges)
+        # a mask never set, or emptied by a removal, reads 0
+        assert all(index.links[m] == link for m, link in want_links.items())
+        assert nonzero_links(index) == {m: link for m, link in want_links.items() if link}
 
 
 def search_order(walk, domains):

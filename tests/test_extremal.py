@@ -70,7 +70,7 @@ def kernel_twins(g):
     # the twin classes the canonicity kernel of g lists before its search
     host = HostIndex(g.n, g.edges)
     twins = []
-    _kernel(g.n, g.s)(host.link_table(), host.deg, sum(1 << p for p in own_positions(g)),
+    _kernel(g.n, g.s)(host.links, host.deg, sum(1 << p for p in own_positions(g)),
                       twins, [])
     return twins
 

@@ -177,7 +177,7 @@ def test_generated_code_compiles_only_in_compile_kernel():
 
 def test_canonicity_kernels_read_links_without_a_call(monkeypatch):
     """The canonicity kernel reads each link as a subscript of the host's
-    dense link table: the only call in its generated source, for every
+    link store: the only call in its generated source, for every
     vertex count and uniformity the canonicity test takes, is ``.append``
     on the twin and leaf lists it fills."""
     sources = []
@@ -212,15 +212,15 @@ def test_linkless_graph_step_reads_a_second_neighbourhood(monkeypatch):
 
 
 def _link_reads(node):
-    """The link keys that the ``get`` calls inside ``node`` read, as source,
-    each as often as it is read: keys made of placed vertices' bits only,
-    not the running neighbour of a second-neighbourhood loop."""
+    """The link keys that the ``links[...]`` subscripts inside ``node`` read,
+    as source, each as often as it is read: keys made of placed vertices'
+    bits only, not the running neighbour of a second-neighbourhood loop."""
     for sub in ast.walk(node):
-        if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-                and sub.func.id == "get"
-                and all(name.id.startswith("b") for name in ast.walk(sub.args[0])
+        if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                and sub.value.id == "links"
+                and all(name.id.startswith("b") for name in ast.walk(sub.slice)
                         if isinstance(name, ast.Name))):
-            yield ast.unparse(sub.args[0])
+            yield ast.unparse(sub.slice)
 
 
 def test_embedding_kernels_read_each_link_once(monkeypatch):
@@ -240,7 +240,9 @@ def test_embedding_kernels_read_each_link_once(monkeypatch):
             counting._kernel.__wrapped__(walk, diamond.s, mode)
     assert len(sources) > 2
     for lines in sources:
-        for node in ast.walk(ast.parse("\n".join(lines))):
+        module = ast.parse("\n".join(lines))
+        assert any(_link_reads(module)), "no link read:\n" + "\n".join(lines)
+        for node in ast.walk(module):
             if isinstance(node, (ast.For, ast.While)):
                 twice = [k for k, n in Counter(_link_reads(node)).items() if n > 1]
                 assert twice == [], f"links read twice in one loop: {twice}\n" + "\n".join(lines)
