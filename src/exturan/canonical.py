@@ -30,9 +30,10 @@ carries it from parent to child. With at most
 loops, under CPython's limit of 20.
 
 The verdict comes first: only :func:`canonical_positions` turns an
-improving prefix into a relabelling, and :func:`is_canonical_raw` hands on
-automorphisms only for a graph it accepts, each twin class as one vertex
-mask and each other tied relabelling as a list of vertex images.
+improving prefix into a relabelling, and :func:`is_canonical_raw` returns
+None for a graph it rejects and, for one it accepts, the pair of the
+automorphisms it met: each twin class as one vertex mask, and each other
+tied relabelling as a list of vertex images.
 """
 
 from __future__ import annotations
@@ -168,16 +169,6 @@ def _kernel(n: int, s: int):
     return compile_kernel(lines, "_test", f"n={n:d} s={s:d}")
 
 
-def _own_bits(host: HostIndex, s: int) -> int:
-    """The graph's own bitstring: bit p set iff the s-set at colex position
-    p is an edge."""
-    pos = colex_position(host.n, s)
-    target = 0
-    for e in host.edges:
-        target |= 1 << pos[e]
-    return target
-
-
 def _guard(n: int):
     if n > MAX_CANONICAL_VERTICES:
         raise HypergraphError(
@@ -186,36 +177,28 @@ def _guard(n: int):
         )
 
 
-def is_canonical_raw(host: HostIndex, s: int, twins=None, leaves=None,
-                     target=None) -> bool:
-    """Is the s-uniform graph held by ``host`` already its own canonical form?
+def is_canonical_raw(host: HostIndex, s: int,
+                     target: int) -> tuple[list[int], list[list[int]]] | None:
+    """The automorphisms met by the canonicity test of the s-uniform graph
+    held by ``host``, or None if the graph is not its own canonical form.
 
-    That is, does no relabelling beat the graph's own bitstring; one call
-    of :func:`_kernel` answers it. If it is, automorphisms of the graph met
-    by the test are appended to the lists given: to ``twins`` the mask of
-    each class of two or more transposition twins, by least vertex, any
-    permutation inside a class being an automorphism; to ``leaves`` every
-    non-identity relabelling that ties with the graph's own bitstring, as
-    the list of the image of every vertex. They need not generate the whole
-    group. A non-canonical graph appends nothing.
-
-    ``target`` may give the graph's own bitstring, bit p set iff the s-set
-    at colex position p is an edge, so that a caller extending a graph one
-    edge at a time need not rebuild it.
+    ``target`` is the graph's own bitstring, bit p set iff the s-set at
+    colex position p is an edge; the orderly search carries it from parent
+    to child. The graph is canonical iff no relabelling beats it, which one
+    call of :func:`_kernel` answers. Then the pair (twins, leaves) is
+    returned: ``twins`` the mask of each class of two or more transposition
+    twins, by least vertex, any permutation inside a class being an
+    automorphism; ``leaves`` every non-identity relabelling that ties with
+    ``target``, as the list of the image of every vertex. They need not
+    generate the whole group.
     """
     n = host.n
     _guard(n)
-    found, tied = [], []
-    if _kernel(n, s)(host.links, host.deg,
-                     _own_bits(host, s) if target is None else target,
-                     found, tied) is not None:
-        return False
-    if twins is not None:
-        twins += found
-    if leaves is not None and len(tied) > 1:  # the identity is always a leaf
-        identity = _BITS[:n]  # the identity as a leaf: old vertex bit per new one
-        leaves += [[b.bit_length() - 1 for b in leaf] for leaf in tied if leaf != identity]
-    return True
+    twins, tied = [], []
+    if _kernel(n, s)(host.links, host.deg, target, twins, tied) is not None:
+        return None
+    identity = _BITS[:n]  # the identity as a leaf: old vertex bit per new one
+    return twins, [[b.bit_length() - 1 for b in leaf] for leaf in tied if leaf != identity]
 
 
 def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
@@ -225,12 +208,13 @@ def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
     _guard(n)
     host = HostIndex(n, edge_set)
     test = _kernel(n, s)
-    while (found := test(host.links, host.deg, _own_bits(host, s), [], [])) is not None:
+    pos = colex_position(n, s)
+    while (found := test(host.links, host.deg, sum(1 << pos[e] for e in host.edges),
+                         [], [])) is not None:
         perm = [b.bit_length() - 1 for b in found]
         perm += [u for u in range(n) if u not in perm]
         back = {old: new for new, old in enumerate(perm)}
         host = HostIndex(n, [tuple(sorted(back[v] for v in e)) for e in host.edges])
-    pos = colex_position(n, s)
     return tuple(sorted(pos[e] for e in host.edges))
 
 

@@ -152,7 +152,7 @@ def _parse_count(claim: str, prefix: str) -> int:
                              len(prefix)) from None
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range | list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -161,7 +161,7 @@ def _parse_n_range(text: str) -> list[int]:
             raise SpecParseError(f"bad range {text!r}", 0) from None
         if lo_i > hi_i:
             raise SpecParseError(f"empty range {text!r}", 0)
-        return list(range(lo_i, hi_i + 1))
+        return range(lo_i, hi_i + 1)  # iterated once, never built as a list
     try:
         return [int(text)]
     except ValueError:

@@ -38,7 +38,6 @@ from .canonical import canonical_key, colex_subsets, is_canonical_raw
 from .counting import (
     HostIndex,
     UniformityMismatch,
-    compile_kernel,
     copies_through_edge,
     count_copies,
     embeds_using_edge,
@@ -120,7 +119,6 @@ class _Ctx:
         # the copies in the empty host, the root of every search; counted
         # here, so that a pattern too large to count fails before any search
         self.empty_count = count_copies(make(n, s, ()), pattern)
-        self.moved = _moved_below(s)
         self.forbidden = forbidden
         # a host with fewer edges than F, or fewer vertices, holds no copy of it
         self.fb_min = forbidden.m if forbidden.n <= n else self.M + 1
@@ -169,9 +167,7 @@ def _explore(ctx: _Ctx, deadline, claim=None, top=True):
     for each node on the path. Returns (best value, best positions, nodes,
     timed_out), ties in value broken by :func:`_merge`.
     """
-    twins: list = []
-    leaves: list = []
-    is_canonical_raw(ctx.host, ctx.s, twins, leaves)
+    twins, leaves = is_canonical_raw(ctx.host, ctx.s, 0)  # the empty graph is canonical
     best = (ctx.empty_count, ())
     nodes = 1 if top else 0
     unit = held = -1  # the last unit met at depth _SPLIT, the last one claimed
@@ -208,31 +204,28 @@ def _merge(a, b):
     return a if a[1] <= b[1] else b
 
 
-@lru_cache(maxsize=None)
-def _moved_below(s: int):
-    """``moved(twins, leaves, m, e)``: does an automorphism of the node, met
-    by its canonicity test (:func:`exturan.canonical.is_canonical_raw`), map
-    the s-set ``e``, of vertex mask ``m``, to a smaller vertex mask? Generated
-    per s as the kernels of :mod:`exturan.canonical` are, with ``e`` unpacked.
+def _moved(twins, leaves, m, e) -> bool:
+    """Does an automorphism of the node, met by its canonicity test
+    (:func:`exturan.canonical.is_canonical_raw`), map the s-set ``e``, of
+    vertex mask ``m``, to a smaller vertex mask?
 
     A twin class t, a mask, moves ``e`` lower iff some adjacent transposition
     of its members does: iff ``e`` holds a member and misses a lower one. So
     with ``x = m & t`` and ``y = t ^ x``, the test is ``x and y and y & -y < x``:
     x is not the lowest members of t. Each of ``leaves`` is tested as the
     list of the image of every vertex."""
-    names = [f"a{i:d}" for i in range(s)]
-    lines = ["def _moved(twins, leaves, m, e):",
-             "    for t in twins:",
-             "        x = m & t",
-             "        y = t ^ x",
-             "        if x and y and y & -y < x:",
-             "            return True",
-             f"    {', '.join(names)}, = e",
-             "    for g in leaves:",
-             f"        if {' | '.join(f'1 << g[{a}]' for a in names)} < m:",
-             "            return True",
-             "    return False"]
-    return compile_kernel(lines, "_moved", f"s={s:d}")
+    for t in twins:
+        x = m & t
+        y = t ^ x
+        if x and y and y & -y < x:
+            return True
+    for g in leaves:
+        image = 0
+        for v in e:
+            image |= 1 << g[v]
+        if image < m:
+            return True
+    return False
 
 
 def _children(ctx: _Ctx, positions, twins, leaves, target, deadline):
@@ -247,30 +240,29 @@ def _children(ctx: _Ctx, positions, twins, leaves, target, deadline):
     the generator closes.
 
     A candidate edge that an automorphism of the node maps to a smaller
-    vertex mask is skipped untested (:func:`_moved_below`): colex order on
+    vertex mask is skipped untested (:func:`_moved`): colex order on
     s-sets is the order of their masks, so relabelling the child by it puts
     a 1 at an earlier position where the child has a 0, and the child is
     not canonical. A node with neither twin classes nor leaves makes no
     such test. Raises _Timeout before any candidate tried after ``deadline``.
     """
-    host, moved, pot, masks = ctx.host, ctx.moved, ctx.pot, ctx.masks
+    host, pot, masks = ctx.host, ctx.pot, ctx.masks
     check = twins or leaves
     start = positions[-1] + 1 if positions else 0
     for p in range(start, ctx.M):
         if deadline is not None and time.monotonic() > deadline:
             raise _Timeout
         e, m = pot[p], masks[p]
-        if check and moved(twins, leaves, m, e):
+        if check and _moved(twins, leaves, m, e):
             continue
         host.add(e, m)
         try:
             if ctx.forbidden_copy(e) is not None:
                 continue
-            twins2: list = []
-            leaves2: list = []
             target2 = target | 1 << p
-            if is_canonical_raw(host, ctx.s, twins2, leaves2, target2):
-                yield positions + (p,), twins2, leaves2, target2
+            found = is_canonical_raw(host, ctx.s, target2)
+            if found is not None:
+                yield positions + (p,), *found, target2
         finally:
             host.remove(e)
 

@@ -179,10 +179,6 @@ class PartitionMap:
     def n(self) -> int:
         return sum(len(c) for c in self.classes)
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
     def class_of(self) -> dict[int, int]:
         return {v: i for i, cls in enumerate(self.classes) for v in cls}
 

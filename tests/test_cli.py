@@ -100,6 +100,14 @@ class TestExCommand:
         out = run_cli("ex", "--n", "12", "--T", "K2_2(1,1)", "--F", "K2_2(2,2)")
         assert out.returncode == 3
 
+    def test_range_past_every_size_stops_at_the_first_infeasible_n(self):
+        # the range is walked, never built: its length does not fit a C ssize_t
+        out = run_cli("ex", "--n", f"4..{10 ** 19:d}", "--T", "K2_2(1,1)",
+                      "--F", "K2_2(2,2)")
+        assert out.returncode == 3, out.stderr
+        assert out.stderr.splitlines() == [
+            "infeasible: C(10,2) = 45 potential edges exceeds the guard 36"]
+
     def test_timeout_exits_3_after_the_table(self):
         out = run_cli("ex", "--n", "8", "--T", "K2_2(1,1)", "--F", "K2_2(2,2)",
                       "--timeout", "0", "--format", "json")

@@ -29,7 +29,7 @@ from exturan.extremal import (
     InfeasibleError,
     RecordCache,
     RecordError,
-    _moved_below,
+    _moved,
     chain_check,
     exact_ex,
     heuristic_lower,
@@ -66,12 +66,20 @@ def relabel(g, perm):
     return make(g.n, g.s, [tuple(perm[v] for v in e) for e in g.edges])
 
 
+def own_bits(g):
+    return sum(1 << p for p in own_positions(g))
+
+
+def is_canonical(g):
+    # the canonicity test of g, its bitstring rebuilt from the edges
+    return is_canonical_raw(HostIndex(g.n, g.edges), g.s, own_bits(g)) is not None
+
+
 def kernel_twins(g):
     # the twin classes the canonicity kernel of g lists before its search
     host = HostIndex(g.n, g.edges)
     twins = []
-    _kernel(g.n, g.s)(host.links, host.deg, sum(1 << p for p in own_positions(g)),
-                      twins, [])
+    _kernel(g.n, g.s)(host.links, host.deg, own_bits(g), twins, [])
     return twins
 
 
@@ -103,7 +111,7 @@ class TestCanonicalForm:
         g = data.draw(hypergraphs(max_n=6, min_s=s, max_s=s, min_n=s))
         want = brute_canonical_positions(g)
         assert canonical_positions(g.n, g.s, g.edge_set) == want
-        assert is_canonical_raw(HostIndex(g.n, g.edges), g.s) == (own_positions(g) == want)
+        assert is_canonical(g) == (own_positions(g) == want)
 
     # past the n <= 6 of the property test: levels 6 and 7 of the search
     @pytest.mark.parametrize("n, s, edges", [
@@ -118,8 +126,8 @@ class TestCanonicalForm:
         g = make(n, s, edges)
         want = brute_canonical_positions(g)
         assert canonical_positions(n, s, g.edge_set) == want
-        assert is_canonical_raw(HostIndex(n, g.edges), s) == (own_positions(g) == want)
-        assert is_canonical_raw(HostIndex(n, canonical_form(g).edges), s)
+        assert is_canonical(g) == (own_positions(g) == want)
+        assert is_canonical(canonical_form(g))
 
     @pytest.mark.parametrize("s", range(1, MAX_CANONICAL_VERTICES + 1))
     def test_kernel_at_the_vertex_cap(self, s):
@@ -132,7 +140,7 @@ class TestCanonicalForm:
         for n in range(MAX_CANONICAL_VERTICES + 1):
             for g in (make(n, s, []), complete(n, s)):
                 assert kernel_twins(g) == ([(1 << n) - 1] if n > 1 else [])
-                assert is_canonical_raw(HostIndex(n, g.edges), s)
+                assert is_canonical(g)
         with pytest.raises(HypergraphError, match="at most"):
             canonical_positions(MAX_CANONICAL_VERTICES + 1, s, ())
 
@@ -151,7 +159,7 @@ class TestTwinClasses:
         # term and equal degree decides
         g = make(n, s, [])
         assert kernel_twins(g) == ([(1 << n) - 1] if n > 1 else [])
-        assert is_canonical_raw(HostIndex(n, g.edges), s)
+        assert is_canonical(g)
         assert canonical_key(g) == f"s{s:d};n{n:d};"
         assert canonical_form(g) == g
 
@@ -183,11 +191,10 @@ class TestSymmetries:
     # to an earlier colex position, so every symmetry handed on must be one
     @given(hypergraphs(max_n=7, min_s=1, max_s=3))
     def test_symmetries_map_the_edge_set_onto_itself(self, g):
-        twins, leaves = [], []
-        canonical = is_canonical_raw(HostIndex(g.n, g.edges), g.s, twins, leaves)
-        assert canonical == is_canonical_raw(HostIndex(g.n, g.edges), g.s)
-        if not canonical:
-            assert twins == [] and leaves == []
+        found = is_canonical_raw(HostIndex(g.n, g.edges), g.s, own_bits(g))
+        if found is None:
+            return
+        twins, leaves = found
         for t in twins:  # every transposition inside a class
             members = [v for v in range(g.n) if t >> v & 1]
             assert len(members) >= 2
@@ -204,13 +211,13 @@ class TestSymmetries:
     @given(hypergraphs(max_n=7, min_s=1, max_s=3))
     def test_moved_children_are_not_canonical(self, g):
         parent = canonical_form(g)
-        twins, leaves = [], []
-        assert is_canonical_raw(HostIndex(parent.n, parent.edges), parent.s, twins, leaves)
-        moved = _moved_below(parent.s)
+        found = is_canonical_raw(HostIndex(parent.n, parent.edges), parent.s, own_bits(parent))
+        assert found is not None
+        twins, leaves = found
         last = max(own_positions(parent), default=-1)
         for e in colex_subsets(parent.n, parent.s)[last + 1:]:
-            if moved(twins, leaves, image_mask(range(parent.n), e), e):
-                assert not is_canonical_raw(HostIndex(parent.n, parent.edges + (e,)), parent.s)
+            if _moved(twins, leaves, image_mask(range(parent.n), e), e):
+                assert not is_canonical(make(parent.n, parent.s, parent.edges + (e,)))
 
     @settings(max_examples=60, deadline=None)
     @given(hypergraphs(max_n=7, min_s=1, max_s=3))
@@ -219,12 +226,12 @@ class TestSymmetries:
         # skip the candidates that its adjacent transpositions, each member
         # with the next, move lower, and only those
         parent = canonical_form(g)
-        twins, leaves = [], []
-        assert is_canonical_raw(HostIndex(parent.n, parent.edges), parent.s, twins, leaves)
-        moved = _moved_below(parent.s)
+        found = is_canonical_raw(HostIndex(parent.n, parent.edges), parent.s, own_bits(parent))
+        assert found is not None
+        twins, leaves = found
         last = max(own_positions(parent), default=-1)
         for e in colex_subsets(parent.n, parent.s)[last + 1:]:
-            skipped = moved(twins, leaves, image_mask(range(parent.n), e), e)
+            skipped = _moved(twins, leaves, image_mask(range(parent.n), e), e)
             assert skipped == adjacent_transposition_moves(parent.n, twins, leaves, e)
             if skipped:
                 child = make(parent.n, parent.s, parent.edges + (e,))
@@ -246,11 +253,9 @@ class TestCarriedTarget:
             kids = []
             for p in range(last + 1, len(pot)):
                 host.add(pot[p])
-                carried, rebuilt = ([], []), ([], [])
-                verdict = is_canonical_raw(host, s, *carried, target | 1 << p)
-                assert verdict == is_canonical_raw(host, s, *rebuilt)
-                assert carried == rebuilt
-                if verdict:
+                carried = is_canonical_raw(host, s, target | 1 << p)
+                assert carried == is_canonical_raw(host, s, own_bits(make(n, s, host.edges)))
+                if carried is not None:
                     kids.append(p)
                 host.remove(pot[p])
             if not kids:

@@ -1,9 +1,11 @@
-"""The experiment scripts and the README's library tour run end to end on
-small flags and print their tables."""
+"""The experiment scripts run end to end on small flags and print their
+tables; the README's library tour and CLI block run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
+from exturan.hypergraph import complete, write_file
 from cli_runner import run_python
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -50,3 +52,18 @@ def test_readme_library_tour():
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["2 2 6 6", "0 1", "0 2", "0 3", "0 4", "1 2", "3 4", ""]
+
+
+def test_readme_cli_block(tmp_path):
+    """Every ``exturan`` line of the README's CLI block runs as written, in
+    order, in one directory: the later ``verify`` lines read what the
+    ``construct`` lines wrote, and ``host.txt`` is the complete 3-uniform
+    hypergraph on 5 vertices."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1].split("\n## ")[0]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("exturan ")]
+    assert len(lines) == 8
+    write_file(complete(5, 3), tmp_path / "host.txt")
+    for argv in lines:
+        out = run_python("-m", "exturan", *argv[1:], cwd=tmp_path)
+        assert out.returncode == 0, f"{shlex.join(argv)}\n{out.stderr}"
