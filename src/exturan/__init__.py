@@ -53,7 +53,6 @@ from .constructions import (
 )
 from .pipeline import (
     BlowupEmbedding,
-    SharedEdgeFamily,
     ThinningPlan,
     aligned_copies,
     conditional_partition,

@@ -41,10 +41,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .counting import HostIndex, compile_kernel
+from .counting import DENSE_LINK_VERTICES, HostIndex, compile_kernel
 from .hypergraph import HypergraphError, UniformHypergraph
 
-MAX_CANONICAL_VERTICES = 12  # permutation search envelope
+# permutation search envelope: every host it takes keeps its links in a list
+MAX_CANONICAL_VERTICES = DENSE_LINK_VERTICES
 _BITS = tuple(1 << v for v in range(MAX_CANONICAL_VERTICES))
 
 

@@ -233,14 +233,6 @@ def _require(cert: ConstructionCertificate):
 # ---------------------------------------------------------------------------
 
 
-def _lbap_layout(n: int, r: int):
-    offsets = [n * i * (i + 1) // 2 for i in range(r)]
-    sizes = [(i + 1) * n for i in range(r)]
-    total = (r - 1) * r * n
-    sizes[-1] += total - sum(sizes)  # pad the last class to the stated budget
-    return offsets, sizes, total
-
-
 def lbap_hypergraph(n: int, r: int, ap: APFreeSet) -> tuple[UniformHypergraph, PartitionMap]:
     """r-partite r-uniform system with one edge per (start, difference) pair.
 
@@ -252,12 +244,9 @@ def lbap_hypergraph(n: int, r: int, ap: APFreeSet) -> tuple[UniformHypergraph, P
         raise HypergraphError(
             f"progression-free set built for (n={ap.n}, r={ap.r}), expected ({n}, {r})"
         )
-    offsets, sizes, total = _lbap_layout(n, r)
-    classes = tuple(
-        tuple(range(offsets[i], offsets[i] + sizes[i])) if i < r - 1
-        else tuple(range(offsets[i], total))
-        for i in range(r)
-    )
+    offsets = [n * i * (i + 1) // 2 for i in range(r)]
+    total = (r - 1) * r * n  # the last class is padded to this budget
+    classes = tuple(tuple(range(start, end)) for start, end in zip(offsets, offsets[1:] + [total]))
     edges = []
     for a in range(1, n + 1):
         for d in ap.elements:
@@ -368,9 +357,7 @@ def locally_linear_spec(r: int) -> BlowupSpec:
 
 @dataclass(frozen=True)
 class LbapBundle:
-    ap: APFreeSet
     system: UniformHypergraph
-    parts: PartitionMap
     graph: UniformHypergraph
     certificate: ConstructionCertificate
 
@@ -396,7 +383,7 @@ def build_lbap(n: int, r: int, mode: str = "exact", *,
         cert.construction, dict(cert.params, parts=[list(c) for c in parts.classes]), claims)
     if verify:
         _require(cert)
-    return LbapBundle(ap, h, parts, g, cert)
+    return LbapBundle(h, g, cert)
 
 
 # ---------------------------------------------------------------------------

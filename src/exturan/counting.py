@@ -29,7 +29,7 @@ ascending order, so certificates are reproducible.
 from __future__ import annotations
 
 import hashlib
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -604,16 +604,12 @@ def cliques(g: UniformHypergraph, r: int) -> CliqueFamily:
     return CliqueFamily(g, r, tuple(members), check=False)  # sorted cliques, once each
 
 
-def edge_multiplicity(g: UniformHypergraph,
-                      family: CliqueFamily) -> tuple[dict[Edge, int], int]:
-    """How many family members contain each edge of g, plus the maximum."""
+def edge_multiplicity(g: UniformHypergraph, family: CliqueFamily) -> int:
+    """The largest number of family members that contain one edge of g."""
     if family.host != g:
         raise HypergraphError("family is not hosted in the given hypergraph")
-    mult = {e: 0 for e in g.edges}
-    for t in family.members:
-        for i in range(len(t)):
-            mult[t[:i] + t[i + 1:]] += 1
-    return mult, max(mult.values(), default=0)
+    mult = Counter(t[:i] + t[i + 1:] for t in family.members for i in range(len(t)))
+    return max(mult.values(), default=0)
 
 
 # ---------------------------------------------------------------------------

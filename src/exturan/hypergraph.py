@@ -56,8 +56,11 @@ class UniformHypergraph:
         for e in self.edges:
             if len(e) != self.s:
                 raise HypergraphError(f"edge {e!r} has size {len(e)}, expected {self.s}")
-            if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
-                raise HypergraphError(f"edge {e!r} is not strictly sorted")
+            for i in range(len(e) - 1):
+                if e[i] >= e[i + 1]:
+                    raise HypergraphError(
+                        f"edge {e!r} has a repeated vertex" if e[i] == e[i + 1]
+                        else f"edge {e!r} is not strictly sorted")
             if e[0] < 0 or e[-1] >= self.n:
                 raise HypergraphError(f"edge {e!r} has a vertex outside 0..{self.n - 1}")
             if prev is not None and not prev < e:
@@ -125,20 +128,11 @@ class UniformHypergraph:
 def make(n: int, s: int, edges) -> UniformHypergraph:
     """Build a normalized hypergraph from an arbitrary iterable of edges.
 
-    Edges are sorted internally, deduplicated, and validated: an edge with a
-    repeated vertex, a vertex outside ``0..n-1``, or the wrong size is
-    rejected.
+    Edges are converted to ints, sorted internally and deduplicated; the
+    constructor then rejects an edge with a repeated vertex, a vertex
+    outside ``0..n-1``, or the wrong size, quoting the sorted edge.
     """
-    norm = set()
-    for e in edges:
-        t = tuple(sorted(int(v) for v in e))
-        if len(t) != s:
-            raise HypergraphError(f"edge {tuple(e)!r} has size {len(t)}, expected {s}")
-        if len(set(t)) != len(t):
-            raise HypergraphError(f"edge {tuple(e)!r} has a repeated vertex")
-        if t and (t[0] < 0 or t[-1] >= n):
-            raise HypergraphError(f"edge {tuple(e)!r} has a vertex outside 0..{n - 1}")
-        norm.add(t)
+    norm = {tuple(sorted(int(v) for v in e)) for e in edges}
     return UniformHypergraph(n, s, tuple(sorted(norm)))
 
 

@@ -49,7 +49,7 @@ def edge_disjoint_greedy(family: CliqueFamily, b: int) -> CliqueFamily:
     # an edge lies in at most |family| members, so only a bound that small
     # can be broken
     if b <= len(family.members):
-        _, maxmult = edge_multiplicity(family.host, family)
+        maxmult = edge_multiplicity(family.host, family)
         if maxmult >= b:
             raise HypergraphError(
                 f"family has an edge of multiplicity {maxmult}, bound requires < {b}")
@@ -65,25 +65,17 @@ def edge_disjoint_greedy(family: CliqueFamily, b: int) -> CliqueFamily:
 
 
 # ---------------------------------------------------------------------------
-# shared-edge families and thinning
+# shared-edge groups and thinning
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SharedEdgeFamily:
-    """All a-subsets of a clique family whose members share a host edge.
+def shared_edge_groups(family: CliqueFamily, a: int) -> tuple[tuple[int, ...], ...]:
+    """All a-subsets of a clique family's members that share a host edge.
 
-    Groups are unordered a-sets of member indices; a group whose members
-    share two different edges is still counted once.
+    Each group is an ascending a-tuple of member indices, and the groups come
+    in lexicographic order; a group whose members share two different edges
+    is still listed once.
     """
-
-    host: UniformHypergraph
-    r: int
-    a: int
-    groups: tuple[tuple[int, ...], ...]
-
-
-def shared_edge_groups(family: CliqueFamily, a: int) -> SharedEdgeFamily:
     if a < 2:
         raise HypergraphError(f"group size must be >= 2, got {a}")
     by_edge = defaultdict(list)
@@ -94,7 +86,7 @@ def shared_edge_groups(family: CliqueFamily, a: int) -> SharedEdgeFamily:
     for idxs in by_edge.values():
         if len(idxs) >= a:
             groups.update(combinations(idxs, a))
-    return SharedEdgeFamily(family.host, family.r, a, tuple(sorted(groups)))
+    return tuple(sorted(groups))
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,7 @@ def thin_cliques(family: CliqueFamily, a: int, seed: int = 0) -> CliqueFamily:
         raise HypergraphError(f"group size must be >= 2, got {a}")
     members = family.members
     n_members = len(members)
-    groups = shared_edge_groups(family, a).groups
+    groups = shared_edge_groups(family, a)
     if 2 * len(groups) <= n_members:
         kept = set(range(n_members))
     else:
@@ -157,8 +149,7 @@ def thin_cliques(family: CliqueFamily, a: int, seed: int = 0) -> CliqueFamily:
             kept.discard(grp[0])
     out = CliqueFamily(family.host, family.r,
                        tuple(members[i] for i in sorted(kept)))
-    _, maxmult = edge_multiplicity(family.host, out)
-    if maxmult >= a:
+    if edge_multiplicity(family.host, out) >= a:
         raise RuntimeError("thinning postcondition violated")  # unreachable
     return out
 
@@ -327,9 +318,9 @@ def find_blowup(g: UniformHypergraph, f: UniformHypergraph, a: int, seed: int = 
     re-validated against the host before being returned. A none-found result
     after the retry budget is a value, not an error.
 
-    The embeddings of ``f`` are enumerated once per call; each attempt's
-    aligned copies are the ones its partition aligns, kept in their
-    lexicographic order, which is the order :func:`aligned_copies` returns.
+    The embeddings of ``f`` are enumerated once per call, for the partitions
+    and the threshold; each attempt's aligned copies come from
+    :func:`aligned_copies`.
     """
     if f.s != g.s:
         raise UniformityMismatch(f"host uniformity {g.s} != pattern {f.s}")
@@ -346,9 +337,7 @@ def find_blowup(g: UniformHypergraph, f: UniformHypergraph, a: int, seed: int = 
     for k in range(retries):
         order_seed = None if k == 0 else seed * 1_000_003 + k
         part = conditional_partition(g, f, order_seed, embs)
-        class_of = part.class_of()
-        aligned = [phi for phi in embs
-                   if all(class_of[v] == i for i, v in enumerate(phi))]
+        aligned = aligned_copies(g, f, part)
         entry = {"retry": k, "aligned": len(aligned), "threshold": threshold,
                  "aux_edges": None, "found": False}
         if trace is not None:

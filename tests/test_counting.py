@@ -532,24 +532,21 @@ class TestBlowupFree:
 class TestEdgeMultiplicity:
     def test_k4_all_triangles(self):
         g = complete(4, 2)
-        mult, mx = edge_multiplicity(g, cliques(g, 3))
-        assert mx == 2 and all(v == 2 for v in mult.values())
+        assert edge_multiplicity(g, cliques(g, 3)) == 2
 
     def test_edge_disjoint_family(self):
         g = make(6, 2, [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]])
-        mult, mx = edge_multiplicity(g, cliques(g, 3))
-        assert mx == 1
+        assert edge_multiplicity(g, cliques(g, 3)) == 1
 
     def test_k5_multiplicity_three(self):
         g = complete(5, 2)
-        mult, mx = edge_multiplicity(g, cliques(g, 3))
-        assert mx == 3 and all(v == 3 for v in mult.values())  # n-2 triangles per edge
+        assert edge_multiplicity(g, cliques(g, 3)) == 3  # n-2 triangles per edge
 
     @given(hypergraphs(max_n=7, min_s=2, max_s=3, min_n=3))
-    def test_total_is_r_times_family(self, g):
+    def test_maximum_matches_a_count_per_edge(self, g):
         fam = cliques(g, g.s + 1)
-        mult, _ = edge_multiplicity(g, fam)
-        assert sum(mult.values()) == (g.s + 1) * len(fam)
+        per_edge = [sum(set(e) < set(t) for t in fam.members) for e in g.edges]
+        assert edge_multiplicity(g, fam) == max(per_edge, default=0)
 
 
 class TestExponents:

@@ -1,6 +1,6 @@
-"""Every imported name in the package and the tests is used, and every
+"""Every imported name in the package and the tests is used, every
 module-level definition of the package has a caller outside the tests and
-outside the package's re-exports.
+outside the package's re-exports, and every dataclass field is read.
 
 No linter ships with the project, so this reads each module with ``ast``:
 a name bound by an import must appear as a name somewhere else in the same
@@ -95,15 +95,18 @@ def test_every_module_level_definition_has_a_caller():
     assert orphans == [], "defined but reached only by tests: " + ", ".join(orphans)
 
 
+def _scripts_and_benchmark():
+    return _parsed([*(TESTS.parent / "scripts").glob("*.py"),
+                    *(TESTS.parent / "perfbench").glob("*.py")]).values()
+
+
 def test_every_method_has_a_caller():
     """A method or property of a package class, other than a dunder, is
     referenced by attribute name outside its own body by a package module,
     a script in ``scripts/`` or the benchmark in ``perfbench/``; anything
     else only tests reach. ``exturan/__init__.py`` is not a caller."""
     trees = _parsed(PACKAGE)
-    callers = list(trees.values())
-    callers += _parsed([*(TESTS.parent / "scripts").glob("*.py"),
-                        *(TESTS.parent / "perfbench").glob("*.py")]).values()
+    callers = [*trees.values(), *_scripts_and_benchmark()]
     uses = Counter(sub.attr for tree in callers for sub in ast.walk(tree)
                    if isinstance(sub, ast.Attribute))
     orphans = []
@@ -119,6 +122,34 @@ def test_every_method_has_a_caller():
                     if uses[node.name] - own[node.name] < 1:
                         orphans.append(f"{path.name}:{cls.name}.{node.name} (line {node.lineno})")
     assert orphans == [], "defined but reached only by tests: " + ", ".join(orphans)
+
+
+def _is_dataclass(cls):
+    return any(ast.unparse(d).partition("(")[0] == "dataclass" for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """A field of a package dataclass, other than an ``InitVar``, is read as
+    an attribute somewhere in a package module, a script in ``scripts/`` or
+    the benchmark in ``perfbench/``; its declaration is no read. The check
+    is by name only, so a field with a name as common as ``host``, ``r`` or
+    ``a`` passes on any read of that name, whichever class it belongs to: a
+    class whose fields all have such names still needs reading by hand."""
+    trees = _parsed(PACKAGE)
+    readers = [*trees.values(), *_scripts_and_benchmark()]
+    reads = {sub.attr for tree in readers for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    unread = []
+    for path, tree in sorted(trees.items()):
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and "InitVar" not in ast.unparse(node.annotation)
+                        and node.target.id not in reads):
+                    unread.append(f"{path.name}:{cls.name}.{node.target.id} (line {node.lineno})")
+    assert unread == [], "dataclass fields no code reads: " + ", ".join(unread)
 
 
 def test_import_loads_no_process_pool_or_pickle():
