@@ -33,7 +33,8 @@ The verdict comes first: only :func:`canonical_positions` turns an
 improving prefix into a relabelling, and :func:`is_canonical_raw` returns
 None for a graph it rejects and, for one it accepts, the pair of the
 automorphisms it met: each twin class as one vertex mask, and each other
-tied relabelling as a list of vertex images.
+tied relabelling, the identity left out, as the kernel appends it: the
+tuple of the bits of the vertices' images.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .hypergraph import HypergraphError, UniformHypergraph
 
 # permutation search envelope: every host it takes keeps its links in a list
 MAX_CANONICAL_VERTICES = DENSE_LINK_VERTICES
-_BITS = tuple(1 << v for v in range(MAX_CANONICAL_VERTICES))
 
 
 @lru_cache(maxsize=None)
@@ -104,10 +104,15 @@ def _kernel(n: int, s: int):
     and its candidates are a single bit.
 
     A relabelling tied with ``T`` at every level maps the edge set onto
-    itself, so each such leaf, the identity among them, is an automorphism;
-    the bits of each are appended to ``leaves``. The function makes no call
-    but ``.append``.
+    itself, so each such leaf is an automorphism; the bits of each are
+    appended to ``leaves``, the identity's first when ``T`` is canonical,
+    since every level tries its lowest candidate first. The function makes
+    no call but ``.append``. More than ``MAX_CANONICAL_VERTICES`` vertices
+    raise HypergraphError, and nothing is cached.
     """
+    if n > MAX_CANONICAL_VERTICES:
+        raise HypergraphError(f"canonical labelling supports at most "
+                              f"{MAX_CANONICAL_VERTICES} vertices, got {n}")
     pos = colex_position(n, s)
     rank = colex_position(n, s - 1)
     full = (1 << n) - 1
@@ -170,16 +175,8 @@ def _kernel(n: int, s: int):
     return compile_kernel(lines, "_test", f"n={n:d} s={s:d}")
 
 
-def _guard(n: int):
-    if n > MAX_CANONICAL_VERTICES:
-        raise HypergraphError(
-            f"canonical labelling supports at most {MAX_CANONICAL_VERTICES} "
-            f"vertices, got {n}"
-        )
-
-
 def is_canonical_raw(host: HostIndex, s: int,
-                     target: int) -> tuple[list[int], list[list[int]]] | None:
+                     target: int) -> tuple[list[int], list[tuple[int, ...]]] | None:
     """The automorphisms met by the canonicity test of the s-uniform graph
     held by ``host``, or None if the graph is not its own canonical form.
 
@@ -189,26 +186,26 @@ def is_canonical_raw(host: HostIndex, s: int,
     call of :func:`_kernel` answers. Then the pair (twins, leaves) is
     returned: ``twins`` the mask of each class of two or more transposition
     twins, by least vertex, any permutation inside a class being an
-    automorphism; ``leaves`` every non-identity relabelling that ties with
-    ``target``, as the list of the image of every vertex. They need not
-    generate the whole group.
+    automorphism; ``leaves`` every other relabelling that ties with
+    ``target``, as the kernel found it: the tuple of the bit of the image
+    of every vertex. The identity is the first tie of a canonical graph's
+    search, which takes the lowest candidate at every level, and it is
+    dropped. They need not generate the whole group.
     """
     n = host.n
-    _guard(n)
-    twins, tied = [], []
-    if _kernel(n, s)(host.links, host.deg, target, twins, tied) is not None:
+    twins, leaves = [], []
+    if _kernel(n, s)(host.links, host.deg, target, twins, leaves) is not None:
         return None
-    identity = _BITS[:n]  # the identity as a leaf: old vertex bit per new one
-    return twins, [[b.bit_length() - 1 for b in leaf] for leaf in tied if leaf != identity]
+    del leaves[:1]  # the identity, (1, 2, 4, ...)
+    return twins, leaves
 
 
 def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
     """Sorted colex positions of the canonical form's edges: relabel by each
     improving prefix, the other vertices after it in order, until none is
     left."""
-    _guard(n)
-    host = HostIndex(n, edge_set)
     test = _kernel(n, s)
+    host = HostIndex(n, edge_set)
     pos = colex_position(n, s)
     while (found := test(host.links, host.deg, sum(1 << pos[e] for e in host.edges),
                          [], [])) is not None:

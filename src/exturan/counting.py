@@ -511,21 +511,34 @@ def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph,
     return None
 
 
-def copies_through_edge(host: HostIndex, pattern: UniformHypergraph, edge: Edge) -> int:
-    """Number of copies of ``pattern`` through ``edge``, an edge of an
-    indexed host: each embedding using ``edge`` pins exactly one ordered
-    pattern edge onto it, each of the |Aut| / |Stab_i| orderings in the
-    orbit of walk i of :func:`_edge_starts` is pinned there by N_i of them,
-    and a copy is |Aut| embeddings, so the count is the sum of N_i / |Stab_i|.
+def through_edge_counter(host: HostIndex, pattern: UniformHypergraph):
+    """The number of copies of ``pattern`` through an edge of an indexed
+    host, as a function of the edge's vertices pinned, ``[(v,) for v in
+    edge]``, for a caller that counts through many edges of one host as it
+    changes in place: the walks are looked up once. Each embedding using
+    the edge pins exactly one ordered pattern edge onto it, each of the
+    |Aut| / |Stab_i| orderings in the orbit of walk i of
+    :func:`_edge_starts` is pinned there by N_i of them, and a copy is
+    |Aut| embeddings, so the count is the sum of N_i / |Stab_i|.
     """
     if pattern.n > host.n:
-        return 0
-    pinned = [(v,) for v in edge]
+        return lambda pinned: 0
+    walks = _through_edge(pattern)
     links, deg, everyone = host.links, host.deg, (1 << host.n) - 1
-    total = 0
-    for count, stab in _through_edge(pattern):
-        total += count(links, deg, everyone, pinned) // stab
-    return total
+
+    def through(pinned) -> int:
+        total = 0
+        for count, stab in walks:
+            total += count(links, deg, everyone, pinned) // stab
+        return total
+
+    return through
+
+
+def copies_through_edge(host: HostIndex, pattern: UniformHypergraph, edge: Edge) -> int:
+    """Number of copies of ``pattern`` through ``edge``, an edge of an
+    indexed host (:func:`through_edge_counter`)."""
+    return through_edge_counter(host, pattern)([(v,) for v in edge])
 
 
 # ---------------------------------------------------------------------------

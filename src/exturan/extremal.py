@@ -5,10 +5,12 @@ s-uniform hypergraphs on n vertices. The search enumerates hypergraphs up to
 isomorphism by orderly generation: a canonical graph is extended only by
 edges beyond its last colex position, the extension is kept only if it is
 itself canonical, and any branch containing the forbidden pattern is pruned.
-Each node keeps the automorphisms its own canonicity test met, its twin
-classes as vertex masks; a candidate edge that one of them maps to an
-earlier colex position is skipped before any test, since that relabelling
-of the child beats the child's bitstring.
+The whole walk is one loop over an explicit stack of nodes, and what a
+search does not change is built once, before it. Each node keeps the
+automorphisms its own canonicity test met, its twin classes as vertex masks
+and its other ties as tuples of image bits; a candidate edge that one of
+them maps to an earlier colex position is skipped before any test, since
+that relabelling of the child beats the child's bitstring.
 Each isomorphism class is visited exactly once, so the value is independent
 of vertex labelling. A child's copy count is its parent's plus the copies
 through its new edge; only the root counts in full.
@@ -43,6 +45,7 @@ from .counting import (
     embeds_using_edge,
     is_blowup_free,
     materialize,
+    through_edge_counter,
 )
 from .hypergraph import (
     HypergraphError,
@@ -132,25 +135,6 @@ class _Ctx:
         attribute's, so the search loop reads it into a local once."""
         return colex_subsets(self.n, self.s)
 
-    @cached_property
-    def masks(self):
-        """The vertex mask of each potential edge, by position: the exact
-        search adds each potential edge many times, and its skip test reads
-        the mask of every candidate."""
-        return [sum(1 << v for v in e) for e in self.pot]
-
-    def forbidden_copy(self, edge):
-        """A copy of the forbidden pattern through ``edge``, just added to
-        ``self.host``, as a mapping tuple, or None: the host was F-free
-        before, so a new copy must use the edge."""
-        if len(self.host.edges) < self.fb_min:
-            return None
-        return embeds_using_edge(self.host, self.forbidden, edge)
-
-
-class _Timeout(Exception):
-    pass
-
 
 _SPLIT = 6  # the depth whose nodes are the units a parallel search claims
 
@@ -159,42 +143,86 @@ def _explore(ctx: _Ctx, deadline, claim=None, top=True):
     """Search from the empty graph, whose edges ``ctx.host`` holds, depth
     first, children in position order; ``claim=None`` is the serial search.
 
+    One loop over an explicit stack does the walk. Each frame is a node:
+    [positions, twins, leaves, target, value, next], with the twin classes
+    and leaves its canonicity test met
+    (:func:`exturan.canonical.is_canonical_raw`), its bitstring, its copy
+    count and the position of its next candidate edge. ``ctx.host`` holds
+    the edges of the top frame: each candidate edge is added for its tests
+    and stays while its child is on the stack, and a node's own edge is
+    removed when its frame is popped.
+
+    A candidate edge that an automorphism of the node maps to a smaller
+    vertex mask is skipped untested (:func:`_moved`): colex order on
+    s-sets is the order of their masks, so relabelling the child by it puts
+    a 1 at an earlier position where the child has a 0, and the child is
+    not canonical. A node with neither twin classes nor leaves makes no
+    such test. Each other candidate is tested for a forbidden copy through
+    it and then for canonicity, both called by their names in this module,
+    so that a wrapper installed there sees every call. What a search does
+    not change is built before the loop: each position's vertex mask and
+    pinned vertices, and the counter of pattern copies through an edge
+    (:func:`exturan.counting.through_edge_counter`). A child's count is
+    its parent's plus the copies through its new edge. The deadline is
+    read before each candidate; past it the search returns what it has.
+
     With ``claim``, the nodes at depth ``_SPLIT`` are units numbered in walk
     order; past the unit it holds, the call takes ``claim()``, never below
     the unit just met, and it descends only into units it holds. Only the
     ``top`` call counts and merges the nodes above that depth, so the calls'
-    node counts add up to the serial one. ``stack`` holds (value, children)
-    for each node on the path. Returns (best value, best positions, nodes,
-    timed_out), ties in value broken by :func:`_merge`.
+    node counts add up to the serial one. Returns (best value, best
+    positions, nodes, timed_out), ties in value broken by :func:`_merge`.
     """
-    twins, leaves = is_canonical_raw(ctx.host, ctx.s, 0)  # the empty graph is canonical
+    host, pot, s, M = ctx.host, ctx.pot, ctx.s, ctx.M
+    edges, forbidden, fb_min = host.edges, ctx.forbidden, ctx.fb_min
+    masks = [sum(1 << v for v in e) for e in pot]
+    pins = [[(v,) for v in e] for e in pot]
+    through = through_edge_counter(host, ctx.pattern)
+    twins, leaves = is_canonical_raw(host, s, 0)  # the empty graph is canonical
     best = (ctx.empty_count, ())
     nodes = 1 if top else 0
     unit = held = -1  # the last unit met at depth _SPLIT, the last one claimed
-    timed = False
-    stack = [(best[0], _children(ctx, (), twins, leaves, 0, deadline))]
-    try:
-        while stack:
-            value, kids = stack[-1]
-            child = next(kids, None)
-            if child is None:
-                stack.pop()
+    stack = [[(), twins, leaves, 0, best[0], 0]]
+    while stack:
+        frame = stack[-1]
+        positions, twins, leaves, target, value, start = frame
+        check = twins or leaves
+        depth = len(stack)  # of the children
+        for p in range(start, M):
+            if deadline is not None and time.monotonic() > deadline:
+                return best[0], best[1], nodes, True
+            e, m = pot[p], masks[p]
+            if check and _moved(twins, leaves, m, e):
                 continue
-            depth = len(stack)
+            host.add(e, m)
+            if len(edges) >= fb_min and embeds_using_edge(host, forbidden, e) is not None:
+                host.remove(e)
+                continue
+            bits = target | 1 << p
+            found = is_canonical_raw(host, s, bits)
+            if found is None:
+                host.remove(e)
+                continue
             if depth == _SPLIT and claim is not None:
                 unit += 1
                 if unit > held:
                     held = claim()
                 if unit != held:
+                    host.remove(e)
                     continue
-            value += copies_through_edge(ctx.host, ctx.pattern, ctx.pot[child[0][-1]])
+            frame[5] = p + 1
+            child = positions + (p,)
+            count = value + through(pins[p])
             if depth >= _SPLIT or top:
                 nodes += 1
-                best = _merge(best, (value, child[0]))
-            stack.append((value, _children(ctx, *child, deadline)))
-    except _Timeout:
-        timed = True
-    return best[0], best[1], nodes, timed
+                best = _merge(best, (count, child))
+            stack.append([child, *found, bits, count, p + 1])
+            break
+        else:
+            stack.pop()
+            if positions:
+                host.remove(pot[positions[-1]])
+    return best[0], best[1], nodes, False
 
 
 def _merge(a, b):
@@ -212,8 +240,9 @@ def _moved(twins, leaves, m, e) -> bool:
     A twin class t, a mask, moves ``e`` lower iff some adjacent transposition
     of its members does: iff ``e`` holds a member and misses a lower one. So
     with ``x = m & t`` and ``y = t ^ x``, the test is ``x and y and y & -y < x``:
-    x is not the lowest members of t. Each of ``leaves`` is tested as the
-    list of the image of every vertex."""
+    x is not the lowest members of t. Each of ``leaves`` is the tuple of
+    the image bit of every vertex, so the image of ``e`` is the OR of the
+    bits of its vertices."""
     for t in twins:
         x = m & t
         y = t ^ x
@@ -222,49 +251,10 @@ def _moved(twins, leaves, m, e) -> bool:
     for g in leaves:
         image = 0
         for v in e:
-            image |= 1 << g[v]
+            image |= g[v]
         if image < m:
             return True
     return False
-
-
-def _children(ctx: _Ctx, positions, twins, leaves, target, deadline):
-    """The canonical F-free one-edge extensions of the node ``ctx.host``
-    holds, whose bitstring is ``target``, in position order, each as a
-    node: positions, the twin classes and leaves its canonicity test met
-    (:func:`exturan.canonical.is_canonical_raw`), bitstring.
-
-    Each candidate edge is added to ``ctx.host`` for its tests, with its
-    vertex mask built once per search (``ctx.masks``), and stays there while
-    its child is yielded; it is removed before the next candidate, and when
-    the generator closes.
-
-    A candidate edge that an automorphism of the node maps to a smaller
-    vertex mask is skipped untested (:func:`_moved`): colex order on
-    s-sets is the order of their masks, so relabelling the child by it puts
-    a 1 at an earlier position where the child has a 0, and the child is
-    not canonical. A node with neither twin classes nor leaves makes no
-    such test. Raises _Timeout before any candidate tried after ``deadline``.
-    """
-    host, pot, masks = ctx.host, ctx.pot, ctx.masks
-    check = twins or leaves
-    start = positions[-1] + 1 if positions else 0
-    for p in range(start, ctx.M):
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Timeout
-        e, m = pot[p], masks[p]
-        if check and _moved(twins, leaves, m, e):
-            continue
-        host.add(e, m)
-        try:
-            if ctx.forbidden_copy(e) is not None:
-                continue
-            target2 = target | 1 << p
-            found = is_canonical_raw(host, ctx.s, target2)
-            if found is not None:
-                yield positions + (p,), *found, target2
-        finally:
-            host.remove(e)
 
 
 def _parallel_search(ctx: _Ctx, workers, deadline):
@@ -429,7 +419,8 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
                 continue
             steps += 1
             host.add(e)
-            if ctx.forbidden_copy(e) is not None:
+            # the host was F-free before, so a new copy of F must use e
+            if len(edges) >= ctx.fb_min and embeds_using_edge(host, forbidden_g, e) is not None:
                 host.remove(e)
             else:
                 val += copies_through_edge(host, pattern, e)

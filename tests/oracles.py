@@ -106,17 +106,17 @@ def brute_canonical_positions(g: UniformHypergraph) -> tuple[int, ...]:
 def adjacent_transposition_moves(n: int, twins, leaves, edge) -> bool:
     """The skip rule of the orderly search, as automorphisms listed one by
     one: does an adjacent transposition of a twin class (each member, in
-    ascending order, with the next) or a leaf, the list of the image of
-    every vertex, map ``edge`` to a smaller vertex mask?"""
+    ascending order, with the next) or a leaf, the tuple of the image bit
+    of every vertex, map ``edge`` to a smaller vertex mask?"""
     perms = []
     for c in twins:
         members = [v for v in range(n) if c >> v & 1]
         for u, v in zip(members, members[1:]):
-            swap = list(range(n))
-            swap[u], swap[v] = v, u
+            swap = [1 << w for w in range(n)]
+            swap[u], swap[v] = swap[v], swap[u]
             perms.append(swap)
     mask = sum(1 << v for v in edge)
-    return any(sum(1 << g[v] for v in edge) < mask for g in perms + list(leaves))
+    return any(sum(g[v] for v in edge) < mask for g in perms + list(leaves))
 
 
 def own_positions(g: UniformHypergraph) -> tuple[int, ...]:

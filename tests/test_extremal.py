@@ -202,10 +202,25 @@ class TestSymmetries:
                 swap = list(range(g.n))
                 swap[u], swap[v] = v, u
                 assert image_edges(swap, g) == g.edge_set
-        for perm in leaves:
-            assert sorted(perm) == list(range(g.n))
+        bits = [1 << v for v in range(g.n)]
+        for leaf in leaves:  # the image bit of every vertex
+            assert type(leaf) is tuple and sorted(leaf) == bits
+            perm = [b.bit_length() - 1 for b in leaf]
             assert perm != list(range(g.n))
             assert image_edges(perm, g) == g.edge_set
+
+    @given(hypergraphs(max_n=7, min_s=1, max_s=3))
+    def test_the_identity_is_the_first_leaf_and_only_the_first(self, g):
+        # is_canonical_raw drops the identity by its place in the kernel's
+        # list, so the kernel must meet it first and never again
+        g = canonical_form(g)
+        host = HostIndex(g.n, g.edges)
+        twins, leaves = [], []
+        assert _kernel(g.n, g.s)(host.links, host.deg, own_bits(g), twins, leaves) is None
+        identity = tuple(1 << v for v in range(g.n))
+        assert leaves[:1] == ([identity] if g.n else [])
+        assert identity not in leaves[1:]
+        assert is_canonical_raw(host, g.s, own_bits(g)) == (twins, leaves[1:])
 
     @settings(max_examples=150)
     @given(hypergraphs(max_n=7, min_s=1, max_s=3))
@@ -256,6 +271,9 @@ class TestCarriedTarget:
                 carried = is_canonical_raw(host, s, target | 1 << p)
                 assert carried == is_canonical_raw(host, s, own_bits(make(n, s, host.edges)))
                 if carried is not None:
+                    # each leaf the tuple of the image bit of every vertex
+                    assert all(sorted(leaf) == [1 << v for v in range(n)]
+                               for leaf in carried[1])
                     kids.append(p)
                 host.remove(pot[p])
             if not kids:
@@ -404,6 +422,56 @@ class TestExactEx:
         ctx = extremal._Ctx(8, 2, EDGE, C4)
         val, pos, nodes, timed = extremal._explore(ctx, time.monotonic(), claim, top=True)
         assert timed and (val, pos, nodes) == (0, (), 1)
+
+    # a deadline that passes at the k-th candidate, on a clock that ticks
+    # once per read: exact_ex reads it once to set the deadline, and the
+    # search once before each of the 2,296 candidates of the full walk,
+    # whose last node is met at about the 2,250th
+    def test_timeout_inside_the_walk(self, monkeypatch):
+        forbidden = parse_pattern_spec("K3_2(2,2,2)")
+        full = exact_ex(7, TRI, forbidden)
+        records = []
+        for k in (1, 2, 3, 10, 100, 500, 1000, 2000):
+            ticks = count()
+            monkeypatch.setattr(extremal.time, "monotonic", ticks.__next__)
+            records.append(exact_ex(7, TRI, forbidden, timeout=k - 0.5))
+        monkeypatch.undo()
+        for rec in records:
+            assert rec.mode == "heuristic"
+            rec.verify()
+        nodes = [rec.nodes for rec in records]
+        assert nodes[0] == 1 and nodes == sorted(nodes) and nodes[-1] < full.nodes
+        assert [rec.value for rec in records] == sorted(rec.value for rec in records)
+
+    # the search calls the canonicity test and the forbidden-copy test by
+    # their names in extremal, which is where the benchmark tracer wraps
+    # them; a search that called the kernels past those names would make
+    # fewer wrapped calls than these
+    @pytest.mark.parametrize("n, pattern, forbidden, canonical, forbidden_tests, nodes", [
+        (7, "K3_2(1,1,1)", "K3_2(2,2,2)", (1236, 1000), (372, 11), 1000),
+        (6, "K4_3(1,1,1,1)", "K4_3(1,1,1,2)", (2042, 1645), (1837, 10), 1645)])
+    def test_search_layers_stay_visible(self, monkeypatch, n, pattern, forbidden, canonical,
+                                        forbidden_tests, nodes):
+        calls = {}
+
+        def counted(name):
+            real = getattr(extremal, name)
+
+            def wrapper(*args):
+                found = real(*args)
+                tally = calls.setdefault(name, [0, 0])
+                tally[0] += 1
+                tally[1] += found is not None
+                return found
+
+            monkeypatch.setattr(extremal, name, wrapper)
+
+        counted("is_canonical_raw")
+        counted("embeds_using_edge")
+        rec = exact_ex(n, parse_pattern_spec(pattern), parse_pattern_spec(forbidden))
+        assert rec.nodes == nodes
+        assert tuple(calls["is_canonical_raw"]) == canonical
+        assert tuple(calls["embeds_using_edge"]) == forbidden_tests
 
     # a search split by claims, run here one share after another: the units
     # at depth 6 dealt round robin over k shares, or all claimed by one call;
