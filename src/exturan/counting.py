@@ -99,10 +99,13 @@ def _compile(pattern: UniformHypergraph) -> PatternPlan:
 
 @lru_cache(maxsize=64)
 def _edge_starts(pattern: UniformHypergraph) -> tuple:
-    """Walks that begin with the orderings of the pattern edges, one per
-    orbit of those orderings under the automorphisms of the pattern, each
-    going on with the rest of the ``by_degree`` walk; each comes with its
-    "first" kernel, so a search pinned to a host edge makes no cache lookup.
+    """The one table of the searches pinned to a host edge: walks that
+    begin with the orderings of the pattern edges, one per orbit of those
+    orderings under the automorphisms of the pattern, each going on with the
+    rest of the ``by_degree`` walk. An entry is (walk, its "first" kernel,
+    its "count" kernel, |Stab|), |Stab| being the automorphisms that fix
+    each vertex of the walk's first edge: the count kernel's answer on the
+    pattern itself, that edge pinned to itself.
 
     An embedding that sends ordering t onto a host edge, composed with an
     automorphism mapping an earlier kept ordering r onto t, sends r onto the
@@ -110,7 +113,7 @@ def _edge_starts(pattern: UniformHypergraph) -> tuple:
     embedding of the pattern into itself with r pinned to t, only when the
     two orderings have the same degrees. On a large pattern these searches
     cost far more than one search of a host, so only the searches pinned to
-    a host edge build the walks.
+    a host edge build the table.
     """
     itself = HostIndex(pattern.n, pattern.edges)
     deg = itself.deg
@@ -124,18 +127,10 @@ def _edge_starts(pattern: UniformHypergraph) -> tuple:
             if not any(k == key and _backtrack(itself, walk, pinned, mode="first") is not None
                        for k, walk in kept):
                 kept.append((key, _walk(pattern, deg, list(t) + rest)))
-    return tuple((walk, _kernel(walk, pattern.s, "first")) for _, walk in kept)
-
-
-@lru_cache(maxsize=64)
-def _through_edge(pattern: UniformHypergraph) -> tuple:
-    """For each walk of :func:`_edge_starts`, its "count" kernel and |Stab|,
-    the automorphisms of the pattern that fix each vertex of the walk's first
-    edge: that kernel's count on the pattern itself, the edge pinned to itself."""
-    itself = HostIndex(pattern.n, pattern.edges)
-    return tuple((_kernel(walk, pattern.s, "count"),
-                  _backtrack(itself, walk, [(v,) for v in walk[0][:pattern.s]], mode="count"))
-                 for walk, _ in _edge_starts(pattern))
+    s = pattern.s
+    return tuple((walk, _kernel(walk, s, "first"), _kernel(walk, s, "count"),
+                  _backtrack(itself, walk, [(v,) for v in walk[0][:s]], mode="count"))
+                 for _, walk in kept)
 
 
 class HostIndex:
@@ -236,16 +231,13 @@ def _kernel(walk, ndom: int, mode: str):
 
     Each link a chunk reads is read once, into a local, at the step that
     places the last of its vertices, or on entry to the chunk if that step
-    lies in an earlier one; a step that completes edges ANDs the locals. A
-    step whose links are those of an earlier step of its chunk reuses that
-    step's AND: in the index walk of C4, step 3's candidates are step 2's
-    AND less the used vertices.
+    lies in an earlier one; a step that completes edges ANDs its own link
+    locals.
 
     Names: ``c{k}`` is step k's candidate mask, ``v{k}`` its host vertex,
     ``b{k}`` that vertex's bit, ``u{k}`` the mask used after step k,
-    ``n{k}`` the second neighbourhood of ``v{k}``, ``l{i}_{j}`` the link
-    of the vertices of steps i and j (``l`` that of none) and ``a{k}`` the
-    AND of step k's links, when a later step reuses it.
+    ``n{k}`` the second neighbourhood of ``v{k}`` and ``l{i}_{j}`` the
+    link of the vertices of steps i and j (``l`` that of none).
     """
     order, needs, checks = walk
     size = len(order)
@@ -279,27 +271,12 @@ def _kernel(walk, ndom: int, mode: str):
         lines += [f"    b{k:d} = 1 << v{k:d}" for k in sorted(read) if k < a]
         lines += [_read(key, "    ") for key in sorted(links) if not key or key[-1] < a]
         lines += [line for i in sorted(twice) if i < a for line in _second(i, "    ")]
-        # the first step of the chunk with each set of two or more links,
-        # and those of them whose AND a later step reuses
-        first, shared = {}, set()
-        for k in range(a, b):
-            if len(keys[k]) > 1:
-                j = first.setdefault(frozenset(keys[k]), k)
-                if j < k:
-                    shared.add(j)
         used = "used" if a else ""
         pad = "    "
         for k in range(a, b):
             gets = keys[k]
             if gets:
-                j = first.get(frozenset(gets), k)
-                if j < k:
-                    both = f"a{j:d}"
-                elif k in shared:
-                    lines.append(f"{pad}a{k:d} = {' & '.join(map(_link, gets))}")
-                    both = f"a{k:d}"
-                else:
-                    both = " & ".join(map(_link, gets))
+                both = " & ".join(map(_link, gets))
                 cand = f"{both} & ~{used}" if used else both
             elif k in ahead:
                 cand = f"n{ahead[k]:d} & ~{used}"
@@ -415,8 +392,6 @@ def first_embedding(host: HostIndex, pattern: UniformHypergraph,
     ``domains[i]``, tried in their given order, and the result is the first
     mapping in that order.
     """
-    if pattern.n > host.n:
-        return None
     return _backtrack(host, _compile(pattern).by_index, domains, mode="first")
 
 
@@ -429,8 +404,6 @@ def contains(host: UniformHypergraph, pattern: UniformHypergraph) -> Embedding |
     """
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
-    if pattern.n > host.n:
-        return None
     found = _backtrack(HostIndex(host.n, host.edges), _compile(pattern).by_degree,
                        mode="first")
     return None if found is None else Embedding(pattern, host, found)
@@ -452,16 +425,12 @@ def all_embeddings(host: UniformHypergraph, pattern: UniformHypergraph,
     """
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
-    if pattern.n > host.n:
-        return []
     return _backtrack(HostIndex(host.n, host.edges), _compile(pattern).by_index,
                       domains, mode="all")
 
 
 def count_embeddings_raw(host: HostIndex, pattern: UniformHypergraph) -> int:
     """Embedding count over an indexed host."""
-    if pattern.n > host.n:
-        return 0
     return _backtrack(host, _compile(pattern).by_degree, mode="count")
 
 
@@ -500,11 +469,9 @@ def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph,
     The incremental forbidden-pattern check: when ``edge`` has just been
     added to the index of a pattern-free host, any new copy must use it.
     """
-    if pattern.n > host.n:
-        return None
     pinned = [(v,) for v in edge]
     links, deg, everyone = host.links, host.deg, (1 << host.n) - 1
-    for _, search in _edge_starts(pattern):
+    for _, search, _, _ in _edge_starts(pattern):
         found = search(links, deg, everyone, pinned)
         if found is not None:
             return found
@@ -515,15 +482,14 @@ def through_edge_counter(host: HostIndex, pattern: UniformHypergraph):
     """The number of copies of ``pattern`` through an edge of an indexed
     host, as a function of the edge's vertices pinned, ``[(v,) for v in
     edge]``, for a caller that counts through many edges of one host as it
-    changes in place: the walks are looked up once. Each embedding using
-    the edge pins exactly one ordered pattern edge onto it, each of the
-    |Aut| / |Stab_i| orderings in the orbit of walk i of
-    :func:`_edge_starts` is pinned there by N_i of them, and a copy is
-    |Aut| embeddings, so the count is the sum of N_i / |Stab_i|.
+    changes in place: the count kernels and |Stab| of the table of
+    :func:`_edge_starts` are looked up once. Each embedding using the edge
+    pins exactly one ordered pattern edge onto it, each of the |Aut| /
+    |Stab_i| orderings in the orbit of walk i is pinned there by N_i of
+    them, and a copy is |Aut| embeddings, so the count is the sum of
+    N_i / |Stab_i|.
     """
-    if pattern.n > host.n:
-        return lambda pinned: 0
-    walks = _through_edge(pattern)
+    walks = [(count, stab) for _, _, count, stab in _edge_starts(pattern)]
     links, deg, everyone = host.links, host.deg, (1 << host.n) - 1
 
     def through(pinned) -> int:
@@ -533,12 +499,6 @@ def through_edge_counter(host: HostIndex, pattern: UniformHypergraph):
         return total
 
     return through
-
-
-def copies_through_edge(host: HostIndex, pattern: UniformHypergraph, edge: Edge) -> int:
-    """Number of copies of ``pattern`` through ``edge``, an edge of an
-    indexed host (:func:`through_edge_counter`)."""
-    return through_edge_counter(host, pattern)([(v,) for v in edge])
 
 
 # ---------------------------------------------------------------------------

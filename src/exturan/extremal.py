@@ -31,7 +31,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -40,7 +40,6 @@ from .canonical import canonical_key, colex_subsets, is_canonical_raw
 from .counting import (
     HostIndex,
     UniformityMismatch,
-    copies_through_edge,
     count_copies,
     embeds_using_edge,
     is_blowup_free,
@@ -117,23 +116,14 @@ class _Ctx:
         check_vertex_count(n)
         self.n = n
         self.s = s
-        self.M = comb(n, s)
         self.pattern = pattern
         # the copies in the empty host, the root of every search; counted
         # here, so that a pattern too large to count fails before any search
         self.empty_count = count_copies(make(n, s, ()), pattern)
         self.forbidden = forbidden
         # a host with fewer edges than F, or fewer vertices, holds no copy of it
-        self.fb_min = forbidden.m if forbidden.n <= n else self.M + 1
+        self.fb_min = forbidden.m if forbidden.n <= n else comb(n, s) + 1
         self.host = HostIndex(n)  # the edges of the node being searched
-
-    @cached_property
-    def pot(self):
-        """The potential edges in colex order, built on the first read: the
-        exact search reads them by position, the local search never. The
-        class attribute makes each later read slower than a plain
-        attribute's, so the search loop reads it into a local once."""
-        return colex_subsets(self.n, self.s)
 
 
 _SPLIT = 6  # the depth whose nodes are the units a parallel search claims
@@ -160,8 +150,9 @@ def _explore(ctx: _Ctx, deadline, claim=None, top=True):
     such test. Each other candidate is tested for a forbidden copy through
     it and then for canonicity, both called by their names in this module,
     so that a wrapper installed there sees every call. What a search does
-    not change is built before the loop: each position's vertex mask and
-    pinned vertices, and the counter of pattern copies through an edge
+    not change is built before the loop: the potential edges in colex
+    order, their vertex masks and pinned vertices, and the counter of
+    pattern copies through an edge
     (:func:`exturan.counting.through_edge_counter`). A child's count is
     its parent's plus the copies through its new edge. The deadline is
     read before each candidate; past it the search returns what it has.
@@ -173,7 +164,7 @@ def _explore(ctx: _Ctx, deadline, claim=None, top=True):
     node counts add up to the serial one. Returns (best value, best
     positions, nodes, timed_out), ties in value broken by :func:`_merge`.
     """
-    host, pot, s, M = ctx.host, ctx.pot, ctx.s, ctx.M
+    host, s, pot = ctx.host, ctx.s, colex_subsets(ctx.n, ctx.s)
     edges, forbidden, fb_min = host.edges, ctx.forbidden, ctx.fb_min
     masks = [sum(1 << v for v in e) for e in pot]
     pins = [[(v,) for v in e] for e in pot]
@@ -188,7 +179,7 @@ def _explore(ctx: _Ctx, deadline, claim=None, top=True):
         positions, twins, leaves, target, value, start = frame
         check = twins or leaves
         depth = len(stack)  # of the children
-        for p in range(start, M):
+        for p in range(start, len(pot)):
             if deadline is not None and time.monotonic() > deadline:
                 return best[0], best[1], nodes, True
             e, m = pot[p], masks[p]
@@ -262,7 +253,8 @@ def _parallel_search(ctx: _Ctx, workers, deadline):
     claiming units from one counter: 8 bytes in a pipe, taken by reading
     them and released by writing back the next unit. Each child writes its
     result as JSON to a pipe of its own; the merge rule is order independent.
-    A child that fails raises RuntimeError, and a child still running on
+    A child that fails raises RuntimeError, a fork that fails raises its
+    OSError with that round's pipe closed, and a child still running on
     return or raise is killed and reaped."""
     lock_r, lock_w = os.pipe()
     os.write(lock_w, bytes(8))
@@ -276,7 +268,12 @@ def _parallel_search(ctx: _Ctx, workers, deadline):
     try:
         for _ in range(workers - 1):
             out, into = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(out)
+                os.close(into)
+                raise
             if pid == 0:
                 try:
                     os.write(into, json.dumps(_explore(ctx, deadline, claim, False)).encode())
@@ -378,7 +375,7 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
         val, pos, nodes, timed = _parallel_search(ctx, workers, deadline)
     else:
         val, pos, nodes, timed = _explore(ctx, deadline)
-    record = _record(ctx, [ctx.pot[p] for p in pos], val,
+    record = _record(ctx, [colex_subsets(n, s)[p] for p in pos], val,
                      "heuristic" if timed else "exact", nodes)
     if cache is not None and not timed:
         cache.put(record)
@@ -391,11 +388,12 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
 
     Repeatedly grows a maximal F-free host by shuffled first-fit edge
     additions, records its pattern count, then perturbs by dropping a few
-    random edges (occasionally restarting). The count is carried: each
-    added edge adds the copies through it and each dropped edge takes its
-    copies away before it goes. Worst case the empty host is returned,
-    worth 0 unless T is edgeless (then C(n, t) for T on t vertices); with
-    n < s there is no edge to try and it is returned at once.
+    random edges (occasionally restarting). The count is carried by the
+    exact search's counter (:func:`exturan.counting.through_edge_counter`),
+    built once: each added edge adds the copies through it and each dropped
+    edge takes its copies away before it goes. Worst case the empty host is
+    returned, worth 0 unless T is edgeless (then C(n, t) for T on t
+    vertices); with n < s there is no edge to try and it is returned at once.
 
     Each try of an absent edge is one step.
     """
@@ -406,6 +404,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
 
     host = ctx.host
     edges = host.edges
+    through = through_edge_counter(host, pattern)
     best_val = val = empty = ctx.empty_count
     best_edges: tuple = ()
     steps = 0
@@ -423,7 +422,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
             if len(edges) >= ctx.fb_min and embeds_using_edge(host, forbidden_g, e) is not None:
                 host.remove(e)
             else:
-                val += copies_through_edge(host, pattern, e)
+                val += through([(v,) for v in e])
         if val > best_val:
             best_val = val
             best_edges = tuple(sorted(edges))
@@ -434,7 +433,7 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
             for _ in range(rng.randint(1, max(1, len(edges) // 4))):
                 e = rng.choice(live)
                 live.remove(e)
-                val -= copies_through_edge(host, pattern, e)
+                val -= through([(v,) for v in e])
                 host.remove(e)
         else:
             for e in list(edges):

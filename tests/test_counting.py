@@ -21,7 +21,6 @@ from exturan.counting import (
     cliques,
     complete_subsets,
     contains,
-    copies_through_edge,
     count_copies,
     count_embeddings,
     count_embeddings_raw,
@@ -30,6 +29,7 @@ from exturan.counting import (
     exponents,
     first_embedding,
     is_blowup_free,
+    through_edge_counter,
 )
 from exturan.hypergraph import (
     BlowupSpec,
@@ -285,7 +285,7 @@ class TestBacktrack:
         host = data.draw(hypergraphs(max_n={5: 9, 6: 8}.get(pattern.n, 12), min_s=s, max_s=s,
                                      min_n=s))
         walk = data.draw(st.sampled_from([*_compile(pattern),
-                                          *(w for w, _ in _edge_starts(pattern))]))
+                                          *(w for w, _, _, _ in _edge_starts(pattern))]))
         # domains in any order, often not ascending, empty, or past the last step
         domains = data.draw(st.lists(st.lists(st.integers(0, host.n - 1), unique=True),
                                      max_size=pattern.n + 1))
@@ -367,7 +367,10 @@ class TestContains:
     @given(st.data())
     def test_lex_first_within_domains(self, data):
         host = data.draw(hypergraphs(max_n=7, min_s=2, max_s=3, min_n=3))
-        pattern = data.draw(hypergraphs(max_n=min(4, host.n), min_s=host.s, max_s=host.s,
+        # half the time up to two more vertices than the host, where the
+        # kernel runs out of free vertices
+        size = data.draw(st.sampled_from([min(4, host.n), host.n + 2]))
+        pattern = data.draw(hypergraphs(max_n=size, min_s=host.s, max_s=host.s,
                                         min_n=host.s))
         k = data.draw(st.integers(0, pattern.n))
         domains = [sorted(data.draw(st.sets(st.integers(0, host.n - 1))))
@@ -425,7 +428,12 @@ class TestEmbedsUsingEdge:
         label = {v: i for i, v in enumerate(keep)}
         inside = [e for e in host.edges if all(v in label for v in e)]
         chosen = data.draw(st.lists(st.sampled_from(inside), unique=True)) if inside else []
-        pattern = make(len(keep), host.s, [[label[v] for v in e] for e in chosen])
+        # up to two more vertices, on edges of their own or on none, so that
+        # some patterns have more vertices than the host
+        t = len(keep) + data.draw(st.integers(0, 2))
+        new = [e for e in combinations(range(t), host.s) if e[-1] >= len(keep)]
+        more = data.draw(st.lists(st.sampled_from(new), unique=True, max_size=2)) if new else []
+        pattern = make(t, host.s, [[label[v] for v in e] for e in chosen] + more)
         using = [image for image in brute_embeddings(host, pattern)
                  if any(tuple(sorted(image[v] for v in f)) == edge for f in pattern.edges)]
         got = embeds_using_edge(HostIndex(host.n, host.edges), pattern, edge)
@@ -448,7 +456,7 @@ THROUGH_PATTERNS = {
 }
 
 
-class TestCopiesThroughEdge:
+class TestThroughEdgeCounter:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_matches_bruteforce_difference(self, data):
@@ -459,7 +467,8 @@ class TestCopiesThroughEdge:
         edge = data.draw(st.sampled_from(host.edges))
         without = make(host.n, s, [e for e in host.edges if e != edge])
         want = brute_count_copies(host, pattern) - brute_count_copies(without, pattern)
-        assert copies_through_edge(HostIndex(host.n, host.edges), pattern, edge) == want
+        through = through_edge_counter(HostIndex(host.n, host.edges), pattern)
+        assert through([(v,) for v in edge]) == want
 
 
 class TestCountCopies:

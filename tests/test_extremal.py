@@ -417,6 +417,31 @@ class TestExactEx:
             if enabled:
                 gc.enable()
 
+    # a fork that fails on call k, after k - 1 real children: its OSError
+    # reaches the caller with every pipe closed and every child reaped
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("workers, fails", [(2, 1), (3, 2)])
+    def test_failed_fork_closes_its_pipe(self, monkeypatch, workers, fails):
+        real, forked = os.fork, []
+
+        def fork():
+            if len(forked) + 1 == fails:
+                raise BlockingIOError("no fork")
+            forked.append(real())
+            return forked[-1]
+
+        ctx = extremal._Ctx(6, 2, EDGE, C4)
+        before = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(BlockingIOError):
+            extremal._parallel_search(ctx, workers, None)
+        monkeypatch.undo()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert len(forked) == fails - 1
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
     def test_pool_worker_reports_its_timeout(self):
         claim = count().__next__
         ctx = extremal._Ctx(8, 2, EDGE, C4)

@@ -258,7 +258,8 @@ def test_embedding_kernels_read_each_link_once(monkeypatch):
     """In the index walk of C4 and in the edge-start walks of the diamond,
     no loop body of a generated embedding kernel reads one link twice: each
     is read into a local at the step that places its last vertex. C4's
-    step 3 completes the edges of step 2 and reuses step 2's AND."""
+    steps 2 and 3 complete edges on the same two placed vertices, and each
+    ANDs the two link locals itself."""
     c4 = complete_partite(2, (2, 2))[0]
     diamond = blowup(BlowupSpec(complete(3, 2), (1, 1, 2)))[0]
     starts = counting._edge_starts(diamond)  # runs kernels, so built first
@@ -266,7 +267,7 @@ def test_embedding_kernels_read_each_link_once(monkeypatch):
     monkeypatch.setattr(counting, "compile_kernel",
                         lambda lines, name, tag: sources.append(lines))
     counting._kernel.__wrapped__(counting._compile(c4).by_index, 1, "first")
-    for walk, _ in starts:
+    for walk, _, _, _ in starts:
         for mode in ("first", "count"):
             counting._kernel.__wrapped__(walk, diamond.s, mode)
     assert len(sources) > 2
@@ -278,5 +279,4 @@ def test_embedding_kernels_read_each_link_once(monkeypatch):
                 twice = [k for k, n in Counter(_link_reads(node)).items() if n > 1]
                 assert twice == [], f"links read twice in one loop: {twice}\n" + "\n".join(lines)
     c4_lines = [line.strip() for line in sources[0]]
-    assert "a2 = l0 & l1" in c4_lines and "c2 = a2 & ~u1" in c4_lines
-    assert "c3 = a2 & ~u2" in c4_lines
+    assert "c2 = l0 & l1 & ~u1" in c4_lines and "c3 = l0 & l1 & ~u2" in c4_lines
