@@ -102,10 +102,8 @@ def _edge_starts(pattern: UniformHypergraph) -> tuple:
     """The one table of the searches pinned to a host edge: walks that
     begin with the orderings of the pattern edges, one per orbit of those
     orderings under the automorphisms of the pattern, each going on with the
-    rest of the ``by_degree`` walk. An entry is (walk, its "first" kernel,
-    its "count" kernel, |Stab|), |Stab| being the automorphisms that fix
-    each vertex of the walk's first edge: the count kernel's answer on the
-    pattern itself, that edge pinned to itself.
+    rest of the ``by_degree`` walk, with the "first" kernel that
+    :func:`embeds_using_edge` runs; :func:`through_edge_counter` builds its own.
 
     An embedding that sends ordering t onto a host edge, composed with an
     automorphism mapping an earlier kept ordering r onto t, sends r onto the
@@ -127,10 +125,7 @@ def _edge_starts(pattern: UniformHypergraph) -> tuple:
             if not any(k == key and _backtrack(itself, walk, pinned, mode="first") is not None
                        for k, walk in kept):
                 kept.append((key, _walk(pattern, deg, list(t) + rest)))
-    s = pattern.s
-    return tuple((walk, _kernel(walk, s, "first"), _kernel(walk, s, "count"),
-                  _backtrack(itself, walk, [(v,) for v in walk[0][:s]], mode="count"))
-                 for _, walk in kept)
+    return tuple((walk, _kernel(walk, pattern.s, "first")) for _, walk in kept)
 
 
 class HostIndex:
@@ -227,7 +222,8 @@ def _kernel(walk, ndom: int, mode: str):
     used ones, not every free vertex. The mask is computed once per
     placement of step i, or once per call of a later chunk that reads it.
     Every vertex dropped this way completes no embedding, so each mode
-    returns what the plain scan returns, in the same order.
+    returns what the plain scan returns, in the same order. So does a walk
+    longer than the host has vertices, at once, before it places any.
 
     Each link a chunk reads is read once, into a local, at the step that
     places the last of its vertices, or on entry to the chunk if that step
@@ -265,6 +261,8 @@ def _kernel(walk, ndom: int, mode: str):
             lines.append("    count = 0")
         elif mode == "all" and not a:
             lines.append("    out = []")
+        if not a and size > 1:
+            lines += [f"    if not everyone >> {size - 1:d}:", f"        {tail}"]
         twice = {ahead[k] for k in range(a, b) if k in ahead}
         links = {key for k in range(a, b) for key in keys[k]} | {(i,) for i in twice}
         read = {i for key in links for i in key}
@@ -471,7 +469,7 @@ def embeds_using_edge(host: HostIndex, pattern: UniformHypergraph,
     """
     pinned = [(v,) for v in edge]
     links, deg, everyone = host.links, host.deg, (1 << host.n) - 1
-    for _, search, _, _ in _edge_starts(pattern):
+    for _, search in _edge_starts(pattern):
         found = search(links, deg, everyone, pinned)
         if found is not None:
             return found
@@ -482,14 +480,20 @@ def through_edge_counter(host: HostIndex, pattern: UniformHypergraph):
     """The number of copies of ``pattern`` through an edge of an indexed
     host, as a function of the edge's vertices pinned, ``[(v,) for v in
     edge]``, for a caller that counts through many edges of one host as it
-    changes in place: the count kernels and |Stab| of the table of
-    :func:`_edge_starts` are looked up once. Each embedding using the edge
-    pins exactly one ordered pattern edge onto it, each of the |Aut| /
-    |Stab_i| orderings in the orbit of walk i is pinned there by N_i of
-    them, and a copy is |Aut| embeddings, so the count is the sum of
-    N_i / |Stab_i|.
+    changes in place. Each embedding using the edge pins exactly one
+    ordered pattern edge onto it, each of the |Aut| / |Stab_i| orderings in
+    the orbit of walk i of :func:`_edge_starts` is pinned there by N_i of
+    them, and a copy is |Aut| embeddings, so the count is the sum of N_i /
+    |Stab_i|, N_i from walk i's "count" kernel, and |Stab_i| its count on
+    the pattern itself, the first edge pinned to itself: 10! on K12, so a
+    pattern with more vertices than the host counts 0 at once.
     """
-    walks = [(count, stab) for _, _, count, stab in _edge_starts(pattern)]
+    if pattern.n > host.n:
+        return lambda pinned: 0
+    s, itself = pattern.s, HostIndex(pattern.n, pattern.edges)
+    walks = [(_kernel(walk, s, "count"),
+              _backtrack(itself, walk, [(v,) for v in walk[0][:s]], mode="count"))
+             for walk, _ in _edge_starts(pattern)]
     links, deg, everyone = host.links, host.deg, (1 << host.n) - 1
 
     def through(pinned) -> int:

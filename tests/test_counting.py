@@ -285,7 +285,7 @@ class TestBacktrack:
         host = data.draw(hypergraphs(max_n={5: 9, 6: 8}.get(pattern.n, 12), min_s=s, max_s=s,
                                      min_n=s))
         walk = data.draw(st.sampled_from([*_compile(pattern),
-                                          *(w for w, _, _, _ in _edge_starts(pattern))]))
+                                          *(w for w, _ in _edge_starts(pattern))]))
         # domains in any order, often not ascending, empty, or past the last step
         domains = data.draw(st.lists(st.lists(st.integers(0, host.n - 1), unique=True),
                                      max_size=pattern.n + 1))
@@ -320,6 +320,25 @@ class TestBacktrack:
         flip = dict(zip(seq, reversed(seq)))
         assert all_embeddings(bent, bent) == [tuple(range(22)),
                                               tuple(flip[u] for u in range(22))]
+
+    def test_pattern_larger_than_host_reads_no_link(self):
+        """Every kernel answers a pattern with more vertices than the host
+        before its first step: six edges of a matching in K10 would
+        otherwise be tried in every way, 10! placements of its vertices."""
+        class NoLinks:
+            def __getitem__(self, key):
+                raise AssertionError(f"link {key} read")
+
+        host = complete(10, 2)
+        index = HostIndex(host.n, host.edges)
+        index.links = NoLinks()
+        matching = make(12, 2, [(2 * i, 2 * i + 1) for i in range(6)])
+        assert first_embedding(index, matching) is None
+        assert first_embedding(index, matching, [[0], [1]]) is None
+        assert count_embeddings_raw(index, matching) == 0
+        assert _backtrack(index, _compile(matching).by_index, mode="all") == []
+        assert embeds_using_edge(index, matching, (0, 1)) is None
+        assert through_edge_counter(index, matching)([(0,), (1,)]) == 0
 
     def test_only_embeds_using_edge_builds_edge_starts(self, monkeypatch):
         built = []
@@ -461,14 +480,28 @@ class TestThroughEdgeCounter:
     @given(st.data())
     def test_matches_bruteforce_difference(self, data):
         s = data.draw(st.sampled_from([2, 3]))
-        pattern = data.draw(st.sampled_from(THROUGH_PATTERNS[s]))
         host = data.draw(hypergraphs(max_n=7, min_s=s, max_s=s, min_n=s)
                          .filter(lambda h: h.m > 0))
+        patterns = st.sampled_from(THROUGH_PATTERNS[s])
+        if host.n <= 5:  # or one with up to two more vertices than the host
+            patterns |= hypergraphs(min_n=host.n + 1, max_n=host.n + 2, min_s=s, max_s=s)
+        pattern = data.draw(patterns)
         edge = data.draw(st.sampled_from(host.edges))
         without = make(host.n, s, [e for e in host.edges if e != edge])
         want = brute_count_copies(host, pattern) - brute_count_copies(without, pattern)
         through = through_edge_counter(HostIndex(host.n, host.edges), pattern)
         assert through([(v,) for v in edge]) == want
+
+    def test_pattern_larger_than_host_builds_nothing(self, monkeypatch):
+        """|Stab| of K14 with an edge pinned is a search of 12! embeddings;
+        on a host of fewer vertices the counter builds no table."""
+        def refuse(pattern):
+            raise AssertionError("edge-start table built")
+
+        monkeypatch.setattr(counting, "_edge_starts", refuse)
+        host = complete(5, 2)
+        through = through_edge_counter(HostIndex(host.n, host.edges), complete(14, 2))
+        assert through([(0,), (1,)]) == 0
 
 
 class TestCountCopies:

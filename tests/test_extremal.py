@@ -404,6 +404,14 @@ class TestExactEx:
         par.verify()
         cut.verify()
 
+    def test_counted_pattern_larger_than_n(self):
+        # K14 has no copy on 5 vertices; its copy counter, built before the
+        # deadline is read, must not search K14 for its automorphisms
+        start = time.monotonic()
+        assert exact_ex(5, complete(14, 2), C4).value == 0
+        assert heuristic_lower(5, complete(14, 2), C4, budget=100).value == 0
+        assert time.monotonic() - start < 5.0
+
     def test_search_leaves_no_reference_cycle(self):
         # the search state goes with the call, not to the cyclic collector
         exact_ex(7, TRI, DIAMOND)  # compile the kernels first

@@ -267,7 +267,7 @@ def test_embedding_kernels_read_each_link_once(monkeypatch):
     monkeypatch.setattr(counting, "compile_kernel",
                         lambda lines, name, tag: sources.append(lines))
     counting._kernel.__wrapped__(counting._compile(c4).by_index, 1, "first")
-    for walk, _, _, _ in starts:
+    for walk, _ in starts:
         for mode in ("first", "count"):
             counting._kernel.__wrapped__(walk, diamond.s, mode)
     assert len(sources) > 2
