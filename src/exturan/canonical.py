@@ -216,7 +216,13 @@ def canonical_positions(n: int, s: int, edge_set) -> tuple[int, ...]:
     return tuple(sorted(pos[e] for e in host.edges))
 
 
+@lru_cache(maxsize=256)
 def canonical_key(g: UniformHypergraph) -> str:
-    """Label-independent string key, identical across relabellings."""
+    """Label-independent string key, identical across relabellings.
+
+    A pure function of ``(n, s, edges)``, kept per hypergraph as the
+    pattern caches of :mod:`exturan.counting` are, so a process computes
+    each pattern's key once however often the CLI and the record cache ask
+    for it."""
     pos = canonical_positions(g.n, g.s, g.edge_set)
     return f"s{g.s};n{g.n};" + "-".join(map(str, pos))

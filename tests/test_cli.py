@@ -79,6 +79,22 @@ class TestExCommand:
         assert len(files[0]) == 1
         assert files[0] == files[1]
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_cached_answers_print_the_searched_bytes(self, tmp_path, fmt):
+        args = ("ex", "--n", "4..6", "--T", "K3_2(1,1,1)", "--F", "K3_2(2,2,2)",
+                "--format", fmt)
+        cache = ("--cache-dir", str(tmp_path))
+        runs = [run_cli(*args)]
+        runs.append(run_cli(*args, *cache))  # writes the three records
+        assert len(list(tmp_path.glob("*.rec"))) == 3
+        runs.append(run_cli(*args, *cache))  # reads them
+        # a search could not finish under --timeout 0, so this run reads them too
+        runs.append(run_cli(*args, *cache, "--timeout", "0"))
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+        assert runs[0].stdout
+        assert len({proc.stdout for proc in runs}) == 1
+
     def test_malformed_spec_exits_2(self):
         # the second spec ends in a superscript one, a digit to str.isdigit,
         # and the third in a class size of more digits than int() takes

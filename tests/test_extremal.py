@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from exturan import constructions, extremal
+from exturan import canonical, constructions, extremal
 from exturan.canonical import (
     MAX_CANONICAL_VERTICES,
     _kernel,
@@ -22,7 +22,7 @@ from exturan.canonical import (
     colex_subsets,
     is_canonical_raw,
 )
-from exturan.cli import parse_pattern_spec
+from exturan.cli import main, parse_pattern_spec
 from exturan.counting import HostIndex, count_copies, materialize
 from exturan.extremal import (
     CacheIntegrityError,
@@ -100,6 +100,34 @@ class TestCanonicalKey:
         if (g1.n, g1.s) != (g2.n, g2.s):
             return
         assert (canonical_key(g1) == canonical_key(g2)) == brute_isomorphic(g1, g2)
+
+    # the key is kept per hypergraph for the life of the process
+    @given(hypergraphs(max_n=7, min_s=1, max_s=3), st.randoms())
+    def test_kept_key_is_the_computed_key(self, g, rnd):
+        canonical_key.cache_clear()
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        for h in (g, make(g.n, g.s, list(g.edges)), relabel(g, perm), g):
+            assert canonical_key(h) == canonical_key.__wrapped__(h)
+
+    def test_cached_ex_computes_each_pattern_key_once(self, monkeypatch, tmp_path, capsys):
+        canonical_key.cache_clear()
+        runs = []
+
+        def spy(*args):
+            runs.append(args)
+            return canonical_positions(*args)
+
+        monkeypatch.setattr(canonical, "canonical_positions", spy)
+        argv = ["ex", "--n", "4..7", "--T", "K3_2(1,1,1)", "--F", "K3_2(2,2,2)",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0  # writes the four records
+        assert len(list(tmp_path.glob("*.rec"))) == 4
+        assert main(argv) == 0  # reads them
+        assert len(runs) == 2  # T and F, once each
+
+    def test_kept_keys_are_bounded(self):
+        assert canonical_key.cache_info().maxsize is not None
 
 
 class TestCanonicalForm:
