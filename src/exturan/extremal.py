@@ -395,34 +395,64 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
     returned, worth 0 unless T is edgeless (then C(n, t) for T on t
     vertices); with n < s there is no edge to try and it is returned at once.
 
-    Each try of an absent edge is one step.
+    Each try of an absent edge is one step. An edge refused for a copy of F
+    keeps that copy, as the vertex masks of the images of F's other edges;
+    on a later try it is tested again only if the copy has lost an edge
+    since. While the copy is whole the edge would complete it again, so it
+    is refused untested, and the walk, its value and its witness are those
+    of testing every try.
     """
     pattern, forbidden_g = _instance(n, pattern, forbidden)
     ctx = _Ctx(n, pattern.s, pattern, forbidden_g)
     pot = list(combinations(range(n), ctx.s))
+    masks = [sum(1 << v for v in e) for e in pot]
+    pins = [[(v,) for v in e] for e in pot]
+    refused: list = [None] * len(pot)  # per edge, the copy that last refused it
     rng = random.Random(seed)
 
     host = ctx.host
-    edges = host.edges
+    edges, links = host.edges, host.links
+    fedges, fb_min = forbidden_g.edges, ctx.fb_min
     through = through_edge_counter(host, pattern)
     best_val = val = empty = ctx.empty_count
     best_edges: tuple = ()
     steps = 0
     while pot and steps < budget:
-        order = pot[:]
+        order = list(range(len(pot)))  # the same draws as shuffling pot itself
         rng.shuffle(order)
-        for e in order:
+        for i in order:
             if steps >= budget:
                 break
+            e = pot[i]
             if e in edges:
                 continue
             steps += 1
-            host.add(e)
+            copy = refused[i]
+            if copy is not None:
+                for w in copy:  # is the edge of mask w, lowest bit b, still there?
+                    b = w & -w
+                    if not links[w ^ b] & b:
+                        break
+                else:
+                    continue
+            m = masks[i]
+            host.add(e, m)
             # the host was F-free before, so a new copy of F must use e
-            if len(edges) >= ctx.fb_min and embeds_using_edge(host, forbidden_g, e) is not None:
+            found = (embeds_using_edge(host, forbidden_g, e)
+                     if len(edges) >= fb_min else None)
+            if found is not None:
                 host.remove(e)
+                bits = [1 << v for v in found]
+                copy = []
+                for f in fedges:
+                    w = 0
+                    for u in f:
+                        w |= bits[u]
+                    if w != m:
+                        copy.append(w)
+                refused[i] = copy
             else:
-                val += through([(v,) for v in e])
+                val += through(pins[i])
         if val > best_val:
             best_val = val
             best_edges = tuple(sorted(edges))

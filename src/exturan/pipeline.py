@@ -188,29 +188,39 @@ def _aux_index(aligned, ell: int, n: int) -> HostIndex:
     return index
 
 
+def _occurrences(embs, n: int):
+    """The occurrence table of the embeddings ``embs`` into a host on ``n``
+    vertices: their number, and for each host vertex the (embedding index,
+    pattern vertex) pairs mapped onto it, in embedding order."""
+    occurs = [[] for _ in range(n)]
+    for idx, phi in enumerate(embs):
+        for pv, hv in enumerate(phi):
+            occurs[hv].append((idx, pv))
+    return len(embs), occurs
+
+
 def conditional_partition(g: UniformHypergraph, f: UniformHypergraph,
                           order_seed: int | None = None,
-                          embeddings: list | None = None) -> PartitionMap:
+                          occurrences: tuple | None = None) -> PartitionMap:
     """Partition by the method of conditional expectations.
 
     Vertices are assigned (in a seeded-shuffled order) to the class that
     maximizes the expected number of aligned copies under a uniform random
     completion; the expectation never drops, so the result always carries at
     least ceil(embeddings / l^l) aligned copies. The scores are exact
-    integers (expectations scaled by l^l). A caller that already holds
-    ``all_embeddings(g, f)`` passes it as ``embeddings``.
+    integers (expectations scaled by l^l). A caller that partitions many
+    times by ``all_embeddings(g, f)`` builds their occurrence table
+    (:func:`_occurrences`) once and passes it as ``occurrences``.
     """
     ell = f.n
-    embs = all_embeddings(g, f) if embeddings is None else embeddings
-    occurs = defaultdict(list)
-    for idx, phi in enumerate(embs):
-        for pv, hv in enumerate(phi):
-            occurs[hv].append((idx, pv))
+    if occurrences is None:
+        occurrences = _occurrences(all_embeddings(g, f), g.n)
+    count, occurs = occurrences
     order = list(range(g.n))
     if order_seed is not None:
         random.Random(order_seed).shuffle(order)
-    alive = [True] * len(embs)
-    weight = [1] * len(embs)
+    alive = [True] * count
+    weight = [1] * count
     assign = [0] * g.n
     for v in order:
         gains = [0] * ell
@@ -318,9 +328,9 @@ def find_blowup(g: UniformHypergraph, f: UniformHypergraph, a: int, seed: int = 
     re-validated against the host before being returned. A none-found result
     after the retry budget is a value, not an error.
 
-    The embeddings of ``f`` are enumerated once per call, for the partitions
-    and the threshold; each attempt's aligned copies come from
-    :func:`aligned_copies`.
+    The embeddings of ``f`` are enumerated once per call, for the threshold
+    and the one occurrence table every attempt's partition reads; each
+    attempt's aligned copies come from :func:`aligned_copies`.
     """
     if f.s != g.s:
         raise UniformityMismatch(f"host uniformity {g.s} != pattern {f.s}")
@@ -334,9 +344,10 @@ def find_blowup(g: UniformHypergraph, f: UniformHypergraph, a: int, seed: int = 
     threshold = _threshold(len(embs), ell)
     if threshold == 0:
         return None  # no embeddings at all
+    occurrences = _occurrences(embs, g.n)
     for k in range(retries):
         order_seed = None if k == 0 else seed * 1_000_003 + k
-        part = conditional_partition(g, f, order_seed, embs)
+        part = conditional_partition(g, f, order_seed, occurrences)
         aligned = aligned_copies(g, f, part)
         entry = {"retry": k, "aligned": len(aligned), "threshold": threshold,
                  "aux_edges": None, "found": False}

@@ -251,7 +251,8 @@ def first_fit_heuristic(n: int, pattern: UniformHypergraph, forbidden: UniformHy
     ``brute_contains`` on the whole host); then, while steps remain, it
     drops 1 to max(1, m // 4) random edges with probability 0.85, or else
     restarts from the empty host. Returns the best pattern count seen (by
-    ``brute_count_copies``, first best kept) and the host attaining it.
+    ``brute_count_copies``, first best kept), the host attaining it and the
+    number of restarts.
     """
     s = pattern.s
     pot = list(combinations(range(n), s))
@@ -259,7 +260,7 @@ def first_fit_heuristic(n: int, pattern: UniformHypergraph, forbidden: UniformHy
     edges: set = set()
     best = make(n, s, [])
     best_val = brute_count_copies(best, pattern)
-    steps = 0
+    steps = restarts = 0
     while steps < budget:
         order = pot[:]
         rng.shuffle(order)
@@ -282,7 +283,8 @@ def first_fit_heuristic(n: int, pattern: UniformHypergraph, forbidden: UniformHy
                 edges.discard(rng.choice(sorted(edges)))
         else:
             edges.clear()
-    return best_val, best
+            restarts += 1
+    return best_val, best, restarts
 
 
 def exhaustive_blowup_classes(aux: UniformHypergraph, classes, a: int):

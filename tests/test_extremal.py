@@ -10,7 +10,7 @@ from itertools import combinations, count
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from exturan import canonical, constructions, extremal
@@ -696,6 +696,39 @@ class TestHeuristicLower:
         budget = data.draw(st.integers(1, 400))
         assert_replays(n, pattern, forbidden, seed, budget)
 
+    def test_refused_edge_retested_only_once_its_copy_breaks(self, monkeypatch):
+        # of an F-free walk's 4,000 tries, about half re-try an edge whose
+        # refusing copy of F is still whole; those are refused untested
+        calls = []
+        test = extremal.embeds_using_edge
+
+        def spy(host, forbidden, edge):
+            calls.append(edge)
+            return test(host, forbidden, edge)
+
+        monkeypatch.setattr(extremal, "embeds_using_edge", spy)
+        rec = heuristic_lower(12, TRI, DIAMOND, seed=0)
+        assert rec.nodes == 4000
+        assert len(calls) < 0.6 * rec.nodes
+
+    # (T, F) pairs whose walks refuse many edges; the budgets run each walk
+    # through several rounds, and only walks that restart are kept, so a
+    # copy recorded before a restart is checked again on the empty host
+    REFUSING = [
+        (EDGE, C4, 2), (TRI, blowup(DIAMOND)[0], 2), (TRI, complete(4, 2), 2), (EDGE, TRI, 2),
+        (complete(3, 3), complete(4, 3), 3),
+        (complete(4, 3), blowup(BlowupSpec(complete(4, 3), (1, 1, 1, 2)))[0], 3),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_walks_through_restarts_match_replay_oracle(self, data):
+        pattern, forbidden, s = data.draw(st.sampled_from(self.REFUSING))
+        n = data.draw(st.integers(5, 7) if s == 2 else st.integers(5, 6))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        budget = data.draw(st.integers(60, 200))
+        assume(assert_replays(n, pattern, forbidden, seed, budget) > 0)
+
     # walks whose best host comes after a perturbation, so the dropped edges
     # decide the witness
     @pytest.mark.parametrize("n, pattern, forbidden, seed", [
@@ -761,9 +794,12 @@ class TestHeuristicLower:
 
 
 def assert_replays(n, pattern, forbidden, seed, budget):
+    """The walk's value and witness are the replay oracle's; returns the
+    number of restarts the walk made."""
     rec = heuristic_lower(n, pattern, forbidden, seed=seed, budget=budget)
-    value, witness = first_fit_heuristic(n, pattern, forbidden, seed, budget)
+    value, witness, restarts = first_fit_heuristic(n, pattern, forbidden, seed, budget)
     assert (rec.value, rec.witness) == (value, witness)
+    return restarts
 
 
 # the exact-cold benchmark pins the node count of each instance; a search

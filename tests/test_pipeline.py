@@ -1,18 +1,25 @@
+import hashlib
+import json
 import random
+import runpy
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import exturan
 from exturan import pipeline
+from exturan.cli import parse_pattern_spec
 from exturan.counting import (
     CliqueFamily,
     HostIndex,
     all_embeddings,
     cliques,
     edge_multiplicity,
+    materialize,
 )
 from exturan.hypergraph import (
     BlowupSpec,
@@ -320,3 +327,50 @@ class TestFindBlowup:
         assert emb is not None
         assert trace and trace[-1]["found"]
         assert {"retry", "aligned", "threshold", "aux_edges", "found"} <= set(trace[-1])
+
+    # sha256 prefixes of the found classes and the trace, for seeds 0-3, on
+    # the four find_blowup hosts of the certify benchmark; taken when each
+    # attempt still built its own occurrence table
+    BENCHMARK_WALKS = {
+        "planted-k3": ["84f1d1e1a127b854"] * 4,
+        "planted-k4_3": ["2e7137fb7b524d6d"] * 4,
+        "none-lbap6": ["7dcd89925129d665", "1a81ac9d4807f8be", "4bcfe7fb963578ee",
+                       "09642636495e3c60"],
+        "none-lbap10": ["d772362f2cb5b297", "30b78a826fbfac24", "bbbd2e41a083442d",
+                        "6e57f357bedce290"],
+    }
+
+    def test_one_occurrence_table_per_call(self, monkeypatch):
+        # every attempt partitions by the one table its call built, and each
+        # partition is the one a caller passing no table gets
+        jobs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"))
+        hosts = jobs["blowup_hosts"](exturan)
+        built, parts = [], []
+        occurrences, partition = pipeline._occurrences, pipeline.conditional_partition
+
+        def build(embs, n):
+            built.append(n)
+            return occurrences(embs, n)
+
+        def spy(g, f, order_seed=None, occurrences=None):
+            part = partition(g, f, order_seed, occurrences)
+            mine = len(built)
+            parts.append(part == partition(g, f, order_seed))
+            assert len(built) == mine + 1  # a call passing no table builds its own
+            del built[mine:]
+            return part
+
+        monkeypatch.setattr(pipeline, "_occurrences", build)
+        monkeypatch.setattr(pipeline, "conditional_partition", spy)
+        for name, spec, a, retries in jobs["BLOWUP_CASES"]:
+            f = materialize(parse_pattern_spec(spec))
+            digests = []
+            for seed in range(4):
+                built.clear()
+                parts.clear()
+                trace = []
+                emb = find_blowup(hosts[name], f, a, seed=seed, retries=retries, trace=trace)
+                assert len(built) == 1 and parts == [True] * len(trace), (name, seed)
+                text = json.dumps([None if emb is None else emb.classes, trace], sort_keys=True)
+                digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+            assert digests == self.BENCHMARK_WALKS[name], name
