@@ -741,7 +741,8 @@ class TestHeuristicLower:
 
     # walks in which an edge rejected for an F-copy is accepted on a later
     # try, once a perturbation has dropped an edge of that copy; a walk that
-    # rejected it again by remembering the copy would change the witness
+    # rejected it again on the remembered copy alone, without checking that
+    # the copy is still whole, would change the witness
     @pytest.mark.parametrize("n, pattern, forbidden, seed", [
         (6, TRI, blowup(DIAMOND)[0], 1),
         (7, TRI, blowup(DIAMOND)[0], 11),

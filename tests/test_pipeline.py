@@ -346,11 +346,11 @@ class TestFindBlowup:
         jobs = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"))
         hosts = jobs["blowup_hosts"](exturan)
         built, parts = [], []
-        occurrences, partition = pipeline._occurrences, pipeline.conditional_partition
+        table, partition = pipeline._occurrences, pipeline.conditional_partition
 
         def build(embs, n):
             built.append(n)
-            return occurrences(embs, n)
+            return table(embs, n)
 
         def spy(g, f, order_seed=None, occurrences=None):
             part = partition(g, f, order_seed, occurrences)
