@@ -26,6 +26,7 @@ import json
 import os
 import re
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .constructions import (
@@ -145,11 +146,11 @@ class CertificateError(ValueError):
 
 
 def _parse_count(claim: str, prefix: str) -> int:
-    try:
-        return int(claim[len(prefix):])
-    except ValueError:
-        raise SpecParseError(f"claim {claim!r} needs an integer count",
-                             len(prefix)) from None
+    text = claim[len(prefix):]
+    if _NUMBER.fullmatch(text):  # ASCII digits only, as in the pattern shorthand
+        with suppress(ValueError):  # CPython converts no string of over 4,300 digits
+            return int(text)
+    raise SpecParseError(f"claim {claim!r} needs a non-negative integer count", len(prefix))
 
 
 def _parse_n_range(text: str) -> range | list[int]:
@@ -336,7 +337,7 @@ def cmd_verify(args) -> int:
         trace.append({"step": "containment", "free": free})
     elif claim.startswith("cliques:"):
         want = _parse_count(claim, "cliques:")
-        have = len(complete_subsets(host.n, host.s, host.edge_set, host.s + 1))
+        have = len(complete_subsets(host, host.s + 1))
         verified = have == want
         result["cliques"] = have
         trace.append({"step": "clique-count", "have": have, "want": want})

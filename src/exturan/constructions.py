@@ -19,7 +19,7 @@ from itertools import combinations, product
 from math import comb, prod
 
 from .canonical import canonical_key, colex_subsets
-from .counting import HostIndex, complete_subsets, contains, first_embedding, is_blowup_free
+from .counting import HostIndex, complete_subsets, contains, first_embedding, index_of, is_blowup_free
 from .hypergraph import (
     MAX_VERTICES,
     BlowupSpec,
@@ -279,7 +279,7 @@ def verify_lbap_properties(h: UniformHypergraph, parts: PartitionMap, n: int, r:
             f"certificate needs {r} classes splitting the {h.n} vertices of an "
             f"{r}-uniform host, got {len(parts.classes)} classes over {parts.n} "
             f"vertices of a {h.s}-uniform host")
-    host = HostIndex(h.n, h.edges)
+    host = index_of(h)
     links = host.links
     claims = []
 
@@ -373,7 +373,7 @@ def build_lbap(n: int, r: int, mode: str = "exact", *,
     h, parts = lbap_hypergraph(n, r, ap)
     g = shadow(h, r - 1)
     cert = verify_lbap_properties(h, parts, n, r, ap)
-    clique_count = len(complete_subsets(g.n, g.s, g.edge_set, r))
+    clique_count = len(complete_subsets(g, r))
     claims = cert.claims + (
         _free_claim("shadow-free", g, locally_linear_spec(r)),
         ClaimResult("shadow-clique-count", "pass" if clique_count == h.m else "fail",
@@ -437,7 +437,7 @@ def lb4_construct(n: int, r: int, sizes, base: UniformHypergraph, *,
     h = make(n, r - 1, edges)
 
     claims = [_free_claim("forbidden-free", h, BlowupSpec(complete(r, r - 1), sizes))]
-    clique_count = len(complete_subsets(h.n, h.s, h.edge_set, r))
+    clique_count = len(complete_subsets(h, r))
     bound = na * base.m
     claims.append(ClaimResult(
         "clique-count", "pass" if clique_count >= bound else "fail",
@@ -535,7 +535,7 @@ def deletion_construct(n: int, r: int, spec: BlowupSpec, p: float, seed: int, *,
     g = make(n, s, host.edges)
 
     claims = [_free_claim("forbidden-free", g, spec)]
-    surviving_cliques = len(complete_subsets(g.n, g.s, g.edge_set, r))
+    surviving_cliques = len(complete_subsets(g, r))
     claims.append(ClaimResult(
         "statistics", "pass",
         {

@@ -19,8 +19,9 @@ integers and fixed names only, compiled once under a file name of its own
 CPython compiles at most 20 nested loops in one function, so a longer walk
 becomes a chain of such functions, 20 steps each, whose innermost loop calls
 the next with the vertices placed so far.
-Callers that change a host one edge at a time (the orderly search, the local
-search, the deletion walk) keep one index and update it in place.
+Every search that only reads a hypergraph shares the one index it keeps
+(:func:`index_of`); one that changes a host an edge at a time (the orderly
+search, the local search, the deletion walk) updates an index of its own.
 Containment search is deterministic: pattern vertices are ordered by
 descending degree with index tie-breaks and host candidates are tried in
 ascending order, so certificates are reproducible.
@@ -92,7 +93,7 @@ class PatternPlan(NamedTuple):
 @lru_cache(maxsize=64)
 def _compile(pattern: UniformHypergraph) -> PatternPlan:
     """Compile ``pattern`` once; searches with the same pattern share it."""
-    deg = pattern.degrees()
+    deg = index_of(pattern).deg
     by_degree = sorted(range(pattern.n), key=lambda v: (-deg[v], v))
     return PatternPlan(_walk(pattern, deg, by_degree), _walk(pattern, deg, range(pattern.n)))
 
@@ -113,7 +114,7 @@ def _edge_starts(pattern: UniformHypergraph) -> tuple:
     cost far more than one search of a host, so only the searches pinned to
     a host edge build the table.
     """
-    itself = HostIndex(pattern.n, pattern.edges)
+    itself = index_of(pattern)
     deg = itself.deg
     by_degree = _compile(pattern).by_degree[0]
     kept = []
@@ -174,6 +175,16 @@ class HostIndex:
             deg[v] -= 1
             bit = 1 << v
             links[mask ^ bit] ^= bit
+
+
+def index_of(g: UniformHypergraph) -> HostIndex:
+    """The one index of ``g``, built from ``g.edges`` on first use and kept
+    in the instance, so it lives as long as ``g``. Only searches that read
+    ``g`` take it: nothing adds to it or removes from it."""
+    index = g.__dict__.get("_index")
+    if index is None:
+        index = g.__dict__["_index"] = HostIndex(g.n, g.edges)
+    return index
 
 
 _MAX_LOOPS = 20  # CPython compiles no function with more nested loops
@@ -402,8 +413,7 @@ def contains(host: UniformHypergraph, pattern: UniformHypergraph) -> Embedding |
     """
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
-    found = _backtrack(HostIndex(host.n, host.edges), _compile(pattern).by_degree,
-                       mode="first")
+    found = _backtrack(index_of(host), _compile(pattern).by_degree, mode="first")
     return None if found is None else Embedding(pattern, host, found)
 
 
@@ -411,7 +421,7 @@ def count_embeddings(host: UniformHypergraph, pattern: UniformHypergraph) -> int
     """Number of labelled (injective) embeddings of ``pattern`` in ``host``."""
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
-    return count_embeddings_raw(HostIndex(host.n, host.edges), pattern)
+    return count_embeddings_raw(index_of(host), pattern)
 
 
 def all_embeddings(host: UniformHypergraph, pattern: UniformHypergraph,
@@ -423,8 +433,7 @@ def all_embeddings(host: UniformHypergraph, pattern: UniformHypergraph,
     """
     if host.s != pattern.s:
         raise UniformityMismatch(f"host uniformity {host.s} != pattern {pattern.s}")
-    return _backtrack(HostIndex(host.n, host.edges), _compile(pattern).by_index,
-                      domains, mode="all")
+    return _backtrack(index_of(host), _compile(pattern).by_index, domains, mode="all")
 
 
 def count_embeddings_raw(host: HostIndex, pattern: UniformHypergraph) -> int:
@@ -454,7 +463,7 @@ def count_copies(host: UniformHypergraph, pattern: UniformHypergraph) -> int:
     if not pattern.m:
         return comb(host.n, t)
     if pattern.m == comb(t, pattern.s):
-        return len(complete_subsets(host.n, host.s, host.edge_set, t))
+        return len(complete_subsets(host, t))
     aut = automorphism_count(pattern)
     return count_embeddings(host, pattern) // aut
 
@@ -490,7 +499,7 @@ def through_edge_counter(host: HostIndex, pattern: UniformHypergraph):
     """
     if pattern.n > host.n:
         return lambda pinned: 0
-    s, itself = pattern.s, HostIndex(pattern.n, pattern.edges)
+    s, itself = pattern.s, index_of(pattern)
     walks = [(_kernel(walk, s, "count"),
               _backtrack(itself, walk, [(v,) for v in walk[0][:s]], mode="count"))
              for walk, _ in _edge_starts(pattern)]
@@ -510,21 +519,21 @@ def through_edge_counter(host: HostIndex, pattern: UniformHypergraph):
 # ---------------------------------------------------------------------------
 
 
-def complete_subsets(n: int, s: int, edge_set, r: int) -> list[tuple[int, ...]]:
-    """All r-subsets of 0..n-1 whose s-subsets all lie in ``edge_set``, sorted:
+def complete_subsets(g: UniformHypergraph, r: int) -> list[tuple[int, ...]]:
+    """All r-sets of vertices of g whose s-subsets are all edges of g, sorted:
     each sorted clique t grows by the vertices above t[-1] in the AND of the
     links of t's (s-1)-subsets."""
-    if r < s:
-        raise HypergraphError(f"clique order {r} below uniformity {s}")
-    cur = sorted(edge_set)
-    if r == s:
+    if r < g.s:
+        raise HypergraphError(f"clique order {r} below uniformity {g.s}")
+    cur = list(g.edges)
+    if r == g.s:
         return cur
-    links = HostIndex(n, cur).links
-    for _ in range(r - s):
+    links = index_of(g).links
+    for _ in range(r - g.s):
         nxt = []
         for t in cur:
             cand = -1 << t[-1] + 1
-            for sub in combinations([1 << v for v in t], s - 1):
+            for sub in combinations([1 << v for v in t], g.s - 1):
                 cand &= links[sum(sub)]
             while cand:
                 bit = cand & -cand
@@ -577,7 +586,7 @@ def cliques(g: UniformHypergraph, r: int) -> CliqueFamily:
         raise HypergraphError(f"clique order must be >= 3, got {r}")
     if g.s != r - 1:
         raise UniformityMismatch(f"host uniformity {g.s}, expected {r - 1}")
-    members = complete_subsets(g.n, g.s, g.edge_set, r)
+    members = complete_subsets(g, r)
     return CliqueFamily(g, r, tuple(members), check=False)  # sorted cliques, once each
 
 

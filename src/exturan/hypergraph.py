@@ -7,7 +7,7 @@ list is kept in lexicographic order, which gives every value a deterministic
 serialization (used for cache keys). All values are immutable and safe to
 share between concurrent tasks; every operator here is a pure function. None
 of them searches: cliques and embeddings are found in
-:mod:`exturan.counting`, on a host index.
+:mod:`exturan.counting`, on the host index that each value keeps there.
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ class UniformHypergraph:
     @property
     def edge_set(self) -> frozenset[Edge]:
         return self._edge_set  # type: ignore[attr-defined]
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                deg[v] += 1
-        return deg
 
     # -- text format -------------------------------------------------------
     # First line "s n m", then m lines of s space separated vertex indices,

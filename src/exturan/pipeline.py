@@ -179,13 +179,8 @@ def aligned_copies(g: UniformHypergraph, f: UniformHypergraph,
 
 def _aux_index(aligned, ell: int, n: int) -> HostIndex:
     """The auxiliary hypergraph of the aligned copies, as a host index."""
-    index = HostIndex(n)
-    for copy in aligned:
-        for i in range(ell):
-            edge = tuple(sorted(copy[:i] + copy[i + 1:]))
-            if edge not in index.edges:
-                index.add(edge)
-    return index
+    return HostIndex(n, dict.fromkeys(tuple(sorted(copy[:i] + copy[i + 1:]))
+                                      for copy in aligned for i in range(ell)))
 
 
 def _occurrences(embs, n: int):

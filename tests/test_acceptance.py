@@ -92,7 +92,7 @@ def test_criterion_3_progression_system_verified():
         free, _ = is_blowup_free(bundle.graph, DIAMOND)
         if not free:
             failures.append((n, "not free"))
-        count = len(complete_subsets(bundle.graph.n, 2, bundle.graph.edge_set, 3))
+        count = len(complete_subsets(bundle.graph, 3))
         if count != bundle.system.m:
             failures.append((n, "clique count", count, bundle.system.m))
     elapsed = time.time() - t0
@@ -109,7 +109,7 @@ def test_criterion_4_apex_construction_verified():
         base = exact_ex(nb, single_edge(2), c4)
         h, cert = lb4_construct(n, 3, (2, 2, 2), base.witness)
         free, _ = is_blowup_free(h, k222)
-        count = len(complete_subsets(h.n, h.s, h.edge_set, 3))
+        count = len(complete_subsets(h, 3))
         if not (cert.passed and free and count >= (n // 3) * base.value):
             failures.append((n, cert.passed, free, count, (n // 3) * base.value))
     report(4, "apex construction", not failures, "n in (6, 9, 12), a=(2,2,2)")

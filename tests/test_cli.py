@@ -325,9 +325,13 @@ class TestVerifyCommand:
         assert run_cli("verify", str(path), "--claim", "nonsense").returncode == 2
 
     def test_non_integer_count_exits_2(self, tmp_path):
+        # a count is ASCII digits only: on K5, "edge-disjoint:-5" would
+        # otherwise verify and " 10", "1_0" and an Arabic-Indic 3 would read
         path = tmp_path / "g.txt"
-        write_file(make(3, 2, []), path)
-        for claim in ("cliques:abc", "edge-disjoint:2x"):
+        write_file(complete(5, 2), path)
+        for claim in ("cliques:abc", "edge-disjoint:2x", "edge-disjoint:-5", "cliques:-1",
+                      "cliques: 10", "cliques:1_0", "edge-disjoint:\u0663", "cliques:+10",
+                      "cliques:", "cliques:10\n"):
             out = run_cli("verify", str(path), "--claim", claim)
             assert out.returncode == 2
             assert_one_line(out.stderr, "error:")

@@ -304,7 +304,7 @@ class TestLbapShadow:
         ap = APFreeSet(2, 3, (1,), exact=False)
         h, _ = lbap_hypergraph(2, 3, ap)
         g = shadow(h, h.s - 1)
-        assert len(complete_subsets(g.n, 2, g.edge_set, 3)) == 2
+        assert len(complete_subsets(g, 3)) == 2
         free, _ = is_blowup_free(g, locally_linear_spec(3))
         assert free
 
@@ -316,7 +316,7 @@ class TestLbapShadow:
     def test_exact_n4_full_bundle(self):
         bundle = build_lbap(4, 3)
         assert bundle.system.m == 12
-        assert len(complete_subsets(bundle.graph.n, 2, bundle.graph.edge_set, 3)) == 12
+        assert len(complete_subsets(bundle.graph, 3)) == 12
         assert bundle.certificate.passed
 
     def test_oversized_layout_refused_before_the_search(self, monkeypatch):
@@ -342,7 +342,7 @@ class TestLb4:
         assert base.value == 0
         h, cert = lb4_construct(6, 3, (1, 1, 2), base.witness)
         assert cert.passed
-        assert len(complete_subsets(h.n, h.s, h.edge_set, 3)) == 0
+        assert len(complete_subsets(h, 3)) == 0
 
     def test_star_free_base_matching(self):
         # forbidding the 2-leaf star leaves a matching: 3 edges on 6 vertices
@@ -350,7 +350,7 @@ class TestLb4:
         assert base.value == 3
         h, cert = lb4_construct(9, 3, (1, 2, 2), base.witness)
         assert cert.passed
-        assert len(complete_subsets(h.n, h.s, h.edge_set, 3)) >= 9
+        assert len(complete_subsets(h, 3)) >= 9
 
     def test_structure_claims(self):
         base = exact_ex(4, single_edge(2), complete_partite(2, (2, 2))[0])

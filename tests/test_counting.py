@@ -28,6 +28,7 @@ from exturan.counting import (
     embeds_using_edge,
     exponents,
     first_embedding,
+    index_of,
     is_blowup_free,
     through_edge_counter,
 )
@@ -106,17 +107,17 @@ class TestCompleteSubsets:
         s = data.draw(st.integers(1, 3), label="s")
         g = data.draw(hypergraphs(max_n=8, min_s=s, max_s=s, min_n=s), label="host")
         r = data.draw(st.integers(s, s + 3), label="r")
-        assert complete_subsets(g.n, s, g.edge_set, r) == brute_cliques(g, r)
+        assert complete_subsets(g, r) == brute_cliques(g, r)
 
     def test_order_below_uniformity(self):
         with pytest.raises(HypergraphError, match="below uniformity"):
-            complete_subsets(4, 2, complete(4, 2).edge_set, 1)
+            complete_subsets(complete(4, 2), 1)
 
 
 def lift(g, r=None):
     """The host lifted to uniformity r (default s+1): its complete r-sets."""
     r = g.s + 1 if r is None else r
-    return make(g.n, r, complete_subsets(g.n, g.s, g.edge_set, r))
+    return make(g.n, r, complete_subsets(g, r))
 
 
 class TestLift:
@@ -254,7 +255,7 @@ class TestHostIndex:
         assert index_state(index) == index_state(HostIndex(n, sorted(edges)))
         # the fields mean what they say
         assert index.edges == {e: vertex_mask(e) for e in edges}
-        assert index.deg == make(n, s, edges).degrees()
+        assert index.deg == [sum(v in e for e in edges) for v in range(n)]
         want_links = {}
         for t in combinations(range(n), s - 1):
             want_links[vertex_mask(t)] = vertex_mask(
@@ -262,6 +263,36 @@ class TestHostIndex:
         # a mask never set, or emptied by a removal, reads 0
         assert all(index.links[m] == link for m, link in want_links.items())
         assert nonzero_links(index) == {m: link for m, link in want_links.items() if link}
+
+
+class TestKeptIndex:
+    """A hypergraph keeps one index, which the searches that read it share."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_kept_index_is_a_fresh_build_and_stays_one(self, data):
+        # n up to 16 draws both link stores: a list up to 12 vertices, a dict above
+        s = data.draw(st.integers(1, 3), label="s")
+        g = data.draw(hypergraphs(max_n=16, min_s=s, max_s=s, min_n=s), label="host")
+        index = index_of(g)
+        assert index_of(g) is index
+        assert index_state(index) == index_state(HostIndex(g.n, g.edges))
+        twin = make(g.n, g.s, g.edges)
+        assert twin == g and twin is not g
+        assert index_of(twin) is not index
+        assert index_state(index_of(twin)) == index_state(index)
+
+        pattern = data.draw(hypergraphs(max_n=min(g.n, 4), min_s=s, max_s=s, min_n=s),
+                            label="pattern")
+        domains = data.draw(st.lists(st.lists(st.integers(0, g.n - 1), unique=True),
+                                     max_size=pattern.n), label="domains")
+        r = data.draw(st.integers(s, s + 2), label="r")
+        contains(g, pattern)
+        count_copies(g, pattern)
+        all_embeddings(g, pattern, domains)
+        complete_subsets(g, r)
+        assert index_of(g) is index
+        assert index_state(index) == index_state(HostIndex(g.n, g.edges))
 
 
 def search_order(walk, domains):

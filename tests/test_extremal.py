@@ -917,6 +917,16 @@ class TestCache:
         path.write_text(json.dumps(header, sort_keys=True) + "\n" + body)
         assert cache.get(5, rec.pattern, rec.forbidden, "exact") == rec
 
+    def test_cache_hit_and_put_build_one_index_of_the_witness(self, tmp_path, index_builds):
+        # the read's verification and the put's both check the witness
+        # through the one index it keeps
+        cache = RecordCache(tmp_path)
+        rec = exact_ex(6, TRI, DIAMOND, cache=cache)
+        hit = exact_ex(6, TRI, DIAMOND, cache=cache)
+        cache.put(hit)
+        assert hit == rec and hit.witness is not rec.witness
+        assert sum(edges is hit.witness.edges for edges in index_builds) == 1
+
     def test_missing_returns_none(self, tmp_path):
         cache = RecordCache(tmp_path)
         assert cache.get(5, TRI, blowup(DIAMOND)[0], "exact") is None

@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 import exturan
 from exturan import pipeline
 from exturan.cli import parse_pattern_spec
+from exturan.constructions import build_lbap
 from exturan.counting import (
     CliqueFamily,
     HostIndex,
@@ -374,3 +375,13 @@ class TestFindBlowup:
                 text = json.dumps([None if emb is None else emb.classes, trace], sort_keys=True)
                 digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
             assert digests == self.BENCHMARK_WALKS[name], name
+
+    def test_one_host_index_per_call(self, index_builds):
+        # the enumeration and every attempt's aligned copies read the one
+        # index the host keeps; a fresh host object has none yet
+        lbap = build_lbap(6, 3, verify=False).graph
+        g = make(lbap.n, lbap.s, lbap.edges)
+        trace = []
+        assert find_blowup(g, TRI, 2, seed=0, retries=20, trace=trace) is None
+        assert len(trace) == 20
+        assert sum(edges is g.edges for edges in index_builds) == 1
