@@ -4,11 +4,12 @@ Every subcommand is deterministic given its flags and seed; outputs carry no
 timestamps, so repeated runs are byte identical. Exit codes are a stable
 scripting contract: 0 success/verified, 1 claim refuted, certificate
 failure or a cache entry or record failing verification, 2 usage or parse
-error (an input file that is missing, a directory or not UTF-8 text, a
-``--workers`` below 1, a ``--timeout`` below 0, a ``--budget``
-below 1, a negative vertex count, a flag the subcommand does not take and an
-lbap certificate whose classes do not fit the host included), 3 infeasible
-or timed out. A timed-out ``ex`` still prints its whole table, with the
+error (an input file that is missing, a directory or not UTF-8 text, an
+integer other than ASCII digits after an optional '-', a ``--workers``
+below 1, a ``--timeout`` below 0, a ``--budget`` below 1, a negative vertex
+count, an ``--out-prefix`` under a file, a flag the subcommand does not take
+and an lbap certificate whose classes do not fit the host included), 3
+infeasible or timed out. A timed-out ``ex`` still prints its whole table, with the
 best-so-far records marked heuristic. Each subcommand
 takes the shared flags it reads: ``ex`` ``--seed --workers --timeout
 --cache-dir --format --out --allow-large``, ``construct`` ``--seed --workers
@@ -73,6 +74,14 @@ _UNREADABLE = (FileNotFoundError, IsADirectoryError, NotADirectoryError, Permiss
 
 # the tokens of the pattern shorthand; digits are ASCII only
 _K, _NUMBER, _UNDERSCORE, _OPEN, _SEP = map(re.compile, ("K", "[0-9]+", "_", "[(]", "[,)]"))
+
+
+def integer(text: str) -> int:
+    """The reader of every integer input: ASCII digits after an optional '-'.
+    int() would also take a '+', spaces, underscores and other scripts' digits."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)  # a ValueError past CPython's 4,300 digits
 
 
 class SpecParseError(ValueError):
@@ -146,32 +155,27 @@ class CertificateError(ValueError):
 
 
 def _parse_count(claim: str, prefix: str) -> int:
-    text = claim[len(prefix):]
-    if _NUMBER.fullmatch(text):  # ASCII digits only, as in the pattern shorthand
-        with suppress(ValueError):  # CPython converts no string of over 4,300 digits
-            return int(text)
+    with suppress(ValueError):
+        if (count := integer(claim[len(prefix):])) >= 0:
+            return count
     raise SpecParseError(f"claim {claim!r} needs a non-negative integer count", len(prefix))
 
 
-def _parse_n_range(text: str) -> range | list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError:
-            raise SpecParseError(f"bad range {text!r}", 0) from None
-        if lo_i > hi_i:
-            raise SpecParseError(f"empty range {text!r}", 0)
-        return range(lo_i, hi_i + 1)  # iterated once, never built as a list
+def _parse_n_range(text: str) -> range:
+    """``N`` or ``LO..HI``; a negative end is left to the search to refuse."""
+    lo, dots, hi = text.partition("..")
     try:
-        return [int(text)]
+        lo_i, hi_i = integer(lo), integer(hi if dots else lo)
     except ValueError:
-        raise SpecParseError(f"bad vertex count {text!r}", 0) from None
+        raise SpecParseError(f"bad vertex count or range {text!r}", 0) from None
+    if lo_i > hi_i:
+        raise SpecParseError(f"empty range {text!r}", 0)
+    return range(lo_i, hi_i + 1)  # iterated once, never built as a list
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(integer(x) for x in text.split(","))
     except ValueError:
         raise SpecParseError(f"bad integer list {text!r}", 0) from None
 
@@ -300,7 +304,10 @@ def cmd_construct(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise SpecParseError(f"unknown kind {args.kind!r}", 0)
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise UsageError(f"{prefix.parent} exists and is not a directory") from None
     files = []
     for suffix, out in outputs:
         path = prefix.with_name(prefix.name + suffix)
@@ -392,7 +399,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _at_least(low, kind=int):
+def _at_least(low, kind=integer):
     """An argparse type: a ``kind`` number no smaller than ``low`` (so not
     NaN), else a usage error (exit 2)."""
     def parse(text: str):
@@ -425,7 +432,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     full = command not in ("ex", "construct", "verify", "bounds")
     shared = {
-        "--seed": dict(type=int, default=0),
+        "--seed": dict(type=integer, default=0),
         "--workers": dict(type=_at_least(1), default=1),
         "--timeout": dict(type=_at_least(0, float), default=None),
         "--cache-dir": dict(default=None, help=f"record cache directory (or ${CACHE_ENV})"),
@@ -461,8 +468,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                       allow_abbrev=False):
         common(p, "--seed", "--workers", "--cache-dir", "--allow-large")
         p.add_argument("--kind", required=True, choices=["lb4", "lbap", "deletion"])
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--n", type=integer, required=True)
+        p.add_argument("--r", type=integer, required=True)
         p.add_argument("--a", default=None, help="class sizes for lb4, e.g. 2,2,2")
         p.add_argument("--spec", default=None, help="forbidden blowup for deletion")
         p.add_argument("--p", type=float, default=None,
@@ -486,7 +493,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     if p := subparser("bounds", cmd_bounds, help="exact rational exponent table"):
         common(p, "--format", "--out")
-        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--r", type=integer, required=True)
         p.add_argument("--a", required=True, help="ascending class sizes, e.g. 2,2,2")
 
     return parser

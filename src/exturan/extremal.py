@@ -81,7 +81,8 @@ class ExtremalRecord:
 
     mode "exact" promises that no F-free n-vertex host exceeds ``value``;
     mode "heuristic" promises only that the witness attains it. A record
-    holds no timing, so two runs of one search give equal records.
+    holds no timing, so two runs of one search give equal records. It checks
+    itself when built, from a search or a cache file, and never again.
     """
 
     n: int
@@ -93,8 +94,8 @@ class ExtremalRecord:
     mode: str
     nodes: int
 
-    def verify(self) -> None:
-        """Re-check the self-certifying part: freeness and the count."""
+    def __post_init__(self) -> None:
+        """Check the mode, the witness's shape, its freeness and its count."""
         if self.mode not in ("exact", "heuristic"):
             raise RecordError(f"unknown mode {self.mode!r}")
         if self.witness.n != self.n or self.witness.s != self.s:
@@ -339,16 +340,6 @@ def _instance(n, pattern, forbidden) -> tuple[UniformHypergraph, UniformHypergra
     return pattern, forbidden_g
 
 
-def _record(ctx: _Ctx, edges, value, mode, nodes) -> ExtremalRecord:
-    """The verified record of a finished search."""
-    record = ExtremalRecord(
-        n=ctx.n, s=ctx.s, pattern=ctx.pattern, forbidden=ctx.forbidden, value=value,
-        witness=make(ctx.n, ctx.s, edges), mode=mode, nodes=nodes,
-    )
-    record.verify()
-    return record
-
-
 def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None = None,
              allow_large: bool = False, cache: "RecordCache | None" = None) -> ExtremalRecord:
     """Exact maximum number of copies of ``pattern`` in an F-free host.
@@ -375,8 +366,10 @@ def exact_ex(n, pattern, forbidden, *, workers: int = 1, timeout: float | None =
         val, pos, nodes, timed = _parallel_search(ctx, workers, deadline)
     else:
         val, pos, nodes, timed = _explore(ctx, deadline)
-    record = _record(ctx, [colex_subsets(n, s)[p] for p in pos], val,
-                     "heuristic" if timed else "exact", nodes)
+    record = ExtremalRecord(
+        n=n, s=s, pattern=pattern, forbidden=forbidden_g, value=val,
+        witness=make(n, s, [colex_subsets(n, s)[p] for p in pos]),
+        mode="heuristic" if timed else "exact", nodes=nodes)
     if cache is not None and not timed:
         cache.put(record)
     return record
@@ -470,7 +463,9 @@ def heuristic_lower(n, pattern, forbidden, seed: int = 0,
                 host.remove(e)
             val = empty
 
-    return _record(ctx, best_edges, best_val, "heuristic", steps)
+    return ExtremalRecord(n=n, s=ctx.s, pattern=pattern, forbidden=forbidden_g,
+                          value=best_val, witness=make(n, ctx.s, best_edges),
+                          mode="heuristic", nodes=steps)
 
 
 def chain_check(n, forbidden, **kwargs) -> list[tuple[int, ExtremalRecord]]:
@@ -557,17 +552,15 @@ class RecordCache:
                 f"cache file {path} holds key {header.get('key')!r}, expected {key!r}"
             )
         try:
-            record = ExtremalRecord(
+            return ExtremalRecord(
                 n=header["n"], s=header["s"], pattern=pattern, forbidden=forbidden,
                 value=header["value"], witness=witness, mode=header["mode"],
                 nodes=header["nodes"],
             )
-            record.verify()
         except KeyError as exc:
             raise CacheIntegrityError(f"cache entry {path} lacks field {exc}") from None
         except RecordError as exc:
             raise CacheIntegrityError(f"cache entry {path} fails verification: {exc}")
-        return record
 
     def get(self, n, pattern, forbidden, mode) -> ExtremalRecord | None:
         key = self.key_of(n, pattern, forbidden, mode)
@@ -577,7 +570,6 @@ class RecordCache:
         return self._read(path, key, pattern, forbidden)
 
     def put(self, record: ExtremalRecord) -> Path:
-        record.verify()
         key = self.key_of(record.n, record.pattern, record.forbidden, record.mode)
         path = self._path(key)
         if path.exists():

@@ -165,6 +165,45 @@ class TestExCommand:
         assert out.stdout.strip().splitlines()[-1].endswith("heuristic")
 
 
+class TestIntegerInput:
+    """Every integer input is ASCII digits with an optional leading '-';
+    int() would also take a '+', a space, an underscore and the digits of
+    other scripts (an Arabic-Indic 5 is "\u0665")."""
+
+    EX = ("--T", "K3_2(1,1,1)", "--F", "K3_2(1,1,2)")
+    OUT = ("--out-prefix", "{tmp}/x")
+
+    @pytest.mark.parametrize("argv, bad", [
+        (("ex", "--n", "\u0665", *EX), "\u0665"),
+        (("ex", "--n", "5..\u0666", *EX), "5..\u0666"),
+        (("ex", "--n", "1_0", *EX), "1_0"),
+        (("ex", "--n", " 5", *EX), " 5"),
+        (("ex", "--n", "+5", *EX), "+5"),
+        (("ex", "--n", "5", "--seed", "\u0667", *EX), "--seed: invalid integer value"),
+        (("ex", "--n", "5", "--workers", "\u0662", *EX), "--workers: invalid integer value"),
+        (("ex", "--n", "5", "--budget", "1_0", *EX), "--budget: invalid integer value"),
+        (("bounds", "--r", "\u0663", "--a", " 2,2,\u0662"), "--r: invalid integer value"),
+        (("bounds", "--r", "3", "--a", " 2,2,\u0662"), " 2,2,\u0662"),
+        (("construct", "--kind", "lb4", "--n", "9", "--r", "3", "--a", "2,2,+2", *OUT),
+         "2,2,+2"),
+        (("construct", "--kind", "lbap", "--n", "\u0663", "--r", "3", *OUT),
+         "--n: invalid integer value"),
+    ])
+    def test_refused_integer_exits_2(self, tmp_path, capsys, argv, bad):
+        try:
+            code = main([w.format(tmp=tmp_path) for w in argv])
+        except SystemExit as exc:  # argparse refuses a flag's value
+            code = exc.code
+        err = capsys.readouterr()
+        assert code == 2 and err.out == ""
+        assert err.err.count("error:") == 1 and bad in err.err.splitlines()[-1], err.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_is_accepted(self, capsys):
+        assert main(["ex", "--n", "4", "--seed", "-3", *self.EX]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split()[-2:] == ["1", "exact"]
+
+
 class TestConstructCommand:
     def test_lbap_verify_writes_files(self, tmp_path):
         out = run_cli("construct", "--kind", "lbap", "--n", "4", "--r", "3",
@@ -262,6 +301,17 @@ class TestConstructCommand:
         assert json.loads(capsys.readouterr().out)["files"] == [
             f"{prefix}.txt", f"{prefix}.cert.json"]
         assert (tmp_path / "D" / "sub" / "d.txt").read_text() == "2 5 0\n"
+
+    def test_out_prefix_under_a_file_exits_2(self, tmp_path, capsys):
+        # the construction runs, but its directory cannot be made
+        (tmp_path / "D").write_text("")
+        assert main(["construct", "--kind", "lbap", "--n", "4", "--r", "3",
+                     "--out-prefix", str(tmp_path / "D" / "NAME")]) == 2
+        err = capsys.readouterr()
+        assert_one_line(err.err, "error:", tmp_path / "D")
+        assert err.out == ""
+        assert list(tmp_path.iterdir()) == [tmp_path / "D"]
+        assert (tmp_path / "D").read_text() == ""
 
     def test_deletion_without_p_on_no_vertices_exits_2(self, tmp_path):
         out = run_cli("construct", "--kind", "deletion", "--n", "0", "--r", "3",

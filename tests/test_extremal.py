@@ -6,6 +6,7 @@ import random
 import re
 import runpy
 import time
+from dataclasses import fields, replace
 from itertools import combinations, count
 from pathlib import Path
 
@@ -322,7 +323,7 @@ class TestExactEx:
 
     def test_record_is_self_certifying(self):
         rec = exact_ex(5, TRI, DIAMOND)
-        rec.verify()
+        assert replace(rec) == rec  # rebuilt, it checks its witness again
         assert rec.witness.n == 5 and rec.mode == "exact"
 
     def test_value_is_label_independent(self):
@@ -412,7 +413,7 @@ class TestExactEx:
     def test_timeout_returns_heuristic_record(self):
         rec = exact_ex(8, EDGE, C4, timeout=0.0)
         assert rec.mode == "heuristic"
-        rec.verify()
+        assert replace(rec) == rec
 
     def test_workers_run_under_a_timeout(self, monkeypatch):
         calls = []
@@ -429,8 +430,7 @@ class TestExactEx:
         assert len(calls) == 2
         assert par.mode == "exact" and cut.mode == "heuristic"
         assert (seq.value, seq.witness, seq.nodes) == (par.value, par.witness, par.nodes)
-        par.verify()
-        cut.verify()
+        assert replace(par) == par and replace(cut) == cut
 
     def test_counted_pattern_larger_than_n(self):
         # K14 has no copy on 5 vertices; its copy counter, built before the
@@ -499,7 +499,7 @@ class TestExactEx:
         monkeypatch.undo()
         for rec in records:
             assert rec.mode == "heuristic"
-            rec.verify()
+            assert replace(rec) == rec
         nodes = [rec.nodes for rec in records]
         assert nodes[0] == 1 and nodes == sorted(nodes) and nodes[-1] < full.nodes
         assert [rec.value for rec in records] == sorted(rec.value for rec in records)
@@ -641,7 +641,7 @@ class TestHeuristicLower:
         for seed in (0, 1, 2):
             rec = heuristic_lower(6, TRI, DIAMOND, seed=seed, budget=2000)
             assert rec.value >= 2
-            rec.verify()
+            assert replace(rec) == rec
 
     def test_forbidding_the_pattern_itself(self):
         rec = heuristic_lower(7, TRI, TRI, seed=0, budget=500)
@@ -677,7 +677,7 @@ class TestHeuristicLower:
     def test_c4_free_ten_vertices(self):
         rec = heuristic_lower(10, EDGE, C4, seed=0, budget=4000)
         assert rec.value >= 15
-        rec.verify()
+        assert replace(rec) == rec
 
     def test_reproducible(self):
         a = heuristic_lower(8, EDGE, C4, seed=3, budget=1500)
@@ -918,8 +918,8 @@ class TestCache:
         assert cache.get(5, rec.pattern, rec.forbidden, "exact") == rec
 
     def test_cache_hit_and_put_build_one_index_of_the_witness(self, tmp_path, index_builds):
-        # the read's verification and the put's both check the witness
-        # through the one index it keeps
+        # the read builds the record, which checks its witness through the
+        # one index the witness keeps; the put checks nothing
         cache = RecordCache(tmp_path)
         rec = exact_ex(6, TRI, DIAMOND, cache=cache)
         hit = exact_ex(6, TRI, DIAMOND, cache=cache)
@@ -1011,11 +1011,58 @@ class TestCache:
         with pytest.raises(CacheIntegrityError, match="corrupt cache entry"):
             cache.put(rec)
 
-    def test_verify_rejects_bad_records(self):
+    # one broken field each; on 4 vertices the triangle-counting,
+    # diamond-free record is worth 1
+    @pytest.mark.parametrize("field, broken, message", [
+        ("mode", "guess", "unknown mode"),
+        ("witness", make(5, 2, ()), "shape"),
+        ("witness", make(3, 2, ()), "shape"),
+        ("witness", make(4, 3, ()), "shape"),
+        ("witness", complete(4, 2), "forbidden"),
+        ("value", 2, "attain"),
+        ("value", 0, "attain"),
+    ], ids=["mode", "n+1", "n-1", "uniformity", "holds-F", "value+1", "value-1"])
+    def test_verify_rejects_bad_records(self, field, broken, message):
         rec = exact_ex(4, TRI, DIAMOND)
-        bad = type(rec)(
-            n=4, s=2, pattern=rec.pattern, forbidden=rec.forbidden,
-            value=rec.value + 1, witness=rec.witness, mode="exact",
-            nodes=0)
-        with pytest.raises(RecordError):
-            bad.verify()
+        assert rec.value == 1
+        built = {f.name: getattr(rec, f.name) for f in fields(rec)}
+        with pytest.raises(RecordError, match=message):
+            type(rec)(**{**built, field: broken})
+        with pytest.raises(RecordError, match=message):
+            replace(rec, **{field: broken})
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The witness of every record check, one entry per check."""
+        seen = []
+        real = extremal.is_blowup_free
+
+        def spy(host, spec):
+            seen.append(host)
+            return real(host, spec)
+
+        monkeypatch.setattr(extremal, "is_blowup_free", spy)
+        return seen
+
+    def test_cache_miss_checks_its_witness_once(self, tmp_path, checks):
+        rec = exact_ex(6, TRI, DIAMOND, cache=RecordCache(tmp_path))
+        assert len(checks) == 1 and checks[0] is rec.witness
+
+    def test_cache_hit_and_put_check_the_witness_once(self, tmp_path, checks):
+        cache = RecordCache(tmp_path)
+        exact_ex(6, TRI, DIAMOND, cache=cache)
+        checks.clear()
+        hit = exact_ex(6, TRI, DIAMOND, cache=cache)
+        cache.put(hit)
+        assert len(checks) == 1 and checks[0] is hit.witness
+
+    def test_heuristic_put_checks_only_the_held_record(self, tmp_path, checks):
+        cache = RecordCache(tmp_path)
+        large = heuristic_lower(9, EDGE, C4, budget=10)
+        cache.put(large)
+        small = heuristic_lower(9, EDGE, C4, budget=3)
+        assert small.value < large.value
+        checks.clear()
+        cache.put(small)
+        assert len(checks) == 1
+        assert checks[0] == large.witness and checks[0] is not large.witness
